@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import MicroTable, Schema
 from .errors import SynthesisError
+from .metrics import combo_counts, combo_keys
 
 
 @dataclass(frozen=True)
@@ -150,10 +151,8 @@ def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
     dims = data.schema.dims
     m = dims[node]
     q = math.prod(dims[p] for p in parents)
-    config = _parent_configs(data.codes, parents, dims)
-    pair = config * m + data.column(node)
-    _, pair_counts = np.unique(pair, return_counts=True)
-    _, config_counts = np.unique(config, return_counts=True)
+    pair_counts = combo_counts(data, parents + (node,))
+    config_counts = combo_counts(data, parents)
     loglik = float(
         np.sum(pair_counts * np.log(pair_counts))
         - np.sum(config_counts * np.log(config_counts))
@@ -248,9 +247,9 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
         ps = dag.parents[node]
         m = dims[node]
         q = math.prod(dims[p] for p in ps)
-        counts = np.zeros((q, m), dtype=np.float64)
-        config = _parent_configs(data.codes, ps, dims)
-        np.add.at(counts, (config, data.column(node)), 1.0)
+        # The CPT holds all q * m cells, so the keys are counted unranked.
+        (key,), _ = combo_keys((data,), ps + (node,), budget=q * m)
+        counts = np.bincount(key, minlength=q * m).reshape(q, m).astype(np.float64)
         totals = counts.sum(axis=1)
         if alpha > 0:
             theta = (counts + alpha) / (totals + alpha * m)[:, None]

@@ -69,6 +69,10 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError("duplicate variable names in schema")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        # Counting kernels read dims once per call; build the tuple once.
+        object.__setattr__(
+            self, "_dims", tuple(v.n_categories for v in self.variables)
+        )
 
     @property
     def d(self) -> int:
@@ -80,7 +84,7 @@ class Schema:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(v.n_categories for v in self.variables)
+        return self._dims
 
     def index_of(self, name: str) -> int:
         try:
@@ -240,6 +244,11 @@ def load_micro_csv(path, schema: Schema) -> MicroTable:
             col_of[var.name] = header.index(var.name)
         rows = []
         for rownum, row in enumerate(reader, start=1):
+            if len(row) < len(header):
+                raise SynthesisError(
+                    f"{path}: line {reader.line_num}: {len(row)} field(s), "
+                    f"header has {len(header)}"
+                )
             rec = []
             for var in schema.variables:
                 tok = row[col_of[var.name]]
@@ -284,6 +293,11 @@ def load_marginals_csv(path, schema: Schema) -> MarginalTable:
         for rownum, row in enumerate(reader, start=1):
             if not row:
                 continue
+            if len(row) < 3:
+                raise SynthesisError(
+                    f"{path}: line {reader.line_num}: {len(row)} field(s), "
+                    "expected variable,label,count"
+                )
             name, label, raw_count = row[0], row[1], row[2]
             i = schema.index_of(name)
             code = schema.variables[i].code_of(label)

@@ -20,42 +20,81 @@ from .dataset import MicroTable, Schema
 from .errors import SynthesisError
 
 
-@dataclass(frozen=True, eq=False)
-class FrequencyMap:
-    """Relative frequency of each observed combination over a variable subset."""
-
-    freqs: dict
-
-    def __post_init__(self):
-        if self.freqs:
-            total = math.fsum(self.freqs.values())
-            if any(v < 0 for v in self.freqs.values()):
-                raise SynthesisError("frequencies must be nonnegative")
-            if abs(total - 1.0) > 1e-9:
-                raise SynthesisError(f"frequencies must sum to 1, got {total}")
-
-    def get(self, combo) -> float:
-        return self.freqs.get(tuple(combo), 0.0)
+# Combination keys may range over this many values per counted row before
+# they are re-ranked densely, so a bincount over them stays a few words per
+# row however many categories the columns have.
+_KEY_RANGE_PER_ROW = 4
 
 
-def frequency_map(table: MicroTable, subset) -> FrequencyMap:
-    subset = tuple(subset)
-    if table.n_rows == 0 or not subset:
-        raise SynthesisError("need a nonempty table and subset")
-    rows = table.codes[:, subset]
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    n = table.n_rows
-    return FrequencyMap(
-        {tuple(int(v) for v in row): c / n for row, c in zip(uniq, counts)}
-    )
+def _key_budget(tables) -> int:
+    return _KEY_RANGE_PER_ROW * sum(t.n_rows for t in tables)
 
 
-def _subset_freqs(table: MicroTable, subset: tuple[int, ...]):
-    """Flattened combination codes and frequencies over the subset columns."""
-    dims = tuple(table.schema.dims[i] for i in subset)
-    flat = np.ravel_multi_index(tuple(table.column(i) for i in subset), dims)
-    vals, counts = np.unique(flat, return_counts=True)
-    return vals, counts / table.n_rows
+def _extend_keys(keys, span, columns, m, budget):
+    """Append one column of m categories to each table's mixed-radix key.
+
+    Keys lie in 0..span-1 and compare across tables. When the new range
+    would pass the budget, the keys are re-ranked jointly by np.unique.
+    The re-rank keeps their order and brings the range down to the number
+    of distinct keys, so a range never exceeds budget * m and a key cannot
+    overflow int64.
+    """
+    keys = [k * m + c for k, c in zip(keys, columns)]
+    span *= m
+    if span > budget:
+        uniq, rank = np.unique(np.concatenate(keys), return_inverse=True)
+        keys = np.split(rank, np.cumsum([k.size for k in keys[:-1]]))
+        span = uniq.size
+    return keys, span
+
+
+def combo_keys(tables, columns, budget=None):
+    """Each table's row keys over the columns, first column most significant.
+
+    Returns one int64 key array per table and the key range. Keys compare
+    across the tables, and ascending keys follow the lexicographic order
+    of the combinations. The range stays within the budget, which defaults
+    to _KEY_RANGE_PER_ROW per row of all the tables.
+    """
+    if budget is None:
+        budget = _key_budget(tables)
+    dims = tables[0].schema.dims
+    keys, span = [np.zeros(t.n_rows, dtype=np.int64) for t in tables], 1
+    for c in columns:
+        keys, span = _extend_keys(
+            keys, span, [t.column(c) for t in tables], dims[c], budget
+        )
+    return keys, span
+
+
+def combo_counts(table: MicroTable, columns) -> np.ndarray:
+    """Rows per observed combination of the columns, in lexicographic order.
+
+    This is the order and the counts of np.unique over the combinations.
+    """
+    (key,), span = combo_keys((table,), columns)
+    counts = np.bincount(key, minlength=span)
+    return counts[counts > 0]
+
+
+def _check_pair(ref: MicroTable, syn: MicroTable) -> None:
+    if ref.schema != syn.schema:
+        raise SynthesisError("reference and synthetic tables use different schemas")
+    if ref.n_rows == 0 or syn.n_rows == 0:
+        raise SynthesisError("cannot compare an empty table")
+
+
+def _srmse_of_keys(keys, span, n_ref: int, n_syn: int, m_product: int) -> float:
+    """SRMSE from the two tables' keys over one subset.
+
+    The squares are summed over the combinations seen in either table, in
+    ascending key order, so the float sum does not depend on the key range.
+    """
+    ref_counts, syn_counts = (np.bincount(k, minlength=span) for k in keys)
+    seen = (ref_counts + syn_counts) > 0
+    p = ref_counts[seen] / n_ref
+    q = syn_counts[seen] / n_syn
+    return math.sqrt(m_product * float(((p - q) ** 2).sum()))
 
 
 def srmse(ref: MicroTable, syn: MicroTable, subset) -> float:
@@ -64,8 +103,7 @@ def srmse(ref: MicroTable, syn: MicroTable, subset) -> float:
     M is the product of the subset's schema cardinalities; combinations
     observed in neither table contribute zero and are never enumerated.
     """
-    if ref.schema != syn.schema:
-        raise SynthesisError("reference and synthetic tables use different schemas")
+    _check_pair(ref, syn)
     subset = tuple(int(i) for i in subset)
     if not subset:
         raise SynthesisError("subset must be nonempty")
@@ -74,27 +112,44 @@ def srmse(ref: MicroTable, syn: MicroTable, subset) -> float:
     d = ref.schema.d
     if any(not 0 <= i < d for i in subset):
         raise SynthesisError("subset index out of range")
-    if ref.n_rows == 0 or syn.n_rows == 0:
-        raise SynthesisError("cannot compare an empty table")
-    rv, rf = _subset_freqs(ref, subset)
-    sv, sf = _subset_freqs(syn, subset)
-    all_vals = np.union1d(rv, sv)
-    p = np.zeros(all_vals.size)
-    q = np.zeros(all_vals.size)
-    p[np.searchsorted(all_vals, rv)] = rf
-    q[np.searchsorted(all_vals, sv)] = sf
+    keys, span = combo_keys((ref, syn), subset)
     m_product = math.prod(ref.schema.dims[i] for i in subset)
-    return math.sqrt(m_product * float(((p - q) ** 2).sum()))
+    return _srmse_of_keys(keys, span, ref.n_rows, syn.n_rows, m_product)
 
 
 def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
-    """Arithmetic mean of srmse over all size-n variable subsets."""
+    """Arithmetic mean of srmse over all size-n variable subsets.
+
+    Subsets are taken in itertools.combinations order. Each one extends
+    the keys of the prefix it shares with the previous subset, so most
+    subsets cost one multiply-add and one bincount per table.
+    """
     d = ref.schema.d
     if not 1 <= n <= d:
         raise SynthesisError(f"projection size {n} outside 1..{d}")
-    values = [
-        srmse(ref, syn, subset) for subset in itertools.combinations(range(d), n)
-    ]
+    _check_pair(ref, syn)
+    dims = ref.schema.dims
+    tables = (ref, syn)
+    budget = _key_budget(tables)
+    # Each column is read once per subset that ends in it: copy it out of
+    # the row-major table once, which halves the time of the reads.
+    columns = [[np.ascontiguousarray(t.column(i)) for t in tables] for i in range(d)]
+    # prefixes[k]: the keys and range over the first k variables of `previous`
+    prefixes = [([np.zeros(t.n_rows, dtype=np.int64) for t in tables], 1)]
+    previous: tuple[int, ...] = ()
+    values = []
+    for subset in itertools.combinations(range(d), n):
+        shared = next(
+            (k for k, (a, b) in enumerate(zip(subset, previous)) if a != b), 0
+        )
+        del prefixes[shared + 1 :]
+        for c in subset[shared:]:
+            prefixes.append(_extend_keys(*prefixes[-1], columns[c], dims[c], budget))
+        m_product = math.prod(dims[c] for c in subset)
+        values.append(
+            _srmse_of_keys(*prefixes[-1], ref.n_rows, syn.n_rows, m_product)
+        )
+        previous = subset
     return float(np.mean(values))
 
 
@@ -116,13 +171,47 @@ def _kept_indices(schema: Schema, exclude) -> tuple[int, ...]:
     return kept
 
 
+def _seen(tables, kept) -> list[np.ndarray]:
+    """Which joint keys over the kept columns occur in each table.
+
+    The tables are keyed together, so the masks line up. A table passed
+    more than once (the population may be the source) is keyed once.
+    """
+    distinct = list({id(t): t for t in tables}.values())
+    keys, span = combo_keys(distinct, kept)
+    seen = {id(t): np.bincount(k, minlength=span) > 0 for t, k in zip(distinct, keys)}
+    return [seen[id(t)] for t in tables]
+
+
+def _sampled_zeros(train_seen, ref_seen, syn_seen) -> int:
+    return int(np.count_nonzero(syn_seen & ref_seen & ~train_seen))
+
+
+def _structural_zeros(syn_seen, population_seen) -> int:
+    return int(np.count_nonzero(syn_seen & ~population_seen))
+
+
+def _precision_recall_f1(syn_seen, population_seen) -> tuple[float, float, float]:
+    n_population = int(np.count_nonzero(population_seen))
+    if not n_population:
+        raise SynthesisError("population table is empty")
+    n_syn = int(np.count_nonzero(syn_seen))
+    if not n_syn:
+        warnings.warn("empty synthetic table: precision undefined, reporting 0")
+        return 0.0, 0.0, 0.0
+    hit = int(np.count_nonzero(syn_seen & population_seen))
+    precision = hit / n_syn
+    recall = hit / n_population
+    f1 = 2 * precision * recall / (precision + recall) if hit else 0.0
+    return precision, recall, f1
+
+
 def distinct_combos(table: MicroTable, exclude=None) -> set:
     """Distinct code tuples after dropping the excluded variables."""
     kept = _kept_indices(table.schema, exclude)
-    if table.n_rows == 0:
-        return set()
-    uniq = np.unique(table.codes[:, kept], axis=0)
-    return {tuple(int(v) for v in row) for row in uniq}
+    (key,), _ = combo_keys((table,), kept)
+    _, first = np.unique(key, return_index=True)
+    return set(map(tuple, table.codes[np.ix_(first, kept)].tolist()))
 
 
 def sampled_zeros(
@@ -131,17 +220,16 @@ def sampled_zeros(
     """Synthetic combinations present in the reference but absent from training."""
     if not (train.schema == ref.schema == syn.schema):
         raise SynthesisError("tables use different schemas")
-    syn_c = distinct_combos(syn, exclude)
-    ref_c = distinct_combos(ref, exclude)
-    train_c = distinct_combos(train, exclude)
-    return len(syn_c & ref_c - train_c)
+    kept = _kept_indices(syn.schema, exclude)
+    return _sampled_zeros(*_seen((train, ref, syn), kept))
 
 
 def structural_zeros(syn: MicroTable, population: MicroTable, exclude=None) -> int:
     """Synthetic combinations that exist nowhere in the designated population."""
     if syn.schema != population.schema:
         raise SynthesisError("tables use different schemas")
-    return len(distinct_combos(syn, exclude) - distinct_combos(population, exclude))
+    kept = _kept_indices(syn.schema, exclude)
+    return _structural_zeros(*_seen((syn, population), kept))
 
 
 def precision_recall_f1(
@@ -150,18 +238,8 @@ def precision_recall_f1(
     """Distinct-combination precision/recall against the population, plus F1."""
     if syn.schema != population.schema:
         raise SynthesisError("tables use different schemas")
-    syn_c = distinct_combos(syn, exclude)
-    pop_c = distinct_combos(population, exclude)
-    if not pop_c:
-        raise SynthesisError("population table is empty")
-    if not syn_c:
-        warnings.warn("empty synthetic table: precision undefined, reporting 0")
-        return 0.0, 0.0, 0.0
-    hit = len(syn_c & pop_c)
-    precision = hit / len(syn_c)
-    recall = hit / len(pop_c)
-    f1 = 2 * precision * recall / (precision + recall) if hit else 0.0
-    return precision, recall, f1
+    kept = _kept_indices(syn.schema, exclude)
+    return _precision_recall_f1(*_seen((syn, population), kept))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,17 +332,23 @@ def evaluate(
     variables with more than 20 categories); SRMSE projections run over
     n = 1..min(max_projection, d) with no exclusion.
     """
+    if not (ref.schema == train.schema == syn.schema == population.schema):
+        raise SynthesisError("tables use different schemas")
     if exclude is None:
         exclude = default_exclusion(ref.schema)
     srmse_by_n = {
         n: srmse_projected(ref, syn, n)
         for n in range(1, min(max_projection, ref.schema.d) + 1)
     }
-    precision, recall, f1 = precision_recall_f1(syn, population, exclude)
+    kept = _kept_indices(ref.schema, exclude)
+    train_seen, ref_seen, syn_seen, pop_seen = _seen(
+        (train, ref, syn, population), kept
+    )
+    precision, recall, f1 = _precision_recall_f1(syn_seen, pop_seen)
     return EvaluationReport(
         srmse_by_n=srmse_by_n,
-        sampled_zeros=sampled_zeros(train, ref, syn, exclude),
-        structural_zeros=structural_zeros(syn, population, exclude),
+        sampled_zeros=_sampled_zeros(train_seen, ref_seen, syn_seen),
+        structural_zeros=_structural_zeros(syn_seen, pop_seen),
         precision=precision,
         recall=recall,
         f1=f1,

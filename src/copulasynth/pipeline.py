@@ -10,6 +10,8 @@ byte-identical across runs.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import shlex
 import subprocess
@@ -97,6 +99,23 @@ class SynthesisConfig:
     baseline_target_marginals: bool = False
 
     def __post_init__(self):
+        # JSON gives bools for true/false; they are ints to Python, not counts.
+        for name in ("output_size", "seed", "max_parents", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SynthesisError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha", "tol"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
+                raise SynthesisError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.baseline_target_marginals, bool):
+            raise SynthesisError("baseline_target_marginals must be true or false")
+        if self.seed < 0:
+            raise SynthesisError("seed must be >= 0")
         if self.method not in GENERATORS:
             raise SynthesisError(
                 f"unknown method {self.method!r}; choose one of {', '.join(GENERATORS)}"

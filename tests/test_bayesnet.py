@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from copulasynth import (
@@ -298,3 +301,45 @@ def test_from_json_validates(tmp_path):
     doc_bad2 = dict(doc, cpts=[[0.5, 0.5, 0.5]] + doc["cpts"][1:])
     with pytest.raises(SynthesisError):
         from_json(doc_bad2, table.schema)
+
+
+@st.composite
+def tables_with_dags(draw):
+    """A table whose parent-configuration products often pass the key budget."""
+    d = draw(st.integers(1, 5))
+    dims = [draw(st.integers(1, 12)) for _ in range(d)]
+    n = draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**31 - 1))
+    parents = tuple(
+        tuple(p for p in range(node) if draw(st.booleans())) for node in range(d)
+    )
+    return random_table(dims, n, seed), Dag(parents=parents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_with_dags(), st.sampled_from([0.1, 1.0]))
+def test_family_score_and_fit_match_counter_reference(case, alpha):
+    table, dag = case
+    rows = table.codes.tolist()
+    dims = table.schema.dims
+    for node, parents in enumerate(dag.parents):
+        m = dims[node]
+        q = math.prod(dims[p] for p in parents)
+        pair = Counter(tuple(r[p] for p in parents) + (r[node],) for r in rows)
+        config = Counter(tuple(r[p] for p in parents) for r in rows)
+        pair_counts = np.array([pair[k] for k in sorted(pair)])
+        config_counts = np.array([config[k] for k in sorted(config)])
+        loglik = float(
+            np.sum(pair_counts * np.log(pair_counts))
+            - np.sum(config_counts * np.log(config_counts))
+        )
+        expected = loglik - 0.5 * math.log(len(rows)) * q * (m - 1)
+        assert family_score_mdl(table, node, parents) == expected
+
+        counts = np.zeros((q, m))
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for p in parents:
+            keys = keys * dims[p] + table.column(p)
+        np.add.at(counts, (keys, table.column(node)), 1.0)
+        theta = (counts + alpha) / (counts.sum(axis=1) + alpha * m)[:, None]
+        assert np.array_equal(fit_parameters(table, dag, alpha).cpts[node].table, theta)

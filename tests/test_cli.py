@@ -95,6 +95,25 @@ def test_synth_malformed_config_json(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "override", [{"output_size": "100"}, {"output_size": True}, {"seed": -1}]
+)
+def test_synth_mistyped_config_exits_one(workspace, capsys, override):
+    cfg = write_config(workspace, **override)
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not (workspace / "out").exists()
+
+
+def test_synth_short_source_row_exits_one(workspace, capsys):
+    with open(workspace / "source.csv", "a") as handle:
+        handle.write("0,1\n")
+    assert main(["synth", "--config", str(write_config(workspace))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "source.csv: line 1202" in err
+
+
 def test_evaluate_happy_path(workspace, capsys):
     args = ["evaluate",
             "--ref", str(workspace / "reference.csv"),

@@ -134,6 +134,9 @@ def test_load_micro_csv_errors(tmp_path):
     path.write_text("a\nx\n")
     with pytest.raises(SynthesisError, match="missing column"):
         load_micro_csv(path, schema)
+    path.write_text("a,b\nx,0\ny\n")
+    with pytest.raises(SynthesisError, match=r"rows\.csv: line 3: 1 field"):
+        load_micro_csv(path, schema)
     path.write_text("a,b\n")
     assert load_micro_csv(path, schema).n_rows == 0
 
@@ -175,6 +178,9 @@ def test_marginals_csv_errors(tmp_path):
         load_marginals_csv(path, schema)
     path.write_text("variable,label,count\nv0,0,-3\n")
     with pytest.raises(SynthesisError, match="negative"):
+        load_marginals_csv(path, schema)
+    path.write_text("variable,label,count\nv0,0,3\n\nv0,1\n")
+    with pytest.raises(SynthesisError, match=r"m\.csv: line 4: 2 field"):
         load_marginals_csv(path, schema)
     path.write_text("variable,label,count\nv0,9,3\n")
     with pytest.raises(SynthesisError, match="unknown label"):

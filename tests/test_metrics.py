@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 from copulasynth import (
     EvaluationReport,
-    FrequencyMap,
     MicroTable,
     SynthesisError,
     default_exclusion,
     evaluate,
-    frequency_map,
     marginal_report,
     precision_recall_f1,
     report_to_json,
@@ -27,6 +25,7 @@ from copulasynth import (
     structural_zeros,
     write_marginal_csv,
 )
+from copulasynth.metrics import distinct_combos
 from conftest import make_schema, random_table, small_tables, table_pairs
 
 
@@ -45,6 +44,17 @@ def srmse_oracle(ref, syn, subset):
         q = syn_counts.get(combo, 0) / syn.n_rows
         total += (p - q) ** 2
     return math.sqrt(math.prod(dims) * total)
+
+
+def srmse_in_lexicographic_order(ref, syn, subset):
+    """Sums the squares over the observed combinations in sorted order."""
+    ref_counts = Counter(map(tuple, ref.codes[:, subset].tolist()))
+    syn_counts = Counter(map(tuple, syn.codes[:, subset].tolist()))
+    combos = sorted(set(ref_counts) | set(syn_counts))
+    p = np.array([ref_counts[c] for c in combos]) / ref.n_rows
+    q = np.array([syn_counts[c] for c in combos]) / syn.n_rows
+    m_product = math.prod(ref.schema.dims[i] for i in subset)
+    return math.sqrt(m_product * float(((p - q) ** 2).sum()))
 
 
 def test_srmse_hand_cases():
@@ -133,17 +143,6 @@ def test_srmse_projected_aggregates_by_mean():
     two = random_table([2, 3], 30, seed=5)
     two_syn = random_table([2, 3], 30, seed=6)
     assert srmse_projected(two, two_syn, 2) == srmse(two, two_syn, [0, 1])
-
-
-def test_frequency_map_validation():
-    fm = frequency_map(table_from_rows([2], [[0], [0], [1], [1]]), [0])
-    assert fm.get((0,)) == 0.5
-    assert fm.get((1,)) == 0.5
-    assert fm.get((9,)) == 0.0
-    with pytest.raises(SynthesisError):
-        FrequencyMap({(0,): 0.4, (1,): 0.4})
-    with pytest.raises(SynthesisError):
-        FrequencyMap({(0,): -0.5, (1,): 1.5})
 
 
 def test_default_exclusion_targets_wide_ordinals():
@@ -303,3 +302,68 @@ def test_evaluate_and_json_field_names():
     assert doc["marginal_series"][0]["variable"] == "v0"
     # syn == ref combos minus train combos is empty when train == ref
     assert doc["sampled_zeros"] == 0
+
+
+def test_srmse_past_the_bincount_budget_matches_oracle():
+    # Pairs of 300-category variables span 90,000 keys over 130 rows, so the
+    # keys are re-ranked before counting; the small variables re-rank again.
+    rng = np.random.default_rng(31)
+    dims = [300, 300, 300, 300, 300, 3, 4]
+    schema = make_schema(dims)
+    draw = lambda n: MicroTable(
+        schema, np.column_stack([rng.integers(0, m, n) for m in dims])
+    )
+    ref, syn = draw(50), draw(80)
+    syn = MicroTable(schema, np.vstack([syn.codes, ref.codes[:20]]))
+    for n in (1, 2):
+        expected = np.mean(
+            [srmse_oracle(ref, syn, list(s))
+             for s in itertools.combinations(range(len(dims)), n)]
+        )
+        assert srmse_projected(ref, syn, n) == pytest.approx(expected, abs=1e-12)
+    for subset in ([3, 1], [0, 5, 6], [6, 2, 5]):
+        assert srmse(ref, syn, subset) == pytest.approx(
+            srmse_oracle(ref, syn, subset), abs=1e-12
+        )
+    # Re-ranking keeps the key order, so the float sum is the sorted one, bit
+    # for bit, and projected means are unchanged by the budget.
+    pairs = list(itertools.combinations(range(len(dims)), 2))
+    exact = [srmse_in_lexicographic_order(ref, syn, list(s)) for s in pairs]
+    assert [srmse(ref, syn, s) for s in pairs] == exact
+    assert srmse_projected(ref, syn, 2) == float(np.mean(exact))
+
+
+def test_zeros_past_int64_match_bruteforce_sets():
+    # 700**7 > 2**63: the joint key of all seven variables only fits re-ranked.
+    rng = np.random.default_rng(5)
+    dims = [700] * 7
+    schema = make_schema(dims)
+    pool = np.column_stack([rng.integers(0, m, 40) for m in dims])
+    pool[:, 0] = 699
+    draw = lambda n: MicroTable(schema, pool[rng.integers(0, len(pool), n)])
+    as_set = lambda t, kept: set(map(tuple, t.codes[:, kept].tolist()))
+    for _ in range(5):
+        train, ref, syn = draw(30), draw(30), draw(50)
+        for exclude, kept in (((), list(range(7))), (("v3",), [0, 1, 2, 4, 5, 6])):
+            t, r, s = (as_set(x, kept) for x in (train, ref, syn))
+            assert distinct_combos(syn, exclude) == s
+            assert sampled_zeros(train, ref, syn, exclude) == len(s & r - t)
+            assert structural_zeros(syn, ref, exclude) == len(s - r)
+            p, rec, _ = precision_recall_f1(syn, ref, exclude)
+            assert (p, rec) == (len(s & r) / len(s), len(s & r) / len(r))
+
+
+def test_evaluate_population_is_source_matches_set_oracle():
+    dims = [3, 4, 2, 25]
+    kinds = ["categorical", "ordinal", "categorical", "ordinal"]
+    train, ref, syn = (random_table(dims, n, seed=s, kinds=kinds)
+                       for n, s in ((60, 1), (40, 2), (90, 3)))
+    report = evaluate(ref, train, syn, train)
+    kept = [0, 1, 2]  # v3 is a wide ordinal, excluded by default
+    as_set = lambda t: set(map(tuple, t.codes[:, kept].tolist()))
+    t, r, s = as_set(train), as_set(ref), as_set(syn)
+    assert report.sampled_zeros == len(s & r - t)
+    assert report.structural_zeros == len(s - t)
+    assert report.precision == len(s & t) / len(s)
+    assert report.recall == len(s & t) / len(t)
+    assert report.srmse_by_n[2] == srmse_projected(ref, syn, 2)

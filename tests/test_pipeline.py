@@ -66,6 +66,25 @@ def test_config_validation():
     cfg = SynthesisConfig(source_data="s", schema="c", method="external_copula",
                           output_size=10, seed=0, external_command="gen --fast")
     assert cfg.external_command == ("gen", "--fast")
+    for field, value in [
+        ("output_size", "100"),
+        ("output_size", True),
+        ("output_size", 10.0),
+        ("seed", -1),
+        ("seed", False),
+        ("max_parents", "3"),
+        ("max_iter", None),
+        ("alpha", "0.1"),
+        ("alpha", True),
+        ("tol", float("nan")),
+        ("baseline_target_marginals", "no"),
+    ]:
+        fields = dict(source_data="s", schema="c", method="bn", output_size=10, seed=0)
+        fields[field] = value
+        with pytest.raises(SynthesisError, match=field):
+            SynthesisConfig(**fields)
+    assert SynthesisConfig(source_data="s", schema="c", method="bn",
+                           output_size=np.int64(10), seed=0, alpha=1, tol=1e-6)
 
 
 def test_load_config_rejects_unknown_and_missing_fields(tmp_path):
