@@ -4,139 +4,62 @@ related source sample through an empirical copula."""
 
 __version__ = "0.1.0"
 
-from .baselines import sample_independent
-from .bayesnet import (
-    BayesNet,
-    Cpt,
-    Dag,
-    family_score_mdl,
-    fit_parameters,
-    learn_structure,
-    network_score,
-)
+from .bayesnet import fit_parameters, learn_structure
 from .bayesnet import sample as sample_bayesnet
-from .copula import (
-    EmpiricalMarginal,
-    NormalizedTable,
-    RelaxedEcdf,
-    denormalize,
-    evaluate_relaxed,
-    fit_ecdf,
-    jitter_cells,
-    jitter_sample,
-    normalize,
-    pseudo_inverse,
-    pseudo_inverse_many,
-)
 from .dataset import (
     MarginalTable,
     MicroTable,
     Schema,
     VariableSpec,
-    concat,
-    infer_schema,
     load_marginals_csv,
     load_micro_csv,
     load_schema,
     marginals_of,
-    split,
     write_marginals_csv,
     write_micro_csv,
     write_schema,
 )
 from .errors import CapacityError, SchemaError, SynthesisError
-from .ipf import ContingencyTable, allocate, build_seed
+from .ipf import allocate, build_seed
 from .ipf import fit as fit_ipf
-from .metrics import (
-    EvaluationReport,
-    MarginalSeries,
-    default_exclusion,
-    evaluate,
-    marginal_report,
-    precision_recall_f1,
-    report_to_json,
-    sampled_zeros,
-    srmse,
-    srmse_projected,
-    structural_zeros,
-    write_marginal_csv,
-)
+from .metrics import evaluate, srmse_projected
 from .pipeline import (
-    GENERATORS,
-    PermutationStudy,
     SynthesisConfig,
     generate_table,
     load_config,
     make_transfer_benchmark,
-    rank_recode,
     run_experiment,
     run_permutation_study,
-    synthesize,
 )
 
 __all__ = [
     "__version__",
-    "BayesNet",
-    "CapacityError",
-    "ContingencyTable",
-    "Cpt",
-    "Dag",
-    "EmpiricalMarginal",
-    "EvaluationReport",
-    "GENERATORS",
-    "MarginalSeries",
-    "MarginalTable",
-    "MicroTable",
-    "NormalizedTable",
-    "PermutationStudy",
-    "RelaxedEcdf",
-    "SchemaError",
-    "Schema",
-    "SynthesisConfig",
     "SynthesisError",
+    "SchemaError",
+    "CapacityError",
+    "Schema",
     "VariableSpec",
-    "allocate",
-    "build_seed",
-    "concat",
-    "default_exclusion",
-    "denormalize",
-    "evaluate",
-    "evaluate_relaxed",
-    "family_score_mdl",
-    "fit_ecdf",
-    "fit_ipf",
-    "fit_parameters",
-    "generate_table",
-    "infer_schema",
-    "jitter_cells",
-    "jitter_sample",
-    "learn_structure",
-    "load_config",
-    "load_marginals_csv",
-    "load_micro_csv",
+    "MicroTable",
+    "MarginalTable",
     "load_schema",
-    "make_transfer_benchmark",
-    "marginal_report",
+    "write_schema",
+    "load_micro_csv",
+    "write_micro_csv",
+    "load_marginals_csv",
+    "write_marginals_csv",
     "marginals_of",
-    "network_score",
-    "normalize",
-    "precision_recall_f1",
-    "pseudo_inverse",
-    "pseudo_inverse_many",
-    "rank_recode",
-    "report_to_json",
+    "SynthesisConfig",
+    "load_config",
+    "generate_table",
     "run_experiment",
     "run_permutation_study",
+    "make_transfer_benchmark",
+    "learn_structure",
+    "fit_parameters",
     "sample_bayesnet",
-    "sample_independent",
-    "sampled_zeros",
-    "split",
-    "srmse",
+    "build_seed",
+    "fit_ipf",
+    "allocate",
+    "evaluate",
     "srmse_projected",
-    "structural_zeros",
-    "synthesize",
-    "write_marginal_csv",
-    "write_marginals_csv",
-    "write_micro_csv",
-    "write_schema",
 ]

@@ -90,14 +90,6 @@ class Cpt:
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
 
-    @property
-    def n_configs(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def n_categories(self) -> int:
-        return self.table.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class BayesNet:

@@ -50,10 +50,8 @@ def _print_report(report: EvaluationReport) -> None:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.config) as handle:
-        raw = json.load(handle)
     config = load_config(args.config)
-    if isinstance(raw, dict) and "target_marginals" not in raw:
+    if config.target_marginals == "from-source":
         print("notice: no target marginals configured; using the source sample's")
     report = run_experiment(config)
     _print_report(report)

@@ -1,8 +1,8 @@
-"""Empirical-CDF normalization, cell jittering, and pseudo-inverse transforms.
+"""Empirical marginals, cell jittering, and the pseudo-inverse transform.
 
-The pipeline casts a discrete sample into the unit hypercube by replacing
-each code with its ECDF value, models the dependence there, and maps
-generated uniforms back through the pseudo-inverse of a (possibly
+The pipeline casts a discrete sample into the unit hypercube through each
+column's ECDF (see ``pipeline.rank_recode``), models the dependence there,
+and maps generated uniforms back through the pseudo-inverse of a (possibly
 different) target marginal. Jittering realizes the continuous relaxation
 of the step ECDF: a generated cell k is placed uniformly inside the
 probability interval (F(x^(k-1)), F(x^(k))], which makes the generated
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MicroTable, Schema
 from .errors import SynthesisError
 
 
@@ -54,13 +53,6 @@ class EmpiricalMarginal:
     def n_cells(self) -> int:
         return len(self.values)
 
-    def cell_interval(self, k: int) -> tuple[float, float]:
-        """Probability interval (lo, hi] of 1-based cell k."""
-        if not 1 <= k <= self.n_cells:
-            raise SynthesisError(f"cell index {k} outside 1..{self.n_cells}")
-        lo = 0.0 if k == 1 else float(self.cumprobs[k - 2])
-        return lo, float(self.cumprobs[k - 1])
-
     @classmethod
     def from_counts(cls, counts) -> "EmpiricalMarginal":
         """Build from per-category counts; zero-count categories are dropped."""
@@ -75,116 +67,8 @@ class EmpiricalMarginal:
         return cls(values=support, cumprobs=cum)
 
 
-def fit_ecdf(column) -> EmpiricalMarginal:
-    """Multiplicity-weighted ECDF of a column of category codes.
-
-    The cumulative probability at the k-th distinct value is
-    (number of observations <= that value) / N.
-    """
-    col = np.asarray(column, dtype=np.int64)
-    if col.ndim != 1 or col.size == 0:
-        raise SynthesisError("cannot fit an ECDF on an empty column")
-    values, counts = np.unique(col, return_counts=True)
-    cum = np.cumsum(counts) / col.size
-    cum[-1] = 1.0
-    return EmpiricalMarginal(values=values, cumprobs=cum)
-
-
-@dataclass(frozen=True, eq=False)
-class RelaxedEcdf:
-    """Continuous piecewise-linear interpolation of a step ECDF.
-
-    Knots are the (value, cumprob) pairs of the underlying marginal plus
-    a left anchor at probability 0. The anchor sits at the origin when
-    the smallest observed code is positive, one unit below it otherwise;
-    only interval membership below the first knot matters, never the
-    ramp's exact shape.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        xs = np.array(self.xs, dtype=np.float64, copy=True)
-        ys = np.array(self.ys, dtype=np.float64, copy=True)
-        if xs.shape != ys.shape or xs.size < 2:
-            raise SynthesisError("relaxed ECDF needs at least anchor plus one knot")
-        if (np.diff(xs) <= 0).any() or (np.diff(ys) <= 0).any():
-            raise SynthesisError("relaxed ECDF knots must be strictly increasing")
-        if ys[0] != 0.0 or ys[-1] != 1.0:
-            raise SynthesisError("relaxed ECDF must rise from 0 to 1")
-        xs.flags.writeable = False
-        ys.flags.writeable = False
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    @classmethod
-    def from_marginal(cls, marginal: EmpiricalMarginal) -> "RelaxedEcdf":
-        first = float(marginal.values[0])
-        anchor = 0.0 if first > 0 else first - 1.0
-        xs = np.concatenate([[anchor], marginal.values.astype(np.float64)])
-        ys = np.concatenate([[0.0], marginal.cumprobs])
-        return cls(xs=xs, ys=ys)
-
-
-def evaluate_relaxed(ecdf: RelaxedEcdf, x: float) -> float:
-    """Piecewise-linear CDF value at x; clamps to {0,1} outside the support."""
-    if x <= ecdf.xs[0]:
-        return 0.0
-    if x >= ecdf.xs[-1]:
-        return 1.0
-    return float(np.interp(x, ecdf.xs, ecdf.ys))
-
-
-@dataclass(frozen=True, eq=False)
-class NormalizedTable:
-    """ECDF-normalized sample: an (N, d) matrix of reals in (0,1]."""
-
-    schema: Schema
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[1] != self.schema.d:
-            raise SynthesisError(
-                f"values must have shape (N, {self.schema.d}), got {arr.shape}"
-            )
-        if arr.size and ((arr <= 0.0).any() or (arr > 1.0).any()):
-            raise SynthesisError("normalized entries must lie in (0,1]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-
-def normalize(table: MicroTable) -> tuple[NormalizedTable, list[EmpiricalMarginal]]:
-    """Replace every code with its column's ECDF value.
-
-    Returns the normalized table together with the fitted per-column
-    marginals so callers can reuse them for denormalization.
-    """
-    if table.n_rows == 0:
-        raise SynthesisError("cannot normalize an empty table")
-    out = np.empty(table.codes.shape, dtype=np.float64)
-    marginals = []
-    for i in range(table.schema.d):
-        em = fit_ecdf(table.column(i))
-        ranks = np.searchsorted(em.values, table.column(i))
-        out[:, i] = em.cumprobs[ranks]
-        marginals.append(em)
-    return NormalizedTable(table.schema, out), marginals
-
-
-def jitter_sample(marginal: EmpiricalMarginal, cell: int, rng) -> float:
-    """Uniform draw from cell's probability interval (F(x^(k-1)), F(x^(k))]."""
-    lo, hi = marginal.cell_interval(cell)
-    return hi - rng.random() * (hi - lo)
-
-
 def jitter_cells(marginal: EmpiricalMarginal, cells, rng) -> np.ndarray:
-    """Vectorized jitter_sample over an array of 1-based cell indices."""
+    """One uniform draw per 1-based cell k from its interval (F(x^(k-1)), F(x^(k))]."""
     idx = np.asarray(cells, dtype=np.int64)
     if idx.size and (idx.min() < 1 or idx.max() > marginal.n_cells):
         raise SynthesisError(
@@ -197,31 +81,10 @@ def jitter_cells(marginal: EmpiricalMarginal, cells, rng) -> np.ndarray:
     return hi - rng.random(idx.shape) * (hi - lo)
 
 
-def pseudo_inverse(target: EmpiricalMarginal, u: float) -> int:
-    """Smallest target value whose cumulative probability reaches u."""
-    if not 0.0 < u <= 1.0:
-        raise SynthesisError(f"u must lie in (0,1], got {u}")
-    k = int(np.searchsorted(target.cumprobs, u, side="left"))
-    return int(target.values[k])
-
-
 def pseudo_inverse_many(target: EmpiricalMarginal, u) -> np.ndarray:
+    """For each u, the smallest target value whose cumulative probability reaches u."""
     arr = np.asarray(u, dtype=np.float64)
     if arr.size and ((arr <= 0.0).any() or (arr > 1.0).any()):
         raise SynthesisError("u values must lie in (0,1]")
     ranks = np.searchsorted(target.cumprobs, arr, side="left")
     return target.values[ranks]
-
-
-def denormalize(
-    normalized: NormalizedTable, targets: list[EmpiricalMarginal]
-) -> MicroTable:
-    """Map normalized values back to codes via per-column pseudo-inverses."""
-    if len(targets) != normalized.schema.d:
-        raise SynthesisError(
-            f"expected {normalized.schema.d} target marginals, got {len(targets)}"
-        )
-    codes = np.empty(normalized.values.shape, dtype=np.int64)
-    for i, target in enumerate(targets):
-        codes[:, i] = pseudo_inverse_many(target, normalized.values[:, i])
-    return MicroTable(normalized.schema, codes)

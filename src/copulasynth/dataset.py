@@ -1,4 +1,4 @@
-"""Schema definition, microdata/marginal ingestion, splitting, and marginal extraction.
+"""Schema definition, microdata/marginal ingestion, and marginal extraction.
 
 All tabular data is held as dense integer category codes. A code is the
 position of a label in its variable's declared label list, so every
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,45 +185,6 @@ def write_schema(schema: Schema, path) -> None:
     Path(path).write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
 
 
-def infer_schema(path, ordinal_if_numeric: bool = True) -> Schema:
-    """Derive a schema from a microdata CSV.
-
-    Labels are ordered lexicographically, except that a column whose
-    labels are all numeric is treated as ordinal and ordered numerically.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SynthesisError(f"{path}: empty file") from None
-        seen: list[set] = [set() for _ in header]
-        for row in reader:
-            for i, tok in enumerate(row):
-                seen[i].add(tok)
-    variables = []
-    for name, values in zip(header, seen):
-        if not values:
-            raise SynthesisError(f"{path}: column {name!r} has no data to infer from")
-        numeric = ordinal_if_numeric and all(_is_number(v) for v in values)
-        if numeric:
-            labels = tuple(sorted(values, key=float))
-            kind = "ordinal"
-        else:
-            labels = tuple(sorted(values))
-            kind = "categorical"
-        variables.append(VariableSpec(name=name, labels=labels, kind=kind))
-    return Schema(tuple(variables))
-
-
-def _is_number(tok: str) -> bool:
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
 def load_micro_csv(path, schema: Schema) -> MicroTable:
     """Read a microdata CSV (header + one record per person) into codes.
 
@@ -328,28 +289,6 @@ def write_marginals_csv(marginals: MarginalTable, path) -> None:
         for var, cnt in zip(marginals.schema.variables, marginals.counts):
             for label, value in zip(var.labels, cnt):
                 writer.writerow([var.name, label, int(value)])
-
-
-def split(table: MicroTable, fraction: float, seed: int) -> tuple[MicroTable, MicroTable]:
-    """Random disjoint partition; first part holds floor(fraction*N) rows.
-
-    Rows keep their original relative order within each part.
-    Deterministic for a fixed seed.
-    """
-    n = table.n_rows
-    if n < 2:
-        raise SynthesisError(f"cannot split a table with {n} rows")
-    if not 0.0 < fraction < 1.0:
-        raise SynthesisError(f"fraction must lie in (0,1), got {fraction}")
-    k = int(np.floor(fraction * n))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    first = np.sort(perm[:k])
-    second = np.sort(perm[k:])
-    return (
-        MicroTable(table.schema, table.codes[first]),
-        MicroTable(table.schema, table.codes[second]),
-    )
 
 
 def marginals_of(table: MicroTable) -> MarginalTable:

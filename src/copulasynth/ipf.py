@@ -9,7 +9,6 @@ i.i.d. from the fitted cells.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -161,14 +160,3 @@ def allocate(fitted: ContingencyTable, n: int, rng) -> MicroTable:
     flat = rng.choice(probs.size, size=n, p=probs)
     codes = np.stack(np.unravel_index(flat, fitted.schema.dims), axis=1)
     return MicroTable(fitted.schema, codes.astype(np.int64))
-
-
-def write_contingency_csv(table: ContingencyTable, path) -> None:
-    """Nonzero cells as rows of category codes plus the cell value."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(table.schema.names) + ["value"])
-        flat = table.values.ravel()
-        for idx in np.flatnonzero(flat):
-            codes = np.unravel_index(idx, table.schema.dims)
-            writer.writerow([int(c) for c in codes] + [repr(float(flat[idx]))])

@@ -1,14 +1,16 @@
 """Config-driven experiment runner.
 
-Wires the full synthesis flow for each generator kind: normalize the
-source sample, learn the dependence model, generate, inject target
-marginals where the method supports it, then evaluate and persist.
+Wires the full synthesis flow for each generator kind: rank-recode the
+source sample onto its ECDF, learn the dependence model, generate,
+inject target marginals where the method supports it, then evaluate and
+persist.
 Every random draw derives from the single config seed, so outputs are
 byte-identical across runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -24,13 +26,7 @@ from scipy.special import ndtr
 from .baselines import sample_independent
 from .bayesnet import fit_parameters, learn_structure
 from .bayesnet import sample as bn_sample
-from .copula import (
-    EmpiricalMarginal,
-    fit_ecdf,
-    jitter_cells,
-    normalize,
-    pseudo_inverse_many,
-)
+from .copula import EmpiricalMarginal, jitter_cells, pseudo_inverse_many
 from .dataset import (
     MarginalTable,
     MicroTable,
@@ -57,24 +53,9 @@ from .metrics import (
 
 GENERATORS = ("independent", "ipf", "bn", "bn_copula", "external_copula")
 
-_CONFIG_FIELDS = {
-    "source_data",
-    "schema",
-    "target_marginals",
-    "method",
-    "output_size",
-    "seed",
-    "max_parents",
-    "alpha",
-    "tol",
-    "max_iter",
-    "exclude_variables",
-    "output_dir",
-    "reference_data",
-    "population_data",
-    "external_command",
-    "baseline_target_marginals",
-}
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 @dataclass(frozen=True)
@@ -99,6 +80,24 @@ class SynthesisConfig:
     baseline_target_marginals: bool = False
 
     def __post_init__(self):
+        for name in ("source_data", "schema", "method", "target_marginals"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise SynthesisError(f"{name} must be a string, got {value!r}")
+        for name in ("output_dir", "reference_data", "population_data"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise SynthesisError(f"{name} must be a string or null, got {value!r}")
+        exclude = self.exclude_variables
+        if exclude is not None and not _is_str_list(exclude):
+            raise SynthesisError(
+                f"exclude_variables must be a list of strings or null, got {exclude!r}"
+            )
+        cmd = self.external_command
+        if cmd is not None and not isinstance(cmd, str) and not _is_str_list(cmd):
+            raise SynthesisError(
+                f"external_command must be a string or a list of strings, got {cmd!r}"
+            )
         # JSON gives bools for true/false; they are ints to Python, not counts.
         for name in ("output_size", "seed", "max_parents", "max_iter"):
             value = getattr(self, name)
@@ -141,11 +140,12 @@ def load_config(path) -> SynthesisConfig:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise SynthesisError("config must be a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_FIELDS)
+    fields = dataclasses.fields(SynthesisConfig)
+    unknown = sorted(set(doc) - {f.name for f in fields})
     if unknown:
         raise SynthesisError(f"unknown config field(s): {', '.join(unknown)}")
     missing = sorted(
-        {"source_data", "schema", "method", "output_size", "seed"} - set(doc)
+        f.name for f in fields if f.default is dataclasses.MISSING and f.name not in doc
     )
     if missing:
         raise SynthesisError(f"missing config field(s): {', '.join(missing)}")
@@ -166,8 +166,12 @@ def rank_recode(source: MicroTable) -> tuple[MicroTable, list[EmpiricalMarginal]
     is untouched; the derived schema drops categories the sample never
     shows, which is exactly the support the fitted ECDF knows about.
     """
+    if source.n_rows == 0:
+        raise SynthesisError("cannot fit an ECDF on an empty table")
     d = source.schema.d
-    marginals = [fit_ecdf(source.column(i)) for i in range(d)]
+    marginals = [
+        EmpiricalMarginal.from_counts(np.bincount(source.column(i))) for i in range(d)
+    ]
     ranks = np.empty_like(source.codes)
     derived = []
     for i, em in enumerate(marginals):
@@ -183,11 +187,14 @@ def rank_recode(source: MicroTable) -> tuple[MicroTable, list[EmpiricalMarginal]
     return MicroTable(Schema(tuple(derived)), ranks), marginals
 
 
-def _run_external(command, normalized, n: int, seed: int) -> np.ndarray:
-    header = ",".join(normalized.schema.names)
-    body = "\n".join(
-        ",".join(repr(float(v)) for v in row) for row in normalized.values
+def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
+    """Send the source's ECDF values to the generator; read back n rows of uniforms."""
+    recoded, marginals = rank_recode(source)
+    ecdf_values = np.column_stack(
+        [em.cumprobs[recoded.column(i)] for i, em in enumerate(marginals)]
     )
+    header = ",".join(source.schema.names)
+    body = "\n".join(",".join(repr(float(v)) for v in row) for row in ecdf_values)
     payload = header + "\n" + body + "\n"
     cmd = list(command) + ["--n", str(n), "--seed", str(seed)]
     try:
@@ -218,14 +225,27 @@ def _run_external(command, normalized, n: int, seed: int) -> np.ndarray:
         )
     except ValueError as exc:
         raise SynthesisError(f"external generator output not numeric: {exc}") from exc
-    if values.ndim != 2 or values.shape[1] != normalized.schema.d:
+    if values.ndim != 2 or values.shape[1] != source.schema.d:
         raise SynthesisError(
             f"external generator output has shape {values.shape}, "
-            f"expected ({n}, {normalized.schema.d})"
+            f"expected ({n}, {source.schema.d})"
         )
     if (values <= 0).any() or (values > 1).any():
         raise SynthesisError("external generator output must lie in (0,1]")
     return values
+
+
+def _target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
+    """Map column i's uniforms through target marginal i's pseudo-inverse.
+
+    ``uniforms`` yields one length-n array per column, in column order, so
+    only one column of floats needs to be alive at a time.
+    """
+    codes = np.empty((n, targets.schema.d), dtype=np.int64)
+    for i, u in enumerate(uniforms):
+        target = EmpiricalMarginal.from_counts(targets.counts[i])
+        codes[:, i] = pseudo_inverse_many(target, u)
+    return MicroTable(targets.schema, codes)
 
 
 def generate_table(
@@ -235,7 +255,6 @@ def generate_table(
     if source.schema != targets.schema:
         raise SynthesisError("source and target marginals use different schemas")
     n = config.output_size
-    d = source.schema.d
     structure_seed, gen_key, jitter_key = _streams(seed)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
@@ -247,35 +266,27 @@ def generate_table(
                 build_seed(source), targets, tol=config.tol, max_iter=config.max_iter
             )
             syn = allocate(fitted, n, np.random.default_rng(gen_key))
-        elif config.method == "bn":
+        elif config.method in ("bn", "bn_copula"):
+            copula = config.method == "bn_copula"
+            data, source_marginals = rank_recode(source) if copula else (source, None)
             dag = learn_structure(
-                source, max_parents=config.max_parents, seed=structure_seed
+                data, max_parents=config.max_parents, seed=structure_seed
             )
-            bn = fit_parameters(source, dag, alpha=config.alpha)
-            syn = bn_sample(bn, n, np.random.default_rng(gen_key))
-        elif config.method == "bn_copula":
-            recoded, source_marginals = rank_recode(source)
-            dag = learn_structure(
-                recoded, max_parents=config.max_parents, seed=structure_seed
-            )
-            bn = fit_parameters(recoded, dag, alpha=config.alpha)
+            bn = fit_parameters(data, dag, alpha=config.alpha)
             cells = bn_sample(bn, n, np.random.default_rng(gen_key))
-            jitter_rng = np.random.default_rng(jitter_key)
-            codes = np.empty((n, d), dtype=np.int64)
-            for i in range(d):
-                u = jitter_cells(source_marginals[i], cells.column(i) + 1, jitter_rng)
-                target_marginal = EmpiricalMarginal.from_counts(targets.counts[i])
-                codes[:, i] = pseudo_inverse_many(target_marginal, u)
-            syn = MicroTable(source.schema, codes)
+            if copula:
+                jitter_rng = np.random.default_rng(jitter_key)
+                uniforms = (
+                    jitter_cells(em, cells.column(i) + 1, jitter_rng)
+                    for i, em in enumerate(source_marginals)
+                )
+                syn = _target_codes(targets, n, uniforms)
+            else:
+                syn = cells
         else:  # external_copula
-            normalized, _ = normalize(source)
             ext_seed = int(gen_key.generate_state(1)[0])
-            u = _run_external(config.external_command, normalized, n, ext_seed)
-            codes = np.empty((n, d), dtype=np.int64)
-            for i in range(d):
-                target_marginal = EmpiricalMarginal.from_counts(targets.counts[i])
-                codes[:, i] = pseudo_inverse_many(target_marginal, u[:, i])
-            syn = MicroTable(source.schema, codes)
+            u = _run_external(config.external_command, source, n, ext_seed)
+            syn = _target_codes(targets, n, u.T)
     return syn, tuple(str(w.message) for w in caught)
 
 
@@ -298,13 +309,6 @@ def _load_inputs(config: SynthesisConfig):
     else:
         population = concat(source, reference)
     return schema, source, targets, reference, population
-
-
-def synthesize(config: SynthesisConfig) -> MicroTable:
-    """Load inputs and generate the synthetic table, nothing else."""
-    _, source, targets, _, _ = _load_inputs(config)
-    syn, _ = generate_table(source, targets, config, config.seed)
-    return syn
 
 
 def run_experiment(config: SynthesisConfig) -> EvaluationReport:

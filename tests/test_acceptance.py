@@ -16,25 +16,26 @@ from copulasynth import (
     MicroTable,
     SynthesisConfig,
     build_seed,
-    denormalize,
     fit_ipf,
     generate_table,
     learn_structure,
     make_transfer_benchmark,
     marginals_of,
-    normalize,
-    precision_recall_f1,
     run_permutation_study,
-    sampled_zeros,
-    split,
-    srmse,
     srmse_projected,
-    structural_zeros,
     write_marginals_csv,
     write_micro_csv,
     write_schema,
 )
 from copulasynth.cli import main
+from copulasynth.copula import pseudo_inverse_many
+from copulasynth.metrics import (
+    precision_recall_f1,
+    sampled_zeros,
+    srmse,
+    structural_zeros,
+)
+from copulasynth.pipeline import rank_recode
 from conftest import make_schema
 
 
@@ -51,8 +52,11 @@ def test_criterion_01_copula_roundtrip_is_exact():
         n = int(rng.integers(1, 2001))
         codes = np.column_stack([rng.integers(0, m, n) for m in dims])
         table = MicroTable(make_schema(dims), codes)
-        normalized, marginals = normalize(table)
-        back = denormalize(normalized, marginals)
+        recoded, marginals = rank_recode(table)
+        back = MicroTable(table.schema, np.column_stack([
+            pseudo_inverse_many(em, em.cumprobs[recoded.column(i)])
+            for i, em in enumerate(marginals)
+        ]))
         assert (back.codes == table.codes).all()
         assert back.schema == table.schema
     assert time.perf_counter() - start < 10.0
@@ -198,7 +202,11 @@ def test_criterion_07_generative_method_reaches_unseen_combinations():
     source, _ = make_transfer_benchmark(
         seed=11, d=6, n_source=6000, n_target=6000, marginal_skew=0.5
     )
-    train, _ = split(source, 0.5, seed=3)
+    n = source.n_rows
+    train = MicroTable(
+        source.schema,
+        source.codes[np.sort(np.random.default_rng(3).permutation(n)[: n // 2])],
+    )
     config = SynthesisConfig(
         source_data="unused", schema="unused", method="bn_copula",
         output_size=20_000, seed=21,

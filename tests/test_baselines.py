@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from copulasynth import MarginalTable, SynthesisError, sample_independent
+from copulasynth import MarginalTable, SynthesisError
+from copulasynth.baselines import sample_independent
 from conftest import make_schema
 
 

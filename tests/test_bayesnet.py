@@ -11,18 +11,21 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from copulasynth import (
+    MicroTable,
+    SynthesisError,
+    fit_parameters,
+    learn_structure,
+    sample_bayesnet,
+)
+from copulasynth.bayesnet import (
     BayesNet,
     Cpt,
     Dag,
-    MicroTable,
-    SynthesisError,
     family_score_mdl,
-    fit_parameters,
-    learn_structure,
+    from_json,
     network_score,
-    sample_bayesnet,
+    to_json,
 )
-from copulasynth.bayesnet import from_json, to_json
 from conftest import make_schema, random_table
 
 

@@ -76,10 +76,11 @@ def test_synth_outputs_are_reproducible(workspace):
 
 
 def test_synth_notice_when_marginals_omitted(workspace, capsys):
-    cfg = write_config(workspace, target_marginals=None)
-    assert main(["synth", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "notice: no target marginals configured" in out
+    for target_marginals in (None, "from-source"):
+        cfg = write_config(workspace, target_marginals=target_marginals)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "notice: no target marginals configured" in out
 
 
 def test_synth_missing_config_file(tmp_path, capsys):
@@ -96,13 +97,25 @@ def test_synth_malformed_config_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "override", [{"output_size": "100"}, {"output_size": True}, {"seed": -1}]
+    "override",
+    [
+        {"output_size": "100"},
+        {"output_size": True},
+        {"seed": -1},
+        {"schema": None},
+        {"output_dir": 5},
+        {"reference_data": 3},
+        {"exclude_variables": "v0"},
+        {"external_command": 5},
+    ],
 )
 def test_synth_mistyped_config_exits_one(workspace, capsys, override):
-    cfg = write_config(workspace, **override)
+    cfg = write_config(workspace)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **override}))
     assert main(["synth", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert next(iter(override)) in err
     assert not (workspace / "out").exists()
 
 

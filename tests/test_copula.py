@@ -1,45 +1,41 @@
-"""ECDF fitting, relaxation, jittering, and pseudo-inverse transforms."""
+"""ECDF fitting, jittering, and pseudo-inverse transforms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copulasynth import (
-    EmpiricalMarginal,
-    NormalizedTable,
-    RelaxedEcdf,
-    SynthesisError,
-    denormalize,
-    evaluate_relaxed,
-    fit_ecdf,
-    jitter_cells,
-    jitter_sample,
-    normalize,
-    pseudo_inverse,
-    pseudo_inverse_many,
-)
+from copulasynth import MicroTable, SynthesisError
+from copulasynth.copula import EmpiricalMarginal, jitter_cells, pseudo_inverse_many
+from copulasynth.pipeline import rank_recode
 from conftest import make_schema, small_tables
+
+
+def fitted_ecdf(column, m):
+    """The ECDF rank_recode fits to one column of codes 0..m-1."""
+    codes = np.asarray(column, dtype=np.int64).reshape(-1, 1)
+    _, (em,) = rank_recode(MicroTable(make_schema([m]), codes))
+    return em
 
 
 def test_fit_ecdf_multiplicity_weighted():
     # counts (2,2,4,2) over codes 0..3 -> cumulative steps 0.2 0.4 0.8 1.0
     column = [0, 0, 1, 1, 2, 2, 2, 2, 3, 3]
-    em = fit_ecdf(column)
+    em = fitted_ecdf(column, 4)
     assert em.values.tolist() == [0, 1, 2, 3]
     assert np.allclose(em.cumprobs, [0.2, 0.4, 0.8, 1.0])
     assert em.cumprobs[-1] == 1.0
 
 
 def test_fit_ecdf_skips_unobserved_codes():
-    em = fit_ecdf([5, 5, 7])
+    em = fitted_ecdf([5, 5, 7], 8)
     assert em.values.tolist() == [5, 7]
     assert np.allclose(em.cumprobs, [2 / 3, 1.0])
 
 
 def test_fit_ecdf_rejects_empty():
-    with pytest.raises(SynthesisError):
-        fit_ecdf([])
+    with pytest.raises(SynthesisError, match="empty"):
+        fitted_ecdf([], 2)
 
 
 def test_from_counts_drops_zero_categories():
@@ -61,76 +57,12 @@ def test_marginal_validation():
         EmpiricalMarginal(np.array([0, 1]), np.array([0.9, 0.5]))
 
 
-def test_cell_interval():
-    em = EmpiricalMarginal(np.array([0, 1, 2]), np.array([0.2, 0.7, 1.0]))
-    assert em.cell_interval(1) == (0.0, 0.2)
-    assert em.cell_interval(2) == (0.2, 0.7)
-    assert em.cell_interval(3) == (0.7, 1.0)
-    with pytest.raises(SynthesisError):
-        em.cell_interval(0)
-    with pytest.raises(SynthesisError):
-        em.cell_interval(4)
-
-
-def test_relaxed_anchor_placement():
-    # positive first knot anchors the ramp at the origin
-    em = EmpiricalMarginal(np.array([2, 5]), np.array([0.5, 1.0]))
-    relaxed = RelaxedEcdf.from_marginal(em)
-    assert relaxed.xs[0] == 0.0 and relaxed.ys[0] == 0.0
-    # first knot at zero pushes the anchor one unit left
-    em0 = EmpiricalMarginal(np.array([0, 1]), np.array([0.5, 1.0]))
-    relaxed0 = RelaxedEcdf.from_marginal(em0)
-    assert relaxed0.xs[0] == -1.0
-
-
-def test_relaxed_interpolation_and_clamping():
-    em = EmpiricalMarginal(np.array([0, 1, 2, 3]), np.array([0.2, 0.4, 0.8, 1.0]))
-    relaxed = RelaxedEcdf.from_marginal(em)
-    assert evaluate_relaxed(relaxed, -1.0) == 0.0
-    assert evaluate_relaxed(relaxed, -5.0) == 0.0
-    assert evaluate_relaxed(relaxed, 0.0) == pytest.approx(0.2)
-    assert evaluate_relaxed(relaxed, 0.5) == pytest.approx(0.3)
-    assert evaluate_relaxed(relaxed, 1.5) == pytest.approx(0.6)
-    assert evaluate_relaxed(relaxed, 3.0) == 1.0
-    assert evaluate_relaxed(relaxed, 99.0) == 1.0
-
-
-def test_relaxed_validation():
-    with pytest.raises(SynthesisError):
-        RelaxedEcdf(np.array([0.0]), np.array([0.0]))
-    with pytest.raises(SynthesisError):
-        RelaxedEcdf(np.array([0.0, 1.0]), np.array([0.1, 1.0]))
-
-
-def test_normalize_replaces_codes_with_cdf_values():
-    schema = make_schema([4])
-    table_codes = np.array([[0], [0], [1], [1], [2], [2], [2], [2], [3], [3]])
-    from copulasynth import MicroTable
-
-    norm, margs = normalize(MicroTable(schema, table_codes))
-    assert np.allclose(np.unique(norm.values), [0.2, 0.4, 0.8, 1.0])
-    assert len(margs) == 1
-    with pytest.raises(SynthesisError):
-        normalize(MicroTable(schema, np.empty((0, 1), dtype=np.int64)))
-
-
-def test_normalized_table_bounds():
-    schema = make_schema([2])
-    with pytest.raises(SynthesisError):
-        NormalizedTable(schema, np.array([[0.0]]))
-    with pytest.raises(SynthesisError):
-        NormalizedTable(schema, np.array([[1.1]]))
-    NormalizedTable(schema, np.array([[1.0]]))
-
-
 def test_jitter_lands_in_cell_interval():
     em = EmpiricalMarginal(np.array([0, 1, 2]), np.array([0.3, 0.6, 1.0]))
     rng = np.random.default_rng(0)
-    for k in (1, 2, 3):
-        lo, hi = em.cell_interval(k)
-        for _ in range(200):
-            u = jitter_sample(em, k, rng)
-            assert lo < u <= hi
+    for k, (lo, hi) in zip((1, 2, 3), [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)]):
+        u = jitter_cells(em, np.full(200, k), rng)
+        assert ((lo < u) & (u <= hi)).all()
 
 
 def test_jitter_cells_vectorized():
@@ -149,17 +81,11 @@ def test_jitter_cells_vectorized():
 
 def test_pseudo_inverse_hand_cases():
     em = EmpiricalMarginal(np.array([0, 1, 2, 3]), np.array([0.2, 0.4, 0.8, 1.0]))
-    assert pseudo_inverse(em, 0.2) == 0
-    assert pseudo_inverse(em, 0.2000001) == 1
-    assert pseudo_inverse(em, 0.79) == 2
-    assert pseudo_inverse(em, 0.8) == 2
-    assert pseudo_inverse(em, 1.0) == 3
-    assert pseudo_inverse(em, 1e-12) == 0
+    u = [0.2, 0.2000001, 0.79, 0.8, 1.0, 1e-12]
+    assert pseudo_inverse_many(em, u).tolist() == [0, 1, 2, 2, 3, 0]
     for bad in (0.0, -0.1, 1.0000001):
         with pytest.raises(SynthesisError):
-            pseudo_inverse(em, bad)
-    with pytest.raises(SynthesisError):
-        pseudo_inverse_many(em, np.array([0.5, 0.0]))
+            pseudo_inverse_many(em, np.array([0.5, bad]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -170,9 +96,9 @@ def test_pseudo_inverse_hand_cases():
     u=st.floats(min_value=1e-9, max_value=1.0),
 )
 def test_pseudo_inverse_is_galois_adjoint(counts, u):
-    """pseudo_inverse returns the least value whose CDF reaches u."""
+    """pseudo_inverse_many returns the least value whose CDF reaches u."""
     em = EmpiricalMarginal.from_counts(counts)
-    x = pseudo_inverse(em, u)
+    (x,) = pseudo_inverse_many(em, [u])
     pos = int(np.searchsorted(em.values, x))
     assert em.cumprobs[pos] >= u
     if pos > 0:
@@ -190,16 +116,7 @@ def test_pseudo_inverse_of_uniform_grid_reproduces_masses():
 @settings(max_examples=60, deadline=None)
 @given(small_tables())
 def test_roundtrip_is_exact(table):
-    norm, margs = normalize(table)
-    back = denormalize(norm, margs)
-    assert (back.codes == table.codes).all()
-
-
-def test_denormalize_needs_matching_marginal_count():
-    table_codes = np.array([[0, 1], [1, 0]])
-    from copulasynth import MicroTable
-
-    table = MicroTable(make_schema([2, 2]), table_codes)
-    norm, margs = normalize(table)
-    with pytest.raises(SynthesisError):
-        denormalize(norm, margs[:1])
+    recoded, margs = rank_recode(table)
+    for i, em in enumerate(margs):
+        back = pseudo_inverse_many(em, em.cumprobs[recoded.column(i)])
+        assert (back == table.column(i)).all()

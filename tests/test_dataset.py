@@ -11,17 +11,15 @@ from copulasynth import (
     SchemaError,
     SynthesisError,
     VariableSpec,
-    concat,
-    infer_schema,
     load_marginals_csv,
     load_micro_csv,
     load_schema,
     marginals_of,
-    split,
     write_marginals_csv,
     write_micro_csv,
     write_schema,
 )
+from copulasynth.dataset import concat
 from conftest import make_schema, random_table, small_tables
 
 
@@ -115,16 +113,6 @@ def test_load_schema_rejects_bad_documents(tmp_path):
         load_schema(path)
 
 
-def test_infer_schema_numeric_vs_text(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("age,job\n10,teacher\n2,nurse\n10,nurse\n")
-    schema = infer_schema(path)
-    age, job = schema.variables
-    # numeric column sorts numerically (2 before 10) and becomes ordinal
-    assert age.kind == "ordinal" and age.labels == ("2", "10")
-    assert job.kind == "categorical" and job.labels == ("nurse", "teacher")
-
-
 def test_load_micro_csv_errors(tmp_path):
     schema = Schema((VariableSpec("a", ("x", "y")), VariableSpec("b", ("0", "1"))))
     path = tmp_path / "rows.csv"
@@ -189,34 +177,6 @@ def test_marginals_csv_errors(tmp_path):
     path.write_text("variable,label,count\nv0,1,3\n")
     marg = load_marginals_csv(path, schema)
     assert marg.counts[0].tolist() == [0, 3]
-
-
-def test_split_sizes_and_determinism():
-    table = random_table([3, 3], 101, seed=5)
-    a, b = split(table, 0.3, seed=9)
-    assert a.n_rows == 30 and b.n_rows == 71
-    a2, b2 = split(table, 0.3, seed=9)
-    assert (a.codes == a2.codes).all() and (b.codes == b2.codes).all()
-    with pytest.raises(SynthesisError):
-        split(table, 0.0, seed=1)
-    with pytest.raises(SynthesisError):
-        split(MicroTable(table.schema, table.codes[:1]), 0.5, seed=1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(small_tables(min_n=2))
-def test_split_preserves_multiset(table):
-    a, b = split(table, 0.5, seed=3)
-    merged = np.vstack([a.codes, b.codes])
-    key = lambda arr: sorted(map(tuple, arr.tolist()))
-    assert key(merged) == key(table.codes)
-
-
-def test_split_keeps_relative_order():
-    table = MicroTable(make_schema([10]), np.arange(10).reshape(-1, 1))
-    a, b = split(table, 0.4, seed=0)
-    assert list(a.codes.ravel()) == sorted(a.codes.ravel())
-    assert list(b.codes.ravel()) == sorted(b.codes.ravel())
 
 
 def test_marginals_of_counts():

@@ -1,13 +1,10 @@
 """Seed construction, cyclic fitting, and allocation."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from copulasynth import (
     CapacityError,
-    ContingencyTable,
     MarginalTable,
     MicroTable,
     SynthesisError,
@@ -16,7 +13,7 @@ from copulasynth import (
     fit_ipf,
     marginals_of,
 )
-from copulasynth.ipf import write_contingency_csv
+from copulasynth.ipf import ContingencyTable
 from conftest import make_schema, random_table
 
 
@@ -162,15 +159,3 @@ def test_allocate_deterministic_per_stream():
     a = allocate(table, 500, np.random.default_rng(77))
     b = allocate(table, 500, np.random.default_rng(77))
     assert (a.codes == b.codes).all()
-
-
-def test_contingency_csv_lists_nonzero_cells(tmp_path):
-    schema = make_schema([2, 2])
-    table = ContingencyTable(schema, np.array([[2.5, 0.0], [0.0, 1.0]]))
-    path = tmp_path / "cells.csv"
-    write_contingency_csv(table, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["v0", "v1", "value"]
-    assert [r[:2] for r in rows[1:]] == [["0", "0"], ["1", "1"]]
-    assert float(rows[1][2]) == 2.5

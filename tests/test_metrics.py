@@ -10,22 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copulasynth import (
+from copulasynth import MicroTable, SynthesisError, evaluate, srmse_projected
+from copulasynth.metrics import (
     EvaluationReport,
-    MicroTable,
-    SynthesisError,
     default_exclusion,
-    evaluate,
+    distinct_combos,
     marginal_report,
     precision_recall_f1,
     report_to_json,
     sampled_zeros,
     srmse,
-    srmse_projected,
     structural_zeros,
     write_marginal_csv,
 )
-from copulasynth.metrics import distinct_combos
 from conftest import make_schema, random_table, small_tables, table_pairs
 
 

@@ -17,7 +17,6 @@ from copulasynth import (
     load_config,
     make_transfer_benchmark,
     marginals_of,
-    rank_recode,
     run_experiment,
     run_permutation_study,
     sample_bayesnet,
@@ -25,6 +24,7 @@ from copulasynth import (
     write_micro_csv,
     write_schema,
 )
+from copulasynth.pipeline import rank_recode
 from conftest import make_schema, random_table
 
 
@@ -78,6 +78,17 @@ def test_config_validation():
         ("alpha", True),
         ("tol", float("nan")),
         ("baseline_target_marginals", "no"),
+        ("source_data", None),
+        ("schema", None),
+        ("method", 5),
+        ("target_marginals", ["t.csv"]),
+        ("output_dir", 5),
+        ("reference_data", 3),
+        ("population_data", b"p.csv"),
+        ("exclude_variables", "v0"),
+        ("exclude_variables", ["v0", 1]),
+        ("external_command", 5),
+        ("external_command", ["gen", None]),
     ]:
         fields = dict(source_data="s", schema="c", method="bn", output_size=10, seed=0)
         fields[field] = value
@@ -246,6 +257,40 @@ def test_external_copula_generator(tmp_path):
     assert syn.schema == src.schema
     again, _ = generate_table(src, marginals_of(tgt), cfg, 4)
     assert (syn.codes == again.codes).all()
+
+
+ECHO_GENERATOR = """\
+import sys
+
+payload = sys.stdin.read()
+with open(sys.argv[0] + ".in", "w") as handle:
+    handle.write(payload)
+print(payload.split("\\n", 1)[1])
+"""
+
+
+def test_external_copula_receives_source_ecdf_values(tmp_path):
+    """The generator reads each source code's ECDF value, (#rows <= code) / N;
+    echoed back through the source marginals, they give the source table."""
+    script = tmp_path / "echo.py"
+    script.write_text(ECHO_GENERATOR)
+    src, _ = make_transfer_benchmark(seed=6, d=4, n_source=700, n_target=10)
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method="external_copula",
+        output_size=src.n_rows, seed=4,
+        external_command=(sys.executable, str(script)),
+    )
+    syn, _ = generate_table(src, marginals_of(src), cfg, 4)
+    header, *rows = (tmp_path / "echo.py.in").read_text().splitlines()
+    assert header == ",".join(src.schema.names)
+    sent = np.array([[float(tok) for tok in row.split(",")] for row in rows])
+    ecdf = np.column_stack([
+        np.searchsorted(np.sort(col), col, side="right") / src.n_rows
+        for col in src.codes.T
+    ])
+    assert (sent == ecdf).all()
+    assert syn.schema == src.schema
+    assert (syn.codes == src.codes).all()
 
 
 def test_external_copula_error_paths(tmp_path):
