@@ -19,7 +19,7 @@ from .dataset import (
     write_micro_csv,
     write_schema,
 )
-from .errors import CapacityError, SchemaError, SynthesisError
+from .errors import SchemaError, SynthesisError
 from .ipf import allocate, build_seed
 from .ipf import fit as fit_ipf
 from .metrics import evaluate, srmse_projected
@@ -36,7 +36,6 @@ __all__ = [
     "__version__",
     "SynthesisError",
     "SchemaError",
-    "CapacityError",
     "Schema",
     "VariableSpec",
     "MicroTable",

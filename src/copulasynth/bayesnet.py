@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import MicroTable, Schema
 from .errors import SynthesisError
-from .metrics import combo_counts, combo_keys
+from .metrics import combo_keys, extend_keys
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,6 @@ class BayesNet:
         object.__setattr__(self, "cpts", tuple(self.cpts))
 
 
-def _parent_configs(codes: np.ndarray, parents: tuple[int, ...], dims) -> np.ndarray:
-    """Mixed-radix code of each row's parent values (0 when no parents)."""
-    if not parents:
-        return np.zeros(codes.shape[0], dtype=np.int64)
-    return np.ravel_multi_index(
-        tuple(codes[:, p] for p in parents), tuple(dims[p] for p in parents)
-    ).astype(np.int64)
-
-
 def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
     """Maximized log-likelihood of node given parents, minus the MDL penalty.
 
@@ -143,8 +134,13 @@ def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
     dims = data.schema.dims
     m = dims[node]
     q = math.prod(dims[p] for p in parents)
-    pair_counts = combo_counts(data, parents + (node,))
-    config_counts = combo_counts(data, parents)
+    (config_key,), span = combo_keys((data.codes,), dims, parents)
+    (pair_key,), _ = extend_keys([config_key], span, [data.column(node)], m)
+    # Rows per observed combination, in lexicographic order whatever the
+    # key range, so the float sums below always add in the same order.
+    pair_counts, config_counts = (
+        c[c > 0] for c in (np.bincount(pair_key), np.bincount(config_key))
+    )
     loglik = float(
         np.sum(pair_counts * np.log(pair_counts))
         - np.sum(config_counts * np.log(config_counts))
@@ -240,7 +236,7 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
         m = dims[node]
         q = math.prod(dims[p] for p in ps)
         # The CPT holds all q * m cells, so the keys are counted unranked.
-        (key,), _ = combo_keys((data,), ps + (node,), budget=q * m)
+        (key,), _ = combo_keys((data.codes,), dims, ps + (node,), budget=q * m)
         counts = np.bincount(key, minlength=q * m).reshape(q, m).astype(np.float64)
         totals = counts.sum(axis=1)
         if alpha > 0:
@@ -268,7 +264,10 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     codes = np.zeros((n, bn.schema.d), dtype=np.int64)
     for node in bn.dag.topological_order():
         theta = bn.cpts[node].table
-        config = _parent_configs(codes, bn.dag.parents[node], dims)
+        # A budget of the CPT's row count keeps the keys unranked: row indices.
+        (config,), _ = combo_keys(
+            (codes,), dims, bn.dag.parents[node], budget=theta.shape[0]
+        )
         cum = np.cumsum(theta, axis=1)[config]
         u = rng.random(n)
         codes[:, node] = np.minimum(

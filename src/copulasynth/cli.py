@@ -16,7 +16,6 @@ import sys
 
 from . import __version__
 from .dataset import (
-    concat,
     load_micro_csv,
     load_schema,
     marginals_of,
@@ -63,8 +62,7 @@ def _cmd_evaluate(args) -> int:
     ref = load_micro_csv(args.ref, schema)
     syn = load_micro_csv(args.syn, schema)
     train = load_micro_csv(args.train, schema) if args.train else ref
-    population = ref if train is ref else concat(ref, train)
-    report = evaluate(ref, train, syn, population)
+    report = evaluate(ref, train, syn)
     _print_report(report)
     return 0
 

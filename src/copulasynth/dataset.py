@@ -301,8 +301,3 @@ def marginals_of(table: MicroTable) -> MarginalTable:
     )
     return MarginalTable(table.schema, counts)
 
-
-def concat(first: MicroTable, second: MicroTable) -> MicroTable:
-    if first.schema != second.schema:
-        raise SynthesisError("cannot concatenate tables with different schemas")
-    return MicroTable(first.schema, np.vstack([first.codes, second.codes]))

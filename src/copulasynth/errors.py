@@ -8,6 +8,3 @@ class SynthesisError(Exception):
 class SchemaError(SynthesisError):
     """Schema is malformed or inconsistent with the data it describes."""
 
-
-class CapacityError(SynthesisError):
-    """A requested dense computation would exceed its configured budget."""

@@ -1,10 +1,14 @@
-"""Iterative proportional fitting over a dense contingency table.
+"""Iterative proportional fitting over the seed's observed cells.
 
-The seed table is the source sample's full cross-tabulation; fitting
-cyclically rescales each axis until the one-way sums match the target
-marginals. Zero seed cells stay zero (no epsilon is added), which is what
-makes this baseline precise but low-coverage. Allocation draws rows
-i.i.d. from the fitted cells.
+The seed is the source sample's cross-tabulation, held as its observed
+cells only: the distinct rows in lexicographic order, one weight each.
+Fitting cyclically rescales each axis until the one-way sums match the
+target marginals. Raking multiplies a cell by factors of its own
+categories, so a zero seed cell stays zero (no epsilon is added) and the
+fit only moves mass among the cells the sample observed. That is what
+makes this baseline precise but low-coverage, and it is why the table
+costs memory per observed cell, not per cell of the category product.
+Allocation draws rows i.i.d. from the fitted cells.
 """
 
 from __future__ import annotations
@@ -16,21 +20,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import MarginalTable, MicroTable, Schema
-from .errors import CapacityError, SynthesisError
-
-CELL_BUDGET = 10**8
+from .errors import SynthesisError
+from .metrics import combo_keys
 
 
 @dataclass(frozen=True, eq=False)
 class ContingencyTable:
-    """Dense d-dimensional table of nonnegative reals, one axis per variable.
+    """Nonnegative weights on distinct category combinations.
 
+    ``cells`` holds one combination per row, in lexicographic order, and
+    ``values`` one weight per cell; every combination not listed weighs 0.
     Tables returned by fit() additionally carry convergence diagnostics:
     completed cycles, the final worst axis-sum deviation, and any target
     mass that sits on categories with zero seed support (unreachable).
     """
 
-    schema: Schema
+    cells: MicroTable
     values: np.ndarray
     iterations: int | None = None
     max_deviation: float | None = None
@@ -38,9 +43,9 @@ class ContingencyTable:
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.shape != self.schema.dims:
+        if arr.shape != (self.cells.n_rows,):
             raise SynthesisError(
-                f"table shape {arr.shape} does not match schema dims {self.schema.dims}"
+                f"{arr.shape} weights do not match {self.cells.n_rows} cells"
             )
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise SynthesisError("cells must be finite and nonnegative")
@@ -49,30 +54,23 @@ class ContingencyTable:
         object.__setattr__(self, "unreachable", tuple(self.unreachable))
 
     @property
+    def schema(self) -> Schema:
+        return self.cells.schema
+
+    @property
     def total(self) -> float:
         return float(self.values.sum())
 
-    def axis_sums(self, axis: int) -> np.ndarray:
-        other = tuple(j for j in range(self.schema.d) if j != axis)
-        return self.values.sum(axis=other)
-
 
 def build_seed(table: MicroTable) -> ContingencyTable:
-    """Cross-tabulate the sample into a dense count table."""
+    """Cross-tabulate the sample: its distinct rows and how often each occurs."""
     if table.n_rows == 0:
         raise SynthesisError("cannot build a seed table from an empty sample")
-    dims = table.schema.dims
-    n_cells = math.prod(dims)
-    if n_cells > CELL_BUDGET:
-        raise CapacityError(
-            f"contingency table would hold {n_cells} cells "
-            f"(budget {CELL_BUDGET}); drop or merge variables"
-        )
-    flat = np.ravel_multi_index(
-        tuple(table.column(i) for i in range(table.schema.d)), dims
-    )
-    counts = np.bincount(flat, minlength=n_cells).astype(np.float64)
-    return ContingencyTable(table.schema, counts.reshape(dims))
+    schema = table.schema
+    (key,), _ = combo_keys((table.codes,), schema.dims, range(schema.d))
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    cells = MicroTable(schema, table.codes[first])
+    return ContingencyTable(cells, counts.astype(np.float64))
 
 
 def fit(
@@ -95,14 +93,18 @@ def fit(
         raise SynthesisError("max_iter must be >= 1")
     if targets.schema is not seed.schema and targets.schema != seed.schema:
         raise SynthesisError("seed and targets use different schemas")
-    d = seed.schema.d
+    d, dims = seed.schema.d, seed.schema.dims
     totals = np.array([targets.total(i) for i in range(d)], dtype=np.float64)
     common = float(totals.mean())
     goal = [targets.counts[i] * (common / totals[i]) for i in range(d)]
+    columns = [np.ascontiguousarray(seed.cells.column(i)) for i in range(d)]
+
+    def axis_sums(values: np.ndarray, axis: int) -> np.ndarray:
+        return np.bincount(columns[axis], weights=values, minlength=dims[axis])
 
     unreachable = []
     for i in range(d):
-        support = seed.axis_sums(i) > 0
+        support = axis_sums(seed.values, i) > 0
         for cat in np.flatnonzero(~support & (goal[i] > 0)):
             unreachable.append(
                 (
@@ -125,23 +127,19 @@ def fit(
     deviation = math.inf
     for _ in range(max_iter):
         for axis in range(d):
-            other = tuple(j for j in range(d) if j != axis)
-            sums = values.sum(axis=other)
+            sums = axis_sums(values, axis)
             factor = np.ones_like(sums)
             nz = sums > 0
             factor[nz] = goal[axis][nz] / sums[nz]
-            shape = [1] * d
-            shape[axis] = seed.schema.dims[axis]
-            values *= factor.reshape(shape)
+            values *= factor[columns[axis]]
         iterations += 1
         deviation = max(
-            float(np.abs(values.sum(axis=tuple(j for j in range(d) if j != i)) - goal[i]).max())
-            for i in range(d)
+            float(np.abs(axis_sums(values, i) - goal[i]).max()) for i in range(d)
         )
         if deviation < threshold:
             break
     return ContingencyTable(
-        seed.schema,
+        seed.cells,
         values,
         iterations=iterations,
         max_deviation=deviation,
@@ -156,7 +154,5 @@ def allocate(fitted: ContingencyTable, n: int, rng) -> MicroTable:
     total = fitted.total
     if total <= 0:
         raise SynthesisError("cannot allocate from an all-zero table")
-    probs = fitted.values.ravel() / total
-    flat = rng.choice(probs.size, size=n, p=probs)
-    codes = np.stack(np.unravel_index(flat, fitted.schema.dims), axis=1)
-    return MicroTable(fitted.schema, codes.astype(np.int64))
+    idx = rng.choice(fitted.values.size, size=n, p=fitted.values / total)
+    return MicroTable(fitted.schema, fitted.cells.codes[idx])

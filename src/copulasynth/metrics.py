@@ -26,19 +26,17 @@ from .errors import SynthesisError
 _KEY_RANGE_PER_ROW = 4
 
 
-def _key_budget(tables) -> int:
-    return _KEY_RANGE_PER_ROW * sum(t.n_rows for t in tables)
+def extend_keys(keys, span, columns, m, budget=None):
+    """Append one column of m categories to each key array's mixed-radix key.
 
-
-def _extend_keys(keys, span, columns, m, budget):
-    """Append one column of m categories to each table's mixed-radix key.
-
-    Keys lie in 0..span-1 and compare across tables. When the new range
-    would pass the budget, the keys are re-ranked jointly by np.unique.
-    The re-rank keeps their order and brings the range down to the number
-    of distinct keys, so a range never exceeds budget * m and a key cannot
-    overflow int64.
+    Keys lie in 0..span-1 and compare across the arrays. When the new range
+    would pass the budget, which defaults to _KEY_RANGE_PER_ROW per key,
+    the keys are re-ranked jointly by np.unique. The re-rank keeps their
+    order and brings the range down to the number of distinct keys, so a
+    range never exceeds budget * m and a key cannot overflow int64.
     """
+    if budget is None:
+        budget = _KEY_RANGE_PER_ROW * sum(k.size for k in keys)
     keys = [k * m + c for k, c in zip(keys, columns)]
     span *= m
     if span > budget:
@@ -48,33 +46,19 @@ def _extend_keys(keys, span, columns, m, budget):
     return keys, span
 
 
-def combo_keys(tables, columns, budget=None):
-    """Each table's row keys over the columns, first column most significant.
+def combo_keys(arrays, dims, columns, budget=None):
+    """Each (N, d) code array's row keys over the columns, first most significant.
 
-    Returns one int64 key array per table and the key range. Keys compare
-    across the tables, and ascending keys follow the lexicographic order
-    of the combinations. The range stays within the budget, which defaults
-    to _KEY_RANGE_PER_ROW per row of all the tables.
+    ``dims`` are the category counts of the d columns. Returns one int64
+    key array per code array and the key range. Keys compare across the
+    arrays, and ascending keys follow the lexicographic order of the
+    combinations. The range stays within the budget (see extend_keys);
+    keys that are never re-ranked equal np.ravel_multi_index's.
     """
-    if budget is None:
-        budget = _key_budget(tables)
-    dims = tables[0].schema.dims
-    keys, span = [np.zeros(t.n_rows, dtype=np.int64) for t in tables], 1
+    keys, span = [np.zeros(len(a), dtype=np.int64) for a in arrays], 1
     for c in columns:
-        keys, span = _extend_keys(
-            keys, span, [t.column(c) for t in tables], dims[c], budget
-        )
+        keys, span = extend_keys(keys, span, [a[:, c] for a in arrays], dims[c], budget)
     return keys, span
-
-
-def combo_counts(table: MicroTable, columns) -> np.ndarray:
-    """Rows per observed combination of the columns, in lexicographic order.
-
-    This is the order and the counts of np.unique over the combinations.
-    """
-    (key,), span = combo_keys((table,), columns)
-    counts = np.bincount(key, minlength=span)
-    return counts[counts > 0]
 
 
 def _check_pair(ref: MicroTable, syn: MicroTable) -> None:
@@ -112,7 +96,7 @@ def srmse(ref: MicroTable, syn: MicroTable, subset) -> float:
     d = ref.schema.d
     if any(not 0 <= i < d for i in subset):
         raise SynthesisError("subset index out of range")
-    keys, span = combo_keys((ref, syn), subset)
+    keys, span = combo_keys((ref.codes, syn.codes), ref.schema.dims, subset)
     m_product = math.prod(ref.schema.dims[i] for i in subset)
     return _srmse_of_keys(keys, span, ref.n_rows, syn.n_rows, m_product)
 
@@ -130,7 +114,6 @@ def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
     _check_pair(ref, syn)
     dims = ref.schema.dims
     tables = (ref, syn)
-    budget = _key_budget(tables)
     # Each column is read once per subset that ends in it: copy it out of
     # the row-major table once, which halves the time of the reads.
     columns = [[np.ascontiguousarray(t.column(i)) for t in tables] for i in range(d)]
@@ -144,7 +127,7 @@ def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
         )
         del prefixes[shared + 1 :]
         for c in subset[shared:]:
-            prefixes.append(_extend_keys(*prefixes[-1], columns[c], dims[c], budget))
+            prefixes.append(extend_keys(*prefixes[-1], columns[c], dims[c]))
         m_product = math.prod(dims[c] for c in subset)
         values.append(
             _srmse_of_keys(*prefixes[-1], ref.n_rows, syn.n_rows, m_product)
@@ -178,7 +161,7 @@ def _seen(tables, kept) -> list[np.ndarray]:
     more than once (the population may be the source) is keyed once.
     """
     distinct = list({id(t): t for t in tables}.values())
-    keys, span = combo_keys(distinct, kept)
+    keys, span = combo_keys([t.codes for t in distinct], distinct[0].schema.dims, kept)
     seen = {id(t): np.bincount(k, minlength=span) > 0 for t, k in zip(distinct, keys)}
     return [seen[id(t)] for t in tables]
 
@@ -209,7 +192,7 @@ def _precision_recall_f1(syn_seen, population_seen) -> tuple[float, float, float
 def distinct_combos(table: MicroTable, exclude=None) -> set:
     """Distinct code tuples after dropping the excluded variables."""
     kept = _kept_indices(table.schema, exclude)
-    (key,), _ = combo_keys((table,), kept)
+    (key,), _ = combo_keys((table.codes,), table.schema.dims, kept)
     _, first = np.unique(key, return_index=True)
     return set(map(tuple, table.codes[np.ix_(first, kept)].tolist()))
 
@@ -321,7 +304,7 @@ def evaluate(
     ref: MicroTable,
     train: MicroTable,
     syn: MicroTable,
-    population: MicroTable,
+    population: MicroTable | None = None,
     exclude=None,
     max_projection: int = 5,
     extra_warnings=(),
@@ -330,9 +313,12 @@ def evaluate(
 
     Zeros and precision/recall use the exclusion list (default: ordinal
     variables with more than 20 categories); SRMSE projections run over
-    n = 1..min(max_projection, d) with no exclusion.
+    n = 1..min(max_projection, d) with no exclusion. Without a population,
+    the combinations of train and ref together stand for it.
     """
-    if not (ref.schema == train.schema == syn.schema == population.schema):
+    if not (ref.schema == train.schema == syn.schema) or (
+        population is not None and population.schema != ref.schema
+    ):
         raise SynthesisError("tables use different schemas")
     if exclude is None:
         exclude = default_exclusion(ref.schema)
@@ -341,9 +327,9 @@ def evaluate(
         for n in range(1, min(max_projection, ref.schema.d) + 1)
     }
     kept = _kept_indices(ref.schema, exclude)
-    train_seen, ref_seen, syn_seen, pop_seen = _seen(
-        (train, ref, syn, population), kept
-    )
+    tables = (train, ref, syn) + (() if population is None else (population,))
+    train_seen, ref_seen, syn_seen, *given = _seen(tables, kept)
+    pop_seen = given[0] if given else train_seen | ref_seen
     precision, recall, f1 = _precision_recall_f1(syn_seen, pop_seen)
     return EvaluationReport(
         srmse_by_n=srmse_by_n,

@@ -32,7 +32,6 @@ from .dataset import (
     MicroTable,
     Schema,
     VariableSpec,
-    concat,
     load_marginals_csv,
     load_micro_csv,
     load_schema,
@@ -84,10 +83,14 @@ class SynthesisConfig:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise SynthesisError(f"{name} must be a string, got {value!r}")
-        for name in ("output_dir", "reference_data", "population_data"):
+        optional_paths = ("output_dir", "reference_data", "population_data")
+        for name in optional_paths:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise SynthesisError(f"{name} must be a string or null, got {value!r}")
+        for name in ("source_data", "schema", "target_marginals") + optional_paths:
+            if getattr(self, name) == "":
+                raise SynthesisError(f"{name} must not be an empty path")
         exclude = self.exclude_variables
         if exclude is not None and not _is_str_list(exclude):
             raise SynthesisError(
@@ -298,16 +301,15 @@ def _load_inputs(config: SynthesisConfig):
     else:
         targets = load_marginals_csv(config.target_marginals, schema)
     reference = (
-        load_micro_csv(config.reference_data, schema)
-        if config.reference_data
-        else source
+        source
+        if config.reference_data is None
+        else load_micro_csv(config.reference_data, schema)
     )
-    if config.population_data:
-        population = load_micro_csv(config.population_data, schema)
-    elif reference is source:
-        population = source
-    else:
-        population = concat(source, reference)
+    population = (
+        None
+        if config.population_data is None
+        else load_micro_csv(config.population_data, schema)
+    )
     return schema, source, targets, reference, population
 
 
@@ -321,7 +323,7 @@ def run_experiment(config: SynthesisConfig) -> EvaluationReport:
     report = evaluate(
         reference, source, syn, population, exclude=exclude, extra_warnings=warns
     )
-    if config.output_dir:
+    if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
         write_micro_csv(syn, os.path.join(config.output_dir, "synthetic.csv"))
         with open(os.path.join(config.output_dir, "report.json"), "w") as handle:

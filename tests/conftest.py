@@ -27,6 +27,13 @@ def random_table(dims, n, seed, kinds=None):
     return MicroTable(make_schema(dims, kinds), codes)
 
 
+def dense(table):
+    """Scatter a contingency table's cells into its full category grid."""
+    grid = np.zeros(table.schema.dims)
+    grid[tuple(table.cells.codes.T)] = table.values
+    return grid
+
+
 @st.composite
 def small_tables(draw, max_d=4, max_m=4, min_n=1, max_n=50):
     d = draw(st.integers(1, max_d))

@@ -36,7 +36,7 @@ from copulasynth.metrics import (
     structural_zeros,
 )
 from copulasynth.pipeline import rank_recode
-from conftest import make_schema
+from conftest import dense, make_schema
 
 
 def table_from_rows(dims, rows):
@@ -131,13 +131,13 @@ def test_criterion_04_ipf_convergence_and_no_sampled_zeros(tmp_path):
     fitted = fit_ipf(seed, targets, tol=1e-12)
     assert fitted.max_deviation < 1e-8
     assert fitted.iterations <= 1000
-    grid = fitted.values
+    grid = dense(fitted)
     odds = (grid[0, 0] * grid[1, 1]) / (grid[0, 1] * grid[1, 0])
     assert odds == pytest.approx((1 * 4) / (2 * 3), abs=1e-6)
 
     zero_seed = build_seed(table_from_rows([2, 2], [[0, 0], [0, 0], [1, 1]]))
     refit = fit_ipf(zero_seed, targets, tol=1e-12)
-    assert refit.values[0, 1] == 0.0 and refit.values[1, 0] == 0.0
+    assert dense(refit)[0, 1] == 0.0 and dense(refit)[1, 0] == 0.0
 
     source, target = make_transfer_benchmark(
         seed=1, d=4, n_source=3000, n_target=3000, marginal_skew=0.5

@@ -107,6 +107,10 @@ def test_synth_malformed_config_json(tmp_path, capsys):
         {"reference_data": 3},
         {"exclude_variables": "v0"},
         {"external_command": 5},
+        {"reference_data": ""},
+        {"population_data": ""},
+        {"output_dir": ""},
+        {"target_marginals": ""},
     ],
 )
 def test_synth_mistyped_config_exits_one(workspace, capsys, override):

@@ -19,7 +19,6 @@ from copulasynth import (
     write_micro_csv,
     write_schema,
 )
-from copulasynth.dataset import concat
 from conftest import make_schema, random_table, small_tables
 
 
@@ -192,11 +191,3 @@ def test_marginals_conserve_total(table):
     for i in range(table.schema.d):
         assert marg.total(i) == table.n_rows
 
-
-def test_concat_requires_same_schema():
-    t1 = random_table([2, 2], 5, seed=1)
-    t2 = random_table([2, 3], 5, seed=1)
-    with pytest.raises(SynthesisError):
-        concat(t1, t2)
-    both = concat(t1, t1)
-    assert both.n_rows == 10

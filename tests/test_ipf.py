@@ -1,10 +1,11 @@
 """Seed construction, cyclic fitting, and allocation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from copulasynth import (
-    CapacityError,
     MarginalTable,
     MicroTable,
     SynthesisError,
@@ -14,7 +15,7 @@ from copulasynth import (
     marginals_of,
 )
 from copulasynth.ipf import ContingencyTable
-from conftest import make_schema, random_table
+from conftest import dense, make_schema, random_table
 
 
 def reference_ipf(seed, row_targets, col_targets, iters=200):
@@ -28,30 +29,91 @@ def reference_ipf(seed, row_targets, col_targets, iters=200):
     return t
 
 
+def dense_reference_fit(seed, targets, tol=1e-8, max_iter=1000):
+    """Cyclic raking of the full dense grid, zero cells included.
+
+    The reference for fit_ipf, which rakes only the observed cells.
+    Returns the fitted grid and the number of completed cycles.
+    """
+    values = dense(seed)
+    d = values.ndim
+    totals = np.array([targets.total(i) for i in range(d)], dtype=np.float64)
+    common = float(totals.mean())
+    goal = [targets.counts[i] * (common / totals[i]) for i in range(d)]
+
+    def axis_sums(axis):
+        return values.sum(axis=tuple(j for j in range(d) if j != axis))
+
+    for iterations in range(1, max_iter + 1):
+        for axis in range(d):
+            sums = axis_sums(axis)
+            factor = np.ones_like(sums)
+            nz = sums > 0
+            factor[nz] = goal[axis][nz] / sums[nz]
+            shape = [1] * d
+            shape[axis] = -1
+            values *= factor.reshape(shape)
+        deviation = max(np.abs(axis_sums(i) - goal[i]).max() for i in range(d))
+        if deviation < tol * common:
+            break
+    return values, iterations
+
+
 def test_build_seed_counts():
-    table = MicroTable(make_schema([2, 2]), np.array([[0, 0], [0, 0], [1, 1]]))
+    table = MicroTable(make_schema([2, 2]), np.array([[1, 1], [0, 0], [0, 0]]))
     seed = build_seed(table)
-    assert seed.values.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+    assert seed.cells.codes.tolist() == [[0, 0], [1, 1]]
+    assert seed.values.tolist() == [2.0, 1.0]
+    assert dense(seed).tolist() == [[2.0, 0.0], [0.0, 1.0]]
+    assert seed.schema is table.schema
     assert seed.total == table.n_rows
 
 
-def test_build_seed_respects_cell_budget():
-    schema = make_schema([100, 100, 100, 100, 100])  # 10^10 cells
-    table = MicroTable(schema, np.zeros((1, 5), dtype=np.int64))
-    with pytest.raises(CapacityError, match="budget"):
-        build_seed(table)
+def test_build_seed_rejects_empty_sample():
     with pytest.raises(SynthesisError):
         build_seed(MicroTable(make_schema([2]), np.empty((0, 1), dtype=np.int64)))
 
 
+def test_ipf_runs_where_the_dense_grid_would_not_fit():
+    dims = [100] * 5  # 10^10 cells
+    table = random_table(dims, 40, seed=6)
+    seed = build_seed(table)
+    assert seed.values.size == 40
+    targets = marginals_of(random_table(dims, 60, seed=7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # most target categories are unseen
+        fitted = fit_ipf(seed, targets, max_iter=5)
+    out = allocate(fitted, 200, np.random.default_rng(0))
+    assert out.schema is table.schema and out.n_rows == 200
+    cells = set(map(tuple, table.codes.tolist()))
+    assert set(map(tuple, out.codes.tolist())) <= cells
+
+
+@pytest.mark.parametrize("max_iter", [1000, 7])
+def test_sparse_fit_matches_dense_reference(max_iter):
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        dims = rng.integers(2, 5, size=rng.integers(2, 5)).tolist()
+        table = random_table(dims, int(rng.integers(3, 40)), seed=trial)
+        targets = marginals_of(random_table(dims, 80, seed=trial + 100))
+        seed = build_seed(table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fitted = fit_ipf(seed, targets, max_iter=max_iter)
+        expected, iterations = dense_reference_fit(seed, targets, max_iter=max_iter)
+        assert (fitted.cells.codes == np.unique(table.codes, axis=0)).all()
+        assert fitted.iterations == iterations
+        assert np.allclose(dense(fitted), expected, rtol=1e-12, atol=0)
+
+
 def test_contingency_table_validation():
-    schema = make_schema([2, 2])
+    cells = MicroTable(make_schema([2, 2]), np.array([[0, 0], [1, 1]]))
     with pytest.raises(SynthesisError):
-        ContingencyTable(schema, np.zeros((2, 3)))
+        ContingencyTable(cells, np.zeros(3))
     with pytest.raises(SynthesisError):
-        ContingencyTable(schema, np.array([[1.0, -1.0], [0.0, 0.0]]))
+        ContingencyTable(cells, np.array([1.0, -1.0]))
     with pytest.raises(SynthesisError):
-        ContingencyTable(schema, np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        ContingencyTable(cells, np.array([np.inf, 0.0]))
 
 
 def test_fit_fixed_point_returns_seed_unchanged():
@@ -70,9 +132,10 @@ def test_fit_two_by_two_against_reference_and_odds_ratio():
     fitted = fit_ipf(seed, targets, tol=1e-12)
     ref = reference_ipf(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 5.0]),
                         np.array([5.0, 5.0]))
-    assert np.abs(fitted.values - ref).max() < 1e-10
-    a, b = fitted.values[0]
-    c, d = fitted.values[1]
+    grid = dense(fitted)
+    assert np.abs(grid - ref).max() < 1e-10
+    a, b = grid[0]
+    c, d = grid[1]
     assert (a * d) / (b * c) == pytest.approx(2 / 3, abs=1e-8)
     # analytic fixed point: a = 5*sqrt(2/3) / (1 + sqrt(2/3))
     root = np.sqrt(2 / 3)
@@ -96,7 +159,7 @@ def test_fit_preserves_zero_cells():
         seed = build_seed(table)
         targets = marginals_of(random_table(dims, 80, seed=trial + 100))
         fitted = fit_ipf(seed, targets, max_iter=50)
-        assert (fitted.values[seed.values == 0] == 0).all()
+        assert (dense(fitted)[dense(seed) == 0] == 0).all()
 
 
 def test_fit_reports_unreachable_target_mass():
@@ -135,27 +198,25 @@ def test_fit_parameter_validation():
 
 
 def test_allocate_single_cell_and_empty():
-    schema = make_schema([2, 2])
-    values = np.zeros((2, 2))
-    values[1, 0] = 7.0
-    table = ContingencyTable(schema, values)
+    cells = MicroTable(make_schema([2, 2]), np.array([[0, 1], [1, 0]]))
+    table = ContingencyTable(cells, np.array([0.0, 7.0]))
     out = allocate(table, 25, np.random.default_rng(0))
     assert (out.codes == [1, 0]).all()
     assert allocate(table, 0, np.random.default_rng(0)).n_rows == 0
     with pytest.raises(SynthesisError):
-        allocate(ContingencyTable(schema, np.zeros((2, 2))), 5,
-                 np.random.default_rng(0))
+        allocate(ContingencyTable(cells, np.zeros(2)), 5, np.random.default_rng(0))
 
 
 def test_allocate_two_equal_cells_balanced():
-    schema = make_schema([2])
-    table = ContingencyTable(schema, np.array([3.5, 3.5]))
+    cells = MicroTable(make_schema([2]), np.array([[0], [1]]))
+    table = ContingencyTable(cells, np.array([3.5, 3.5]))
     out = allocate(table, 100_000, np.random.default_rng(1))
     assert abs(out.column(0).mean() - 0.5) < 0.005
 
 
 def test_allocate_deterministic_per_stream():
-    table = ContingencyTable(make_schema([2, 3]), np.arange(6).reshape(2, 3) + 0.5)
+    cells = MicroTable(make_schema([2, 3]), np.indices((2, 3)).reshape(2, -1).T)
+    table = ContingencyTable(cells, np.arange(6) + 0.5)
     a = allocate(table, 500, np.random.default_rng(77))
     b = allocate(table, 500, np.random.default_rng(77))
     assert (a.codes == b.codes).all()

@@ -364,3 +364,9 @@ def test_evaluate_population_is_source_matches_set_oracle():
     assert report.precision == len(s & t) / len(s)
     assert report.recall == len(s & t) / len(t)
     assert report.srmse_by_n[2] == srmse_projected(ref, syn, 2)
+    # Without a population, train and ref together stand for it.
+    report = evaluate(ref, train, syn)
+    assert report.sampled_zeros == len(s & r - t)
+    assert report.structural_zeros == len(s - (t | r))
+    assert report.precision == len(s & (t | r)) / len(s)
+    assert report.recall == len(s & (t | r)) / len(t | r)

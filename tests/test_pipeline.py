@@ -89,6 +89,12 @@ def test_config_validation():
         ("exclude_variables", ["v0", 1]),
         ("external_command", 5),
         ("external_command", ["gen", None]),
+        ("source_data", ""),
+        ("schema", ""),
+        ("target_marginals", ""),
+        ("output_dir", ""),
+        ("reference_data", ""),
+        ("population_data", ""),
     ]:
         fields = dict(source_data="s", schema="c", method="bn", output_size=10, seed=0)
         fields[field] = value
