@@ -19,7 +19,7 @@ from .dataset import (
     write_micro_csv,
     write_schema,
 )
-from .errors import SchemaError, SynthesisError
+from .errors import SynthesisError
 from .ipf import allocate, build_seed
 from .ipf import fit as fit_ipf
 from .metrics import evaluate, srmse_projected
@@ -35,7 +35,6 @@ from .pipeline import (
 __all__ = [
     "__version__",
     "SynthesisError",
-    "SchemaError",
     "Schema",
     "VariableSpec",
     "MicroTable",

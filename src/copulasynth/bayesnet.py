@@ -18,6 +18,9 @@ from .dataset import MicroTable, Schema
 from .errors import SynthesisError
 from .metrics import combo_keys, extend_keys
 
+# learn_structure keeps the best of this many seeded orderings.
+N_RESTARTS = 10
+
 
 @dataclass(frozen=True)
 class Dag:
@@ -156,10 +159,8 @@ def network_score(data: MicroTable, dag: Dag) -> float:
     )
 
 
-def learn_structure(
-    data: MicroTable, max_parents: int = 3, seed: int = 0, n_restarts: int = 10
-) -> Dag:
-    """Greedy ordering search with seeded random restarts.
+def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Dag:
+    """Greedy ordering search over N_RESTARTS seeded random restarts.
 
     Each restart draws a variable ordering from the seeded stream; each
     node then greedily accumulates parents from its predecessors while the
@@ -184,7 +185,7 @@ def learn_structure(
     rng = np.random.default_rng(seed)
     best_parents: tuple[tuple[int, ...], ...] | None = None
     best_total = -math.inf
-    for _ in range(n_restarts):
+    for _ in range(N_RESTARTS):
         order = rng.permutation(d)
         parents_by_node: list[tuple[int, ...]] = [()] * d
         total = 0.0
@@ -274,35 +275,3 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
             (u[:, None] > cum).sum(axis=1), dims[node] - 1
         )
     return MicroTable(bn.schema, codes)
-
-
-def to_json(bn: BayesNet) -> dict:
-    """JSON-ready form: nodes, parent lists, flattened row-major CPTs.
-
-    CPT rows are ordered by the mixed-radix code of the parent values
-    (first listed parent most significant), matching fit_parameters.
-    """
-    return {
-        "nodes": list(bn.schema.names),
-        "dims": list(bn.schema.dims),
-        "parents": [list(ps) for ps in bn.dag.parents],
-        "cpts": [cpt.table.ravel().tolist() for cpt in bn.cpts],
-    }
-
-
-def from_json(doc: dict, schema: Schema) -> BayesNet:
-    if list(doc["nodes"]) != list(schema.names):
-        raise SynthesisError("node names do not match the schema")
-    if list(doc["dims"]) != list(schema.dims):
-        raise SynthesisError("node cardinalities do not match the schema")
-    dag = Dag(parents=tuple(tuple(ps) for ps in doc["parents"]))
-    dims = schema.dims
-    cpts = []
-    for node, flat in enumerate(doc["cpts"]):
-        m = dims[node]
-        q = math.prod(dims[p] for p in dag.parents[node])
-        arr = np.asarray(flat, dtype=np.float64)
-        if arr.size != q * m:
-            raise SynthesisError(f"CPT of node {node} has wrong length")
-        cpts.append(Cpt(arr.reshape(q, m)))
-    return BayesNet(schema=schema, dag=dag, cpts=tuple(cpts))

@@ -10,7 +10,6 @@ mistakes exit 2 via argparse.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -144,7 +143,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SynthesisError, OSError, json.JSONDecodeError) as exc:
+    except (SynthesisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,16 +68,16 @@ class EmpiricalMarginal:
 
 
 def jitter_cells(marginal: EmpiricalMarginal, cells, rng) -> np.ndarray:
-    """One uniform draw per 1-based cell k from its interval (F(x^(k-1)), F(x^(k))]."""
+    """A uniform draw in (F(x^(k-1)), F(x^(k))] per 0-based cell k; F(x^(-1)) is 0."""
     idx = np.asarray(cells, dtype=np.int64)
-    if idx.size and (idx.min() < 1 or idx.max() > marginal.n_cells):
+    if idx.size and (idx.min() < 0 or idx.max() >= marginal.n_cells):
         raise SynthesisError(
-            f"cell index outside 1..{marginal.n_cells}: "
+            f"cell index outside 0..{marginal.n_cells - 1}: "
             f"range [{idx.min()}, {idx.max()}]"
         )
     lows = np.concatenate([[0.0], marginal.cumprobs[:-1]])
-    lo = lows[idx - 1]
-    hi = marginal.cumprobs[idx - 1]
+    lo = lows[idx]
+    hi = marginal.cumprobs[idx]
     return hi - rng.random(idx.shape) * (hi - lo)
 
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError, SynthesisError
+from .errors import SynthesisError
 
 VALID_KINDS = ("ordinal", "categorical")
 
@@ -35,11 +36,11 @@ class VariableSpec:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         if not self.labels:
-            raise SchemaError(f"variable {self.name!r}: empty label list")
+            raise SynthesisError(f"variable {self.name!r}: empty label list")
         if len(set(self.labels)) != len(self.labels):
-            raise SchemaError(f"variable {self.name!r}: duplicate labels")
+            raise SynthesisError(f"variable {self.name!r}: duplicate labels")
         if self.kind not in VALID_KINDS:
-            raise SchemaError(f"variable {self.name!r}: unknown kind {self.kind!r}")
+            raise SynthesisError(f"variable {self.name!r}: unknown kind {self.kind!r}")
         object.__setattr__(self, "_code", {lab: i for i, lab in enumerate(self.labels)})
 
     @property
@@ -64,10 +65,10 @@ class Schema:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) < 1:
-            raise SchemaError("schema needs at least one variable")
+            raise SynthesisError("schema needs at least one variable")
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
-            raise SchemaError("duplicate variable names in schema")
+            raise SynthesisError("duplicate variable names in schema")
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         # Counting kernels read dims once per call; build the tuple once.
         object.__setattr__(
@@ -155,19 +156,33 @@ class MarginalTable:
         return int(self.counts[i].sum())
 
 
+@contextmanager
+def open_input(path):
+    """Open an input file as UTF-8 text for csv or json reading.
+
+    Undecodable bytes and csv or JSON syntax errors raised while the file
+    is read become a SynthesisError that names the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
+        raise SynthesisError(f"{path}: {exc}") from None
+
+
 def load_schema(path) -> Schema:
     """Read a schema JSON file: {name: {"kind": ..., "labels": [...]}}.
 
     Variable order and label order follow the file.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not raw:
-        raise SchemaError(f"{path}: schema file must be a non-empty JSON object")
+        raise SynthesisError(f"{path}: schema file must be a non-empty JSON object")
     variables = []
     for name, spec in raw.items():
-        if not isinstance(spec, dict) or "labels" not in spec:
-            raise SchemaError(f"{path}: variable {name!r} needs a 'labels' list")
+        if not isinstance(spec, dict) or not isinstance(spec.get("labels"), list):
+            raise SynthesisError(f"{path}: variable {name!r} needs a 'labels' list")
         variables.append(
             VariableSpec(
                 name=name,
@@ -192,7 +207,7 @@ def load_micro_csv(path, schema: Schema) -> MicroTable:
     columns are ignored. Unknown labels report variable, row number,
     and the offending token.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -242,7 +257,7 @@ def load_marginals_csv(path, schema: Schema) -> MarginalTable:
     """
     counts = [np.zeros(v.n_categories, dtype=np.int64) for v in schema.variables]
     filled = [np.zeros(v.n_categories, dtype=bool) for v in schema.variables]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -260,8 +275,11 @@ def load_marginals_csv(path, schema: Schema) -> MarginalTable:
                     "expected variable,label,count"
                 )
             name, label, raw_count = row[0], row[1], row[2]
-            i = schema.index_of(name)
-            code = schema.variables[i].code_of(label)
+            try:
+                i = schema.index_of(name)
+                code = schema.variables[i].code_of(label)
+            except SynthesisError as exc:
+                raise SynthesisError(f"{path}: row {rownum}: {exc}") from None
             try:
                 value = int(raw_count)
             except ValueError:

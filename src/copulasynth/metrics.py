@@ -9,6 +9,7 @@ ordinal variables by default, which otherwise flood the zero counts).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 import warnings
@@ -24,6 +25,9 @@ from .errors import SynthesisError
 # they are re-ranked densely, so a bincount over them stays a few words per
 # row however many categories the columns have.
 _KEY_RANGE_PER_ROW = 4
+
+# evaluate scores SRMSE projections of sizes 1..min(MAX_PROJECTION, d).
+MAX_PROJECTION = 5
 
 
 def extend_keys(keys, span, columns, m, budget=None):
@@ -306,14 +310,13 @@ def evaluate(
     syn: MicroTable,
     population: MicroTable | None = None,
     exclude=None,
-    max_projection: int = 5,
     extra_warnings=(),
 ) -> EvaluationReport:
     """Compute the full report for one synthetic table.
 
     Zeros and precision/recall use the exclusion list (default: ordinal
     variables with more than 20 categories); SRMSE projections run over
-    n = 1..min(max_projection, d) with no exclusion. Without a population,
+    n = 1..min(MAX_PROJECTION, d) with no exclusion. Without a population,
     the combinations of train and ref together stand for it.
     """
     if not (ref.schema == train.schema == syn.schema) or (
@@ -324,7 +327,7 @@ def evaluate(
         exclude = default_exclusion(ref.schema)
     srmse_by_n = {
         n: srmse_projected(ref, syn, n)
-        for n in range(1, min(max_projection, ref.schema.d) + 1)
+        for n in range(1, min(MAX_PROJECTION, ref.schema.d) + 1)
     }
     kept = _kept_indices(ref.schema, exclude)
     tables = (train, ref, syn) + (() if population is None else (population,))
@@ -344,22 +347,6 @@ def evaluate(
 
 
 def report_to_json(report: EvaluationReport) -> dict:
-    return {
-        "srmse_by_n": {str(n): v for n, v in sorted(report.srmse_by_n.items())},
-        "sampled_zeros": report.sampled_zeros,
-        "structural_zeros": report.structural_zeros,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f1": report.f1,
-        "marginal_series": [
-            {
-                "variable": s.variable,
-                "labels": list(s.labels),
-                "reference": list(s.reference),
-                "training": list(s.training),
-                "synthetic": list(s.synthetic),
-            }
-            for s in report.marginal_series
-        ],
-        "warnings": list(report.warnings),
-    }
+    doc = dataclasses.asdict(report)
+    doc["srmse_by_n"] = {str(n): v for n, v in doc["srmse_by_n"].items()}
+    return doc

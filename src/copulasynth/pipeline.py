@@ -36,14 +36,15 @@ from .dataset import (
     load_micro_csv,
     load_schema,
     marginals_of,
+    open_input,
     write_micro_csv,
 )
 from .errors import SynthesisError
 from .ipf import allocate, build_seed
 from .ipf import fit as ipf_fit
 from .metrics import (
+    MAX_PROJECTION,
     EvaluationReport,
-    default_exclusion,
     evaluate,
     report_to_json,
     srmse_projected,
@@ -89,8 +90,8 @@ class SynthesisConfig:
             if value is not None and not isinstance(value, str):
                 raise SynthesisError(f"{name} must be a string or null, got {value!r}")
         for name in ("source_data", "schema", "target_marginals") + optional_paths:
-            if getattr(self, name) == "":
-                raise SynthesisError(f"{name} must not be an empty path")
+            if getattr(self, name) == "" or "\x00" in (getattr(self, name) or ""):
+                raise SynthesisError(f"{name} must be a nonempty path with no NUL")
         exclude = self.exclude_variables
         if exclude is not None and not _is_str_list(exclude):
             raise SynthesisError(
@@ -126,20 +127,20 @@ class SynthesisConfig:
             raise SynthesisError("output_size must be positive")
         if self.method == "external_copula" and not self.external_command:
             raise SynthesisError("external_copula requires external_command")
-        if self.exclude_variables is not None:
-            object.__setattr__(
-                self, "exclude_variables", tuple(self.exclude_variables)
-            )
-        if self.external_command is not None:
-            cmd = self.external_command
-            if isinstance(cmd, str):
-                cmd = tuple(shlex.split(cmd))
+        if exclude is not None:
+            object.__setattr__(self, "exclude_variables", tuple(exclude))
+        if isinstance(cmd, str):
+            try:
+                cmd = shlex.split(cmd)
+            except ValueError as exc:
+                raise SynthesisError(f"external_command: {exc}") from None
+        if cmd is not None:
             object.__setattr__(self, "external_command", tuple(cmd))
 
 
 def load_config(path) -> SynthesisConfig:
     """Read a config JSON whose keys mirror SynthesisConfig verbatim."""
-    with open(path) as handle:
+    with open_input(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict):
         raise SynthesisError("config must be a JSON object")
@@ -204,7 +205,7 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
         proc = subprocess.run(
             cmd, input=payload, capture_output=True, text=True, check=False
         )
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the command
         raise SynthesisError(f"external generator failed to start: {exc}") from exc
     if proc.returncode != 0:
         detail = proc.stderr.strip().splitlines()
@@ -280,7 +281,7 @@ def generate_table(
             if copula:
                 jitter_rng = np.random.default_rng(jitter_key)
                 uniforms = (
-                    jitter_cells(em, cells.column(i) + 1, jitter_rng)
+                    jitter_cells(em, cells.column(i), jitter_rng)
                     for i, em in enumerate(source_marginals)
                 )
                 syn = _target_codes(targets, n, uniforms)
@@ -315,11 +316,9 @@ def _load_inputs(config: SynthesisConfig):
 
 def run_experiment(config: SynthesisConfig) -> EvaluationReport:
     """Generate, evaluate, and (when output_dir is set) persist one run."""
-    schema, source, targets, reference, population = _load_inputs(config)
+    _, source, targets, reference, population = _load_inputs(config)
     syn, warns = generate_table(source, targets, config, config.seed)
     exclude = config.exclude_variables
-    if exclude is None:
-        exclude = default_exclusion(schema)
     report = evaluate(
         reference, source, syn, population, exclude=exclude, extra_warnings=warns
     )
@@ -342,10 +341,6 @@ class PermutationStudy:
     values: dict
     mean: dict
     std: dict
-
-    @property
-    def n_permutations(self) -> int:
-        return len(next(iter(self.values.values())))
 
 
 def run_permutation_study(
@@ -373,33 +368,26 @@ def run_permutation_study(
     perm_key, run_key = base.spawn(2)
     perm_rng = np.random.default_rng(perm_key)
     run_seeds = run_key.generate_state(n_permutations)
-    sizes = range(1, min(5, schema.d) + 1)
+    sizes = range(1, min(MAX_PROJECTION, schema.d) + 1)
     values: dict[int, list[float]] = {n: [] for n in sizes}
     for r in range(n_permutations):
-        perms = []
-        recoded = source.codes.copy()
-        new_vars = []
-        new_counts = []
-        for i, var in enumerate(schema.variables):
-            m = var.n_categories
-            p = perm_rng.permutation(m) if i in categorical else np.arange(m)
-            inverse = np.empty(m, dtype=np.int64)
-            inverse[p] = np.arange(m)
-            perms.append(p)
-            recoded[:, i] = inverse[source.column(i)]
-            new_vars.append(
-                VariableSpec(var.name, tuple(var.labels[j] for j in p), var.kind)
-            )
-            new_counts.append(targets.counts[i][p])
-        perm_schema = Schema(tuple(new_vars))
-        perm_source = MicroTable(perm_schema, recoded)
-        perm_targets = MarginalTable(perm_schema, tuple(new_counts))
-        syn_perm, _ = generate_table(
-            perm_source, perm_targets, config, int(run_seeds[r])
+        # Generation reads only codes and dims, so the permuted table keeps
+        # the original schema: its code j stands for the original code p[j].
+        perms = [
+            perm_rng.permutation(m) if i in categorical else np.arange(m)
+            for i, m in enumerate(schema.dims)
+        ]
+        recoded = np.column_stack(
+            [np.argsort(p)[source.column(i)] for i, p in enumerate(perms)]
         )
-        back = np.empty_like(syn_perm.codes)
-        for i in range(schema.d):
-            back[:, i] = perms[i][syn_perm.column(i)]
+        counts = tuple(targets.counts[i][p] for i, p in enumerate(perms))
+        syn_perm, _ = generate_table(
+            MicroTable(schema, recoded),
+            MarginalTable(schema, counts),
+            config,
+            int(run_seeds[r]),
+        )
+        back = np.column_stack([p[syn_perm.column(i)] for i, p in enumerate(perms)])
         syn = MicroTable(schema, back)
         for n in sizes:
             values[n].append(srmse_projected(reference, syn, n))

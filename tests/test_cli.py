@@ -1,10 +1,22 @@
 """Exit codes, printed summaries, and file side effects of the CLI."""
 
+import dataclasses
 import json
+import math
+import sys
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from copulasynth import __version__, load_marginals_csv, load_schema
+from copulasynth import (
+    SynthesisConfig,
+    __version__,
+    load_marginals_csv,
+    load_schema,
+)
 from copulasynth.cli import main
 from copulasynth.dataset import (
     marginals_of,
@@ -12,7 +24,7 @@ from copulasynth.dataset import (
     write_micro_csv,
     write_schema,
 )
-from copulasynth.pipeline import make_transfer_benchmark
+from copulasynth.pipeline import GENERATORS, make_transfer_benchmark
 
 
 @pytest.fixture()
@@ -121,6 +133,145 @@ def test_synth_mistyped_config_exits_one(workspace, capsys, override):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert next(iter(override)) in err
     assert not (workspace / "out").exists()
+
+
+def set_labels(value):
+    def corrupt(path):
+        doc = json.loads(path.read_text())
+        doc["v0"]["labels"] = value
+        path.write_text(json.dumps(doc))
+
+    return corrupt
+
+
+def append_bytes(blob):
+    def corrupt(path):
+        with open(path, "ab") as handle:
+            handle.write(blob)
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        pytest.param("schema.json", set_labels(5), id="labels-int"),
+        pytest.param("schema.json", set_labels("abc"), id="labels-string"),
+        pytest.param("source.csv", append_bytes(b"0,\xff,0,0\n"), id="csv-0xff"),
+        pytest.param("targets.csv", append_bytes(b"v0,\xff,3\n"), id="marginals-0xff"),
+        pytest.param("config.json", append_bytes(b"\xff"), id="config-0xff"),
+        pytest.param(
+            "source.csv", append_bytes(b"x" * 140_000 + b"\n"), id="csv-long-field"
+        ),
+        pytest.param(
+            "targets.csv",
+            append_bytes(b"v0," + b"x" * 140_000 + b",3\n"),
+            id="marginals-long-field",
+        ),
+    ],
+)
+def test_synth_unreadable_input_exits_one_naming_the_file(
+    workspace, capsys, name, corrupt
+):
+    cfg = write_config(workspace)
+    corrupt(workspace / name)
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert name in err
+    assert not (workspace / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """File name -> bytes of a small synth workspace."""
+    path = tmp_path_factory.mktemp("small")
+    source, target = make_transfer_benchmark(seed=2, d=3, n_source=200, n_target=200)
+    write_schema(source.schema, path / "schema.json")
+    write_micro_csv(source, path / "source.csv")
+    write_micro_csv(target, path / "reference.csv")
+    write_marginals_csv(marginals_of(target), path / "targets.csv")
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SynthesisConfig))
+# Short text, weighted toward characters that paths and shell splitting treat
+# specially.
+TEXT = st.text(st.sampled_from("a/.'\" \\\x00\n") | st.characters(), max_size=6)
+FIELD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(-10, 10) | st.just(math.nan),
+    TEXT,
+    st.sampled_from(GENERATORS + ("from-source", "v0", "v1", "v2")),
+    st.lists(TEXT | st.sampled_from(["v0", "v1"]), max_size=3),
+)
+# Drawn commands never name a program that exists: a missing path with
+# text after it, split shell-style or listed, or a generator that exits 1.
+COMMANDS = st.one_of(
+    FIELD_VALUES.filter(lambda v: not isinstance(v, (str, list))),
+    TEXT.map(lambda t: "/nonexistent/gen " + t),
+    st.lists(TEXT, max_size=2).map(lambda a: ["/nonexistent/gen"] + a),
+    st.just([sys.executable, "-c", "raise SystemExit(1)"]),
+)
+OVERRIDES = st.sampled_from(CONFIG_FIELDS + ("bogus",)).flatmap(
+    lambda k: st.tuples(
+        st.just(k), COMMANDS if k == "external_command" else FIELD_VALUES
+    )
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    overrides=st.lists(OVERRIDES, max_size=3),
+    dropped=st.sets(st.sampled_from(CONFIG_FIELDS), max_size=2),
+    splice=st.none()
+    | st.tuples(
+        st.sampled_from(["schema.json", "source.csv", "reference.csv", "targets.csv"]),
+        st.integers(0, 10**6),
+        st.binary(min_size=1, max_size=8),
+    ),
+)
+def test_synth_fuzzed_config_and_inputs_exit_zero_or_one(
+    small_inputs, capsys, monkeypatch, overrides, dropped, splice
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        monkeypatch.chdir(tmp)  # relative output paths land in the temporary dir
+        files = dict(small_inputs)
+        if splice is not None:
+            name, pos, blob = splice
+            pos %= len(files[name]) + 1
+            files[name] = files[name][:pos] + blob + files[name][pos:]
+        for name, data in files.items():
+            (tmp / name).write_bytes(data)
+        doc = {
+            "source_data": str(tmp / "source.csv"),
+            "schema": str(tmp / "schema.json"),
+            "target_marginals": str(tmp / "targets.csv"),
+            "reference_data": str(tmp / "reference.csv"),
+            "population_data": str(tmp / "reference.csv"),
+            "method": "bn_copula",
+            "output_size": 30,
+            "seed": 1,
+            "output_dir": "out",
+        }
+        doc.update(overrides)
+        for name in dropped:
+            doc.pop(name, None)
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["synth", "--config", str(cfg)])
+        err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 def test_synth_short_source_row_exits_one(workspace, capsys):

@@ -60,7 +60,7 @@ def test_marginal_validation():
 def test_jitter_lands_in_cell_interval():
     em = EmpiricalMarginal(np.array([0, 1, 2]), np.array([0.3, 0.6, 1.0]))
     rng = np.random.default_rng(0)
-    for k, (lo, hi) in zip((1, 2, 3), [(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)]):
+    for k, (lo, hi) in enumerate([(0.0, 0.3), (0.3, 0.6), (0.6, 1.0)]):
         u = jitter_cells(em, np.full(200, k), rng)
         assert ((lo < u) & (u <= hi)).all()
 
@@ -68,15 +68,15 @@ def test_jitter_lands_in_cell_interval():
 def test_jitter_cells_vectorized():
     em = EmpiricalMarginal(np.array([0, 1, 2]), np.array([0.3, 0.6, 1.0]))
     rng = np.random.default_rng(1)
-    cells = np.array([1, 2, 3] * 100)
+    cells = np.array([0, 1, 2] * 100)
     u = jitter_cells(em, cells, rng)
-    lows = np.array([0.0, 0.3, 0.6])[cells - 1]
-    highs = np.array([0.3, 0.6, 1.0])[cells - 1]
+    lows = np.array([0.0, 0.3, 0.6])[cells]
+    highs = np.array([0.3, 0.6, 1.0])[cells]
     assert ((u > lows) & (u <= highs)).all()
-    with pytest.raises(SynthesisError):
-        jitter_cells(em, np.array([0]), rng)
-    with pytest.raises(SynthesisError):
-        jitter_cells(em, np.array([4]), rng)
+    with pytest.raises(SynthesisError, match=r"outside 0\.\.2"):
+        jitter_cells(em, np.array([-1]), rng)
+    with pytest.raises(SynthesisError, match=r"outside 0\.\.2"):
+        jitter_cells(em, np.array([3]), rng)
 
 
 def test_pseudo_inverse_hand_cases():

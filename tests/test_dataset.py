@@ -8,7 +8,6 @@ from copulasynth import (
     MarginalTable,
     MicroTable,
     Schema,
-    SchemaError,
     SynthesisError,
     VariableSpec,
     load_marginals_csv,
@@ -23,11 +22,11 @@ from conftest import make_schema, random_table, small_tables
 
 
 def test_variable_spec_rejects_duplicates_and_empty():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SynthesisError):
         VariableSpec("a", ("x", "x"))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SynthesisError):
         VariableSpec("a", ())
-    with pytest.raises(SchemaError):
+    with pytest.raises(SynthesisError):
         VariableSpec("a", ("x",), kind="continuous")
 
 
@@ -41,9 +40,9 @@ def test_variable_spec_codes():
 
 def test_schema_validation():
     v = VariableSpec("a", ("x", "y"))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SynthesisError):
         Schema(())
-    with pytest.raises(SchemaError):
+    with pytest.raises(SynthesisError):
         Schema((v, v))
     s = make_schema([2, 3])
     assert s.d == 2 and s.dims == (2, 3)
@@ -105,10 +104,17 @@ def test_schema_json_roundtrip(tmp_path):
 def test_load_schema_rejects_bad_documents(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[]")
-    with pytest.raises(SchemaError):
+    with pytest.raises(SynthesisError):
         load_schema(path)
     path.write_text('{"a": {"kind": "ordinal"}}')
-    with pytest.raises(SchemaError):
+    with pytest.raises(SynthesisError):
+        load_schema(path)
+    for labels in ("5", '"abc"', "null"):
+        path.write_text('{"a": {"labels": %s}}' % labels)
+        with pytest.raises(SynthesisError, match=r"bad\.json: .*'labels' list"):
+            load_schema(path)
+    path.write_text('{"a": ')
+    with pytest.raises(SynthesisError, match=r"bad\.json: Expecting value"):
         load_schema(path)
 
 
@@ -170,7 +176,12 @@ def test_marginals_csv_errors(tmp_path):
     with pytest.raises(SynthesisError, match=r"m\.csv: line 4: 2 field"):
         load_marginals_csv(path, schema)
     path.write_text("variable,label,count\nv0,9,3\n")
-    with pytest.raises(SynthesisError, match="unknown label"):
+    with pytest.raises(
+        SynthesisError, match=r"m\.csv: row 1: variable 'v0': unknown label '9'"
+    ):
+        load_marginals_csv(path, schema)
+    path.write_text("variable,label,count\nv0,1,3\nzz,1,3\n")
+    with pytest.raises(SynthesisError, match=r"m\.csv: row 2: unknown variable 'zz'"):
         load_marginals_csv(path, schema)
     # omitted categories default to zero
     path.write_text("variable,label,count\nv0,1,3\n")

@@ -1,5 +1,6 @@
 """End-to-end generation, the benchmark generator, and the permutation study."""
 
+import dataclasses
 import json
 import sys
 
@@ -95,6 +96,9 @@ def test_config_validation():
         ("output_dir", ""),
         ("reference_data", ""),
         ("population_data", ""),
+        ("source_data", "s\x00"),
+        ("output_dir", "out\x00"),
+        ("external_command", "gen 'unclosed"),
     ]:
         fields = dict(source_data="s", schema="c", method="bn", output_size=10, seed=0)
         fields[field] = value
@@ -315,6 +319,9 @@ def test_external_copula_error_paths(tmp_path):
     )
     with pytest.raises(SynthesisError, match="emitted"):
         generate_table(src, marginals_of(tgt), short, 4)
+    nul = dataclasses.replace(short, external_command=("gen\x00",))
+    with pytest.raises(SynthesisError, match="failed to start"):
+        generate_table(src, marginals_of(tgt), nul, 4)
 
 
 def test_benchmark_validation_and_shape():
@@ -390,7 +397,7 @@ def test_permutation_study_single_run_degenerate_std(tmp_path):
     write_benchmark_inputs(tmp_path, d=4, n=800)
     cfg = base_config(tmp_path, output_size=1000)
     study = run_permutation_study(cfg, 1)
-    assert study.n_permutations == 1
+    assert len(study.values[1]) == 1
     assert all(s == 0.0 for s in study.std.values())
 
 
