@@ -77,43 +77,37 @@ class Dag:
 
 
 @dataclass(frozen=True, eq=False)
-class Cpt:
-    """Conditional probability table: one row per parent configuration."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.table, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[1] < 1:
-            raise SynthesisError("CPT must be a 2-d (configs, categories) array")
-        if (arr < 0).any():
-            raise SynthesisError("CPT entries must be nonnegative")
-        if np.abs(arr.sum(axis=1) - 1.0).max() > 1e-12:
-            raise SynthesisError("every CPT row must sum to 1 within 1e-12")
-        arr.flags.writeable = False
-        object.__setattr__(self, "table", arr)
-
-
-@dataclass(frozen=True, eq=False)
 class BayesNet:
-    """DAG plus per-node CPTs; the joint factorizes by the chain rule."""
+    """DAG plus per-node CPTs; the joint factorizes by the chain rule.
+
+    A CPT is a (parent configurations, categories) float array whose rows
+    are distributions; parent configurations run in mixed-radix order.
+    """
 
     schema: Schema
     dag: Dag
-    cpts: tuple[Cpt, ...]
+    cpts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if self.dag.d != self.schema.d or len(self.cpts) != self.schema.d:
             raise SynthesisError("DAG, CPTs, and schema disagree on node count")
         dims = self.schema.dims
+        fixed = []
         for node, cpt in enumerate(self.cpts):
+            arr = np.array(cpt, dtype=np.float64, copy=True)
             q = math.prod(dims[p] for p in self.dag.parents[node])
-            if cpt.table.shape != (q, dims[node]):
+            if arr.shape != (q, dims[node]):
                 raise SynthesisError(
-                    f"CPT of node {node} has shape {cpt.table.shape}, "
+                    f"CPT of node {node} has shape {arr.shape}, "
                     f"expected ({q}, {dims[node]})"
                 )
-        object.__setattr__(self, "cpts", tuple(self.cpts))
+            if (arr < 0).any():
+                raise SynthesisError("CPT entries must be nonnegative")
+            if not (np.abs(arr.sum(axis=1) - 1.0) <= 1e-12).all():
+                raise SynthesisError("every CPT row must sum to 1 within 1e-12")
+            arr.flags.writeable = False
+            fixed.append(arr)
+        object.__setattr__(self, "cpts", tuple(fixed))
 
 
 def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
@@ -253,7 +247,7 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
                     "configuration(s) unobserved; rows left uniform",
                     stacklevel=2,
                 )
-        cpts.append(Cpt(theta))
+        cpts.append(theta)
     return BayesNet(schema=data.schema, dag=dag, cpts=tuple(cpts))
 
 
@@ -264,7 +258,7 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     dims = bn.schema.dims
     codes = np.zeros((n, bn.schema.d), dtype=np.int64)
     for node in bn.dag.topological_order():
-        theta = bn.cpts[node].table
+        theta = bn.cpts[node]
         # A budget of the CPT's row count keeps the keys unranked: row indices.
         (config,), _ = combo_keys(
             (codes,), dims, bn.dag.parents[node], budget=theta.shape[0]

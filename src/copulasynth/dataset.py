@@ -18,6 +18,8 @@ import numpy as np
 from .errors import SynthesisError
 
 VALID_KINDS = ("ordinal", "categorical")
+# Counts and totals up to 2**53 keep every ECDF partial sum exact in float64.
+MAX_COUNT = 2**53
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,11 @@ class MarginalTable:
                 )
             if (arr < 0).any():
                 raise SynthesisError(f"variable {var.name!r}: negative count")
-            if arr.sum() <= 0:
+            total = sum(arr.tolist())  # a Python int: no int64 wrap-around
+            if total <= 0:
                 raise SynthesisError(f"variable {var.name!r}: all-zero marginal")
+            if total > MAX_COUNT:
+                raise SynthesisError(f"variable {var.name!r}: total exceeds 2**53")
             arr.flags.writeable = False
             fixed.append(arr)
         object.__setattr__(self, "counts", tuple(fixed))
@@ -158,13 +163,13 @@ class MarginalTable:
 
 @contextmanager
 def open_input(path):
-    """Open an input file as UTF-8 text for csv or json reading.
+    """Open an input file as UTF-8 text, less any byte-order mark, for csv or json.
 
     Undecodable bytes and csv or JSON syntax errors raised while the file
     is read become a SynthesisError that names the file.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
         raise SynthesisError(f"{path}: {exc}") from None
@@ -252,8 +257,8 @@ def write_micro_csv(table: MicroTable, path) -> None:
 def load_marginals_csv(path, schema: Schema) -> MarginalTable:
     """Read a marginals CSV with columns variable,label,count.
 
-    Categories omitted from the file get count 0. Counts must be
-    nonnegative integers and every variable must keep a positive total.
+    Categories omitted from the file get count 0. Counts must be integers
+    in 0..2**53 and every variable's total must lie in 1..2**53.
     """
     counts = [np.zeros(v.n_categories, dtype=np.int64) for v in schema.variables]
     filled = [np.zeros(v.n_categories, dtype=bool) for v in schema.variables]
@@ -291,6 +296,8 @@ def load_marginals_csv(path, schema: Schema) -> MarginalTable:
                     f"{path}: row {rownum}: negative count for "
                     f"{name}={label!r}"
                 )
+            if value > MAX_COUNT:
+                raise SynthesisError(f"{path}: row {rownum}: count exceeds 2**53")
             if filled[i][code]:
                 raise SynthesisError(
                     f"{path}: row {rownum}: duplicate entry for {name}={label!r}"

@@ -26,7 +26,7 @@ from scipy.special import ndtr
 from .baselines import sample_independent
 from .bayesnet import fit_parameters, learn_structure
 from .bayesnet import sample as bn_sample
-from .copula import EmpiricalMarginal, jitter_cells, pseudo_inverse_many
+from .copula import ecdf, jitter_cells, pseudo_inverse_many
 from .dataset import (
     MarginalTable,
     MicroTable,
@@ -163,39 +163,33 @@ def _streams(seed: int):
     return structure_seed, children[1], children[2]
 
 
-def rank_recode(source: MicroTable) -> tuple[MicroTable, list[EmpiricalMarginal]]:
-    """Recode each column onto its observed support 0..k-1.
+def rank_recode(source: MicroTable) -> tuple[MicroTable, MarginalTable]:
+    """Recode each column onto its observed support 0..k-1, with its counts.
 
     The recoding is strictly monotone per column, so dependence structure
     is untouched; the derived schema drops categories the sample never
-    shows, which is exactly the support the fitted ECDF knows about.
+    shows, so every recoded count is positive.
     """
     if source.n_rows == 0:
         raise SynthesisError("cannot fit an ECDF on an empty table")
-    d = source.schema.d
-    marginals = [
-        EmpiricalMarginal.from_counts(np.bincount(source.column(i))) for i in range(d)
-    ]
+    full = marginals_of(source)
+    supports = [np.flatnonzero(c) for c in full.counts]
     ranks = np.empty_like(source.codes)
     derived = []
-    for i, em in enumerate(marginals):
-        ranks[:, i] = np.searchsorted(em.values, source.column(i))
-        var = source.schema.variables[i]
-        derived.append(
-            VariableSpec(
-                name=var.name,
-                labels=tuple(var.labels[c] for c in em.values),
-                kind=var.kind,
-            )
-        )
-    return MicroTable(Schema(tuple(derived)), ranks), marginals
+    for i, (var, support) in enumerate(zip(source.schema.variables, supports)):
+        ranks[:, i] = np.searchsorted(support, source.column(i))
+        labels = tuple(var.labels[c] for c in support)
+        derived.append(VariableSpec(name=var.name, labels=labels, kind=var.kind))
+    schema = Schema(tuple(derived))
+    counts = tuple(c[s] for c, s in zip(full.counts, supports))
+    return MicroTable(schema, ranks), MarginalTable(schema, counts)
 
 
 def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
     """Send the source's ECDF values to the generator; read back n rows of uniforms."""
     recoded, marginals = rank_recode(source)
     ecdf_values = np.column_stack(
-        [em.cumprobs[recoded.column(i)] for i, em in enumerate(marginals)]
+        [ecdf(c)[recoded.column(i)] for i, c in enumerate(marginals.counts)]
     )
     header = ",".join(source.schema.names)
     body = "\n".join(",".join(repr(float(v)) for v in row) for row in ecdf_values)
@@ -234,7 +228,7 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
             f"external generator output has shape {values.shape}, "
             f"expected ({n}, {source.schema.d})"
         )
-    if (values <= 0).any() or (values > 1).any():
+    if not ((values > 0) & (values <= 1)).all():
         raise SynthesisError("external generator output must lie in (0,1]")
     return values
 
@@ -247,8 +241,7 @@ def _target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
     """
     codes = np.empty((n, targets.schema.d), dtype=np.int64)
     for i, u in enumerate(uniforms):
-        target = EmpiricalMarginal.from_counts(targets.counts[i])
-        codes[:, i] = pseudo_inverse_many(target, u)
+        codes[:, i] = pseudo_inverse_many(targets.counts[i], u)
     return MicroTable(targets.schema, codes)
 
 
@@ -259,6 +252,8 @@ def generate_table(
     if source.schema != targets.schema:
         raise SynthesisError("source and target marginals use different schemas")
     n = config.output_size
+    if n * source.schema.d * 8 > np.iinfo(np.intp).max:
+        raise SynthesisError(f"output_size {n} exceeds an addressable table")
     structure_seed, gen_key, jitter_key = _streams(seed)
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
@@ -281,8 +276,8 @@ def generate_table(
             if copula:
                 jitter_rng = np.random.default_rng(jitter_key)
                 uniforms = (
-                    jitter_cells(em, cells.column(i), jitter_rng)
-                    for i, em in enumerate(source_marginals)
+                    jitter_cells(c, cells.column(i), jitter_rng)
+                    for i, c in enumerate(source_marginals.counts)
                 )
                 syn = _target_codes(targets, n, uniforms)
             else:
@@ -413,6 +408,8 @@ def make_transfer_benchmark(
     variables skew one way, odd-index the other). Even-index variables
     are categorical, odd-index ordinal; cardinalities cycle 2,3,4.
     """
+    if seed < 0:
+        raise SynthesisError("benchmark seed must be >= 0")
     if d < 2:
         raise SynthesisError("benchmark needs d >= 2")
     if not 0.0 <= marginal_skew <= 1.0:

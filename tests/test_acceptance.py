@@ -28,7 +28,7 @@ from copulasynth import (
     write_schema,
 )
 from copulasynth.cli import main
-from copulasynth.copula import pseudo_inverse_many
+from copulasynth.copula import ecdf, pseudo_inverse_many
 from copulasynth.metrics import (
     precision_recall_f1,
     sampled_zeros,
@@ -53,9 +53,10 @@ def test_criterion_01_copula_roundtrip_is_exact():
         codes = np.column_stack([rng.integers(0, m, n) for m in dims])
         table = MicroTable(make_schema(dims), codes)
         recoded, marginals = rank_recode(table)
+        targets = marginals_of(table)
         back = MicroTable(table.schema, np.column_stack([
-            pseudo_inverse_many(em, em.cumprobs[recoded.column(i)])
-            for i, em in enumerate(marginals)
+            pseudo_inverse_many(targets.counts[i], ecdf(c)[recoded.column(i)])
+            for i, c in enumerate(marginals.counts)
         ]))
         assert (back.codes == table.codes).all()
         assert back.schema == table.schema

@@ -19,7 +19,6 @@ from copulasynth import (
 )
 from copulasynth.bayesnet import (
     BayesNet,
-    Cpt,
     Dag,
     family_score_mdl,
     network_score,
@@ -160,7 +159,7 @@ def test_fit_parameters_hand_case():
         make_schema([4]), np.array([[0]] * 2 + [[1]] * 2 + [[2]] * 4 + [[3]] * 2)
     )
     bn = fit_parameters(table, Dag(parents=((),)), alpha=0.0)
-    assert np.allclose(bn.cpts[0].table, [[0.2, 0.2, 0.4, 0.2]])
+    assert np.allclose(bn.cpts[0], [[0.2, 0.2, 0.4, 0.2]])
 
 
 def test_fit_parameters_smoothing():
@@ -168,10 +167,10 @@ def test_fit_parameters_smoothing():
     dag = Dag(parents=((), (0,)))
     bn = fit_parameters(table, dag, alpha=1.0)
     # parent config x=1 never observed: uniform row from the smoothing formula
-    assert np.allclose(bn.cpts[1].table[1], [0.25, 0.25, 0.25, 0.25])
+    assert np.allclose(bn.cpts[1][1], [0.25, 0.25, 0.25, 0.25])
     # huge alpha pushes observed rows toward uniform too
     bn_flat = fit_parameters(table, dag, alpha=1e9)
-    assert np.allclose(bn_flat.cpts[1].table, 0.25, atol=1e-6)
+    assert np.allclose(bn_flat.cpts[1], 0.25, atol=1e-6)
 
 
 def test_fit_parameters_alpha_zero_flags_unseen():
@@ -179,7 +178,7 @@ def test_fit_parameters_alpha_zero_flags_unseen():
     dag = Dag(parents=((), (0,)))
     with pytest.warns(UserWarning, match="unobserved"):
         bn = fit_parameters(table, dag, alpha=0.0)
-    assert np.allclose(bn.cpts[1].table[1], [0.5, 0.5])
+    assert np.allclose(bn.cpts[1][1], [0.5, 0.5])
 
 
 def test_cpt_rows_always_sum_to_one():
@@ -189,20 +188,25 @@ def test_cpt_rows_always_sum_to_one():
         for alpha in (0.0, 0.1, 1.0):
             bn = fit_parameters(table, dag, alpha=alpha)
             for cpt in bn.cpts:
-                assert np.abs(cpt.table.sum(axis=1) - 1.0).max() <= 1e-12
+                assert np.abs(cpt.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_cpt_validation():
-    with pytest.raises(SynthesisError):
-        Cpt(np.array([[0.5, 0.6]]))
-    with pytest.raises(SynthesisError):
-        Cpt(np.array([[-0.1, 1.1]]))
-    with pytest.raises(SynthesisError):
+    for table, message in (
+        ([[0.5, 0.6]], "sum to 1"),
+        ([[np.nan, 1.0]], "sum to 1"),
+        ([[-0.1, 1.1]], "nonnegative"),
+    ):
+        with pytest.raises(SynthesisError, match=message):
+            BayesNet(schema=make_schema([2]), dag=Dag(parents=((),)), cpts=(table,))
+    with pytest.raises(SynthesisError, match="shape"):
         BayesNet(
             schema=make_schema([2, 2]),
             dag=Dag(parents=((), (0,))),
-            cpts=(Cpt(np.array([[0.5, 0.5]])), Cpt(np.array([[0.5, 0.5]]))),
+            cpts=(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])),
         )
+    bn = BayesNet(schema=make_schema([2]), dag=Dag(parents=((),)), cpts=([[0.3, 0.7]],))
+    assert bn.cpts[0].dtype == np.float64 and not bn.cpts[0].flags.writeable
 
 
 def test_sample_uniform_edgeless():
@@ -210,7 +214,7 @@ def test_sample_uniform_edgeless():
     bn = BayesNet(
         schema=schema,
         dag=Dag(parents=((), ())),
-        cpts=(Cpt(np.array([[0.5, 0.5]])), Cpt(np.array([[0.5, 0.5]]))),
+        cpts=(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]])),
     )
     table = sample_bayesnet(bn, 100_000, np.random.default_rng(0))
     for i in range(2):
@@ -224,8 +228,8 @@ def test_sample_deterministic_cpts_yield_constant_rows():
         schema=schema,
         dag=Dag(parents=((), (0,))),
         cpts=(
-            Cpt(np.array([[0.0, 1.0]])),
-            Cpt(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])),
+            np.array([[0.0, 1.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
         ),
     )
     table = sample_bayesnet(bn, 50, np.random.default_rng(3))
@@ -240,7 +244,7 @@ def test_sample_chain_matches_cpt_products():
     bn = BayesNet(
         schema=schema,
         dag=Dag(parents=((), (0,), (1,))),
-        cpts=(Cpt(pa), Cpt(pb), Cpt(pc)),
+        cpts=(pa, pb, pc),
     )
     n = 100_000
     table = sample_bayesnet(bn, n, np.random.default_rng(11))
@@ -261,7 +265,7 @@ def test_sample_chain_matches_cpt_products():
 def test_sample_empty_and_determinism():
     schema = make_schema([2])
     bn = BayesNet(
-        schema=schema, dag=Dag(parents=((),)), cpts=(Cpt(np.array([[0.3, 0.7]])),)
+        schema=schema, dag=Dag(parents=((),)), cpts=(np.array([[0.3, 0.7]]),)
     )
     assert sample_bayesnet(bn, 0, np.random.default_rng(0)).n_rows == 0
     t1 = sample_bayesnet(bn, 100, np.random.default_rng(42))
@@ -277,7 +281,7 @@ def test_cpt_row_order():
     z = np.array([0, 1, 1, 0, 0, 1])
     t = MicroTable(make_schema([2, 2, 2]), np.column_stack([x, y, z]))
     bn = fit_parameters(t, Dag(parents=((), (), (0, 1))), alpha=0.0)
-    table = bn.cpts[2].table
+    table = bn.cpts[2]
     # config (x=1, y=0) is row index 1*2+0=2
     sel = (x == 1) & (y == 0)
     assert table[2, 0] == pytest.approx((z[sel] == 0).mean())
@@ -323,4 +327,4 @@ def test_family_score_and_fit_match_counter_reference(case, alpha):
             keys = keys * dims[p] + table.column(p)
         np.add.at(counts, (keys, table.column(node)), 1.0)
         theta = (counts + alpha) / (counts.sum(axis=1) + alpha * m)[:, None]
-        assert np.array_equal(fit_parameters(table, dag, alpha).cpts[node].table, theta)
+        assert np.array_equal(fit_parameters(table, dag, alpha).cpts[node], theta)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -182,6 +183,65 @@ def test_synth_unreadable_input_exits_one_naming_the_file(
     assert not (workspace / "out").exists()
 
 
+def replace_v0_counts(rows):
+    def corrupt(path):
+        lines = path.read_text().splitlines(keepends=True)
+        kept = [ln for ln in lines if not ln.startswith("v0,")]
+        path.write_text("".join(kept) + "".join(f"v0,{r}\n" for r in rows))
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "overrides, corrupt, message",
+    [
+        pytest.param(
+            # python -c leaves sys.argv as ["-c", "--n", n, "--seed", s]
+            {"method": "external_copula", "external_command": [
+                sys.executable, "-c",
+                "import sys; print('nan,0.5,0.5,0.5\\n' * int(sys.argv[2]))",
+            ]},
+            None, r"must lie in \(0,1\]", id="nan-generator",
+        ),
+        pytest.param(
+            {}, replace_v0_counts(["0,100000000000000000000"]),
+            r"targets\.csv: row \d+: count exceeds", id="count-1e20",
+        ),
+        pytest.param(
+            {}, replace_v0_counts(["0,5000000000000000000", "1,5000000000000000000"]),
+            r"targets\.csv: row \d+: count exceeds", id="counts-5e18",
+        ),
+        pytest.param(
+            {}, replace_v0_counts([f"0,{2**53}", f"1,{2**53}"]),
+            r"'v0': total exceeds", id="total-2x2**53",
+        ),
+        pytest.param(
+            {"output_size": 10**30}, None, "output_size", id="output-size-1e30"
+        ),
+    ],
+)
+def test_synth_out_of_range_input_exits_one(
+    workspace, capsys, overrides, corrupt, message
+):
+    cfg = write_config(workspace, **overrides)
+    if corrupt is not None:
+        corrupt(workspace / "targets.csv")
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert re.search(message, err), err
+    assert not (workspace / "out").exists()
+
+
+def test_synth_accepts_utf8_byte_order_mark(workspace):
+    """Excel's "CSV UTF-8" prefixes the file with a byte-order mark."""
+    cfg = write_config(workspace)
+    for name in ("config.json", "schema.json", "source.csv", "targets.csv"):
+        path = workspace / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(["synth", "--config", str(cfg)]) == 0
+
+
 @pytest.fixture(scope="module")
 def small_inputs(tmp_path_factory):
     """File name -> bytes of a small synth workspace."""
@@ -215,10 +275,18 @@ COMMANDS = st.one_of(
     st.lists(TEXT, max_size=2).map(lambda a: ["/nonexistent/gen"] + a),
     st.just([sys.executable, "-c", "raise SystemExit(1)"]),
 )
+# Only output_size draws a size past any addressable table: max_iter would
+# loop for that long.
+VALUES_OF = {
+    "external_command": COMMANDS,
+    "output_size": FIELD_VALUES | st.just(10**30),
+}
 OVERRIDES = st.sampled_from(CONFIG_FIELDS + ("bogus",)).flatmap(
-    lambda k: st.tuples(
-        st.just(k), COMMANDS if k == "external_command" else FIELD_VALUES
-    )
+    lambda k: st.tuples(st.just(k), VALUES_OF.get(k, FIELD_VALUES))
+)
+# A marginals row whose count breaks the 2**53 bound, appended at the end.
+HUGE_COUNT_ROWS = st.sampled_from([2**53 + 1, 5 * 10**18, 10**20]).map(
+    lambda c: ("targets.csv", -1, f"v0,0,{c}\r\n".encode())
 )
 
 
@@ -235,7 +303,8 @@ OVERRIDES = st.sampled_from(CONFIG_FIELDS + ("bogus",)).flatmap(
         st.sampled_from(["schema.json", "source.csv", "reference.csv", "targets.csv"]),
         st.integers(0, 10**6),
         st.binary(min_size=1, max_size=8),
-    ),
+    )
+    | HUGE_COUNT_ROWS,
 )
 def test_synth_fuzzed_config_and_inputs_exit_zero_or_one(
     small_inputs, capsys, monkeypatch, overrides, dropped, splice
@@ -246,7 +315,7 @@ def test_synth_fuzzed_config_and_inputs_exit_zero_or_one(
         files = dict(small_inputs)
         if splice is not None:
             name, pos, blob = splice
-            pos %= len(files[name]) + 1
+            pos %= len(files[name]) + 1  # -1 appends
             files[name] = files[name][:pos] + blob + files[name][pos:]
         for name, data in files.items():
             (tmp / name).write_bytes(data)
@@ -340,6 +409,13 @@ def test_benchmark_subcommand(tmp_path, capsys):
     assert "6000 source rows" in capsys.readouterr().out
     schema = load_schema(out / "schema.json")
     assert schema.d == 9
+
+
+def test_benchmark_negative_seed_exits_one(tmp_path, capsys):
+    assert main(["benchmark", "--out", str(tmp_path / "bench"), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "seed" in err
 
 
 def test_version_flag(capsys):

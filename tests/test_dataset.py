@@ -189,6 +189,24 @@ def test_marginals_csv_errors(tmp_path):
     assert marg.counts[0].tolist() == [0, 3]
 
 
+def test_marginal_counts_are_bounded(tmp_path):
+    """Counts and totals up to 2**53 keep the ECDF's partial sums exact."""
+    schema = make_schema([2])
+    path = tmp_path / "m.csv"
+    for big in (2**53 + 1, 5 * 10**18, 10**20):
+        path.write_text(f"variable,label,count\nv0,1,3\nv0,0,{big}\n")
+        with pytest.raises(SynthesisError, match=r"m\.csv: row 2: count exceeds"):
+            load_marginals_csv(path, schema)
+    path.write_text(f"variable,label,count\nv0,0,{2**53}\nv0,1,{2**53}\n")
+    with pytest.raises(SynthesisError, match=r"'v0': total exceeds 2\*\*53"):
+        load_marginals_csv(path, schema)
+    path.write_text(f"variable,label,count\nv0,0,{2**53}\n")
+    assert load_marginals_csv(path, schema).total(0) == 2**53
+    # two int64 counts whose int64 sum would wrap negative
+    with pytest.raises(SynthesisError, match=r"total exceeds 2\*\*53"):
+        MarginalTable(schema, (np.array([5 * 10**18, 5 * 10**18]),))
+
+
 def test_marginals_of_counts():
     table = MicroTable(make_schema([3]), np.array([[0], [2], [2], [1]]))
     marg = marginals_of(table)

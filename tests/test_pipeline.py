@@ -130,7 +130,8 @@ def test_rank_recode_drops_unobserved_categories():
     assert recoded.schema.dims == (2, 2)
     assert recoded.schema.variables[0].labels == ("0", "2")
     assert recoded.column(0).tolist() == [0, 1, 1, 0]
-    assert margs[0].values.tolist() == [0, 2]
+    assert margs.schema == recoded.schema
+    assert [c.tolist() for c in margs.counts] == [[2, 2], [2, 2]]
 
 
 def test_monotone_recoding_equivalence_for_full_support():
@@ -322,6 +323,11 @@ def test_external_copula_error_paths(tmp_path):
     nul = dataclasses.replace(short, external_command=("gen\x00",))
     with pytest.raises(SynthesisError, match="failed to start"):
         generate_table(src, marginals_of(tgt), nul, 4)
+    # python -c leaves sys.argv as ["-c", "--n", n, "--seed", s]
+    emit = "import sys; print('nan,0.5,0.5\\n' * int(sys.argv[2]))"
+    nan = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
+    with pytest.raises(SynthesisError, match=r"must lie in \(0,1\]"):
+        generate_table(src, marginals_of(tgt), nan, 4)
 
 
 def test_benchmark_validation_and_shape():
@@ -331,6 +337,8 @@ def test_benchmark_validation_and_shape():
         make_transfer_benchmark(marginal_skew=1.5)
     with pytest.raises(SynthesisError):
         make_transfer_benchmark(n_source=0)
+    with pytest.raises(SynthesisError, match="seed"):
+        make_transfer_benchmark(seed=-1)
     src, tgt = make_transfer_benchmark(seed=0, d=5, n_source=200, n_target=300)
     assert src.schema == tgt.schema
     assert src.n_rows == 200 and tgt.n_rows == 300
