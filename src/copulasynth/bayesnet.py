@@ -8,6 +8,7 @@ logarithms throughout.
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass
@@ -55,19 +56,15 @@ class Dag:
         for node, ps in enumerate(self.parents):
             for p in ps:
                 children[p].append(node)
-        ready = sorted(i for i in range(self.d) if indegree[i] == 0)
+        ready = [i for i in range(self.d) if indegree[i] == 0]  # sorted: a heap
         order = []
         while ready:
-            node = ready.pop(0)
+            node = heapq.heappop(ready)
             order.append(node)
-            changed = False
             for child in children[node]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    ready.append(child)
-                    changed = True
-            if changed:
-                ready.sort()
+                    heapq.heappush(ready, child)
         if len(order) != self.d:
             raise SynthesisError("parent sets contain a cycle")
         return tuple(order)

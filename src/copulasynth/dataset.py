@@ -140,7 +140,9 @@ class MarginalTable:
     def __post_init__(self):
         fixed = []
         for var, cnt in zip(self.schema.variables, self.counts, strict=True):
-            arr = np.array(cnt, dtype=np.int64, copy=True)
+            arr = np.asarray(cnt)
+            if arr.dtype.kind not in "iu":
+                raise SynthesisError(f"variable {var.name!r}: counts must be integers")
             if arr.shape != (var.n_categories,):
                 raise SynthesisError(
                     f"variable {var.name!r}: expected {var.n_categories} counts, "
@@ -153,6 +155,7 @@ class MarginalTable:
                 raise SynthesisError(f"variable {var.name!r}: all-zero marginal")
             if total > MAX_COUNT:
                 raise SynthesisError(f"variable {var.name!r}: total exceeds 2**53")
+            arr = arr.astype(np.int64)
             arr.flags.writeable = False
             fixed.append(arr)
         object.__setattr__(self, "counts", tuple(fixed))

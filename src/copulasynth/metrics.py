@@ -310,7 +310,6 @@ def evaluate(
     syn: MicroTable,
     population: MicroTable | None = None,
     exclude=None,
-    extra_warnings=(),
 ) -> EvaluationReport:
     """Compute the full report for one synthetic table.
 
@@ -342,7 +341,6 @@ def evaluate(
         recall=recall,
         f1=f1,
         marginal_series=marginal_report(ref, train, syn),
-        warnings=tuple(extra_warnings),
     )
 
 

@@ -16,12 +16,12 @@ import math
 import numbers
 import os
 import shlex
+import statistics
 import subprocess
 import warnings as _warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .baselines import sample_independent
 from .bayesnet import fit_parameters, learn_structure
@@ -313,10 +313,8 @@ def run_experiment(config: SynthesisConfig) -> EvaluationReport:
     """Generate, evaluate, and (when output_dir is set) persist one run."""
     _, source, targets, reference, population = _load_inputs(config)
     syn, warns = generate_table(source, targets, config, config.seed)
-    exclude = config.exclude_variables
-    report = evaluate(
-        reference, source, syn, population, exclude=exclude, extra_warnings=warns
-    )
+    report = evaluate(reference, source, syn, population, config.exclude_variables)
+    report = dataclasses.replace(report, warnings=warns)
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
         write_micro_csv(syn, os.path.join(config.output_dir, "synthetic.csv"))
@@ -402,11 +400,14 @@ def make_transfer_benchmark(
 ) -> tuple[MicroTable, MicroTable]:
     """Two samples sharing a copula but with skew-shifted marginals.
 
-    Rows draw latent uniforms from a Gaussian copula with correlation
-    0.6^|j-k|, then discretize: the source at uniform quantile cuts, the
+    Rows draw latent normals with correlation 0.6^|j-k| (a Gaussian
+    copula), then discretize: the source at uniform quantile cuts, the
     target at those cuts raised to a skew-dependent power (even-index
-    variables skew one way, odd-index the other). Even-index variables
-    are categorical, odd-index ordinal; cardinalities cycle 2,3,4.
+    variables skew one way, odd-index the other). A copula uniform
+    Phi(z) lies below a cut c exactly when z lies below Phi^-1(c), so the
+    cuts are mapped to the normal scale once and applied to the latent
+    normals. Even-index variables are categorical, odd-index ordinal;
+    cardinalities cycle 2,3,4.
     """
     if seed < 0:
         raise SynthesisError("benchmark seed must be >= 0")
@@ -431,14 +432,15 @@ def make_transfer_benchmark(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def draw(n: int, powered: bool) -> MicroTable:
-        uniforms = ndtr(rng.standard_normal((n, d)) @ chol.T)
+        latent = rng.standard_normal((n, d)) @ chol.T
         codes = np.empty((n, d), dtype=np.int64)
         for i in range(d):
             cuts = np.arange(1, dims[i]) / dims[i]
             if powered:
                 gamma = 1.0 + marginal_skew if i % 2 == 0 else 1.0 / (1.0 + marginal_skew)
                 cuts = cuts**gamma
-            codes[:, i] = np.searchsorted(cuts, uniforms[:, i], side="left")
+            z_cuts = [statistics.NormalDist().inv_cdf(c) for c in cuts]
+            codes[:, i] = np.searchsorted(z_cuts, latent[:, i], side="left")
         return MicroTable(schema, codes)
 
     return draw(n_source, powered=False), draw(n_target, powered=True)

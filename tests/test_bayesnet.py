@@ -51,6 +51,9 @@ def test_topological_order_smallest_first():
     # two roots: both before their children, smaller index first
     dag2 = Dag(parents=((), (), (0, 1)))
     assert dag2.topological_order() == (0, 1, 2)
+    # a child freed by 2 comes before the root 3 that was ready earlier
+    dag3 = Dag(parents=((), (2,), (), ()))
+    assert dag3.topological_order() == (0, 2, 1, 3)
 
 
 def test_family_score_empty_parents_formula():

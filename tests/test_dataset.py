@@ -89,6 +89,21 @@ def test_marginal_table_validation():
     assert m.total(0) == 4
 
 
+@pytest.mark.parametrize("bad", [[10**20, 1], [float("nan"), 1], [1.5, 2]])
+def test_marginal_table_rejects_non_integer_counts(bad):
+    schema = make_schema([2, 2])
+    with pytest.raises(SynthesisError, match="'v0': counts must be integers"):
+        MarginalTable(schema, (bad, np.array([1, 1])))
+
+
+def test_marginal_table_checks_unsigned_total_before_cast():
+    schema = make_schema([2])
+    with pytest.raises(SynthesisError, match=r"'v0': total exceeds 2\*\*53"):
+        MarginalTable(schema, (np.array([2**63, 0], dtype=np.uint64),))
+    m = MarginalTable(schema, (np.array([3, 1], dtype=np.uint8),))
+    assert m.counts[0].dtype == np.int64 and m.total(0) == 4
+
+
 def test_schema_json_roundtrip(tmp_path):
     schema = Schema(
         (

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import chi2_contingency, spearmanr
 
 from copulasynth import (
@@ -345,6 +346,37 @@ def test_benchmark_validation_and_shape():
     assert src.schema.dims == (2, 3, 4, 2, 3)
     kinds = [v.kind for v in src.schema.variables]
     assert kinds == ["categorical", "ordinal"] * 2 + ["categorical"]
+
+
+def _benchmark_via_uniforms(seed, d, n_source, n_target, skew):
+    """The benchmark pair built on the uniform scale: Phi on every latent draw."""
+    dims = [2 + (i % 3) for i in range(d)]
+    corr = 0.6 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    chol = np.linalg.cholesky(corr)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = []
+    for n, powered in ((n_source, False), (n_target, True)):
+        uniforms = ndtr(rng.standard_normal((n, d)) @ chol.T)
+        codes = np.empty((n, d), dtype=np.int64)
+        for i in range(d):
+            cuts = np.arange(1, dims[i]) / dims[i]
+            if powered:
+                cuts = cuts ** (1.0 + skew if i % 2 == 0 else 1.0 / (1.0 + skew))
+            codes[:, i] = np.searchsorted(cuts, uniforms[:, i], side="left")
+        out.append(codes)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 9, 20])
+@pytest.mark.parametrize("skew", [0.0, 0.5, 1.0])
+def test_benchmark_normal_scale_cuts_match_uniform_scale(d, skew):
+    for seed in (0, 1, 11, 123):
+        src, tgt = make_transfer_benchmark(
+            seed=seed, d=d, n_source=3000, n_target=2000, marginal_skew=skew
+        )
+        want_src, want_tgt = _benchmark_via_uniforms(seed, d, 3000, 2000, skew)
+        np.testing.assert_array_equal(src.codes, want_src)
+        np.testing.assert_array_equal(tgt.codes, want_tgt)
 
 
 def test_benchmark_zero_skew_marginals_indistinguishable():
