@@ -260,9 +260,18 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         (config,), _ = combo_keys(
             (codes,), dims, bn.dag.parents[node], budget=theta.shape[0]
         )
-        cum = np.cumsum(theta, axis=1)[config]
+        # Binary-search u among the row's first m - 1 cumulative shares, in
+        # O(n) memory; the last share is raised to inf so no code passes m - 1.
+        m = dims[node]
+        cum = np.cumsum(theta, axis=1)
+        cum[:, -1] = np.inf
         u = rng.random(n)
-        codes[:, node] = np.minimum(
-            (u[:, None] > cum).sum(axis=1), dims[node] - 1
-        )
+        lo = np.zeros(n, dtype=np.int64)
+        hi = np.full(n, m - 1, dtype=np.int64)
+        for _ in range((m - 1).bit_length()):
+            mid = (lo + hi) >> 1
+            below = cum[config, mid] < u
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        codes[:, node] = lo
     return MicroTable(bn.schema, codes)

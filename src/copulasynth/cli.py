@@ -60,7 +60,7 @@ def _cmd_evaluate(args) -> int:
     schema = load_schema(args.schema)
     ref = load_micro_csv(args.ref, schema)
     syn = load_micro_csv(args.syn, schema)
-    train = load_micro_csv(args.train, schema) if args.train else ref
+    train = load_micro_csv(args.train, schema) if args.train is not None else ref
     report = evaluate(ref, train, syn)
     _print_report(report)
     return 0

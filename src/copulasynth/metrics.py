@@ -268,7 +268,7 @@ def marginal_report(
 
 def write_marginal_csv(series: tuple[MarginalSeries, ...], path) -> None:
     """Tidy long-format export: variable,category,series,frequency."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["variable", "category", "series", "frequency"])
         for s in series:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import sample_independent
 from .bayesnet import fit_parameters, learn_structure
 from .bayesnet import sample as bn_sample
 from .copula import ecdf, jitter_cells, pseudo_inverse_many
@@ -258,8 +257,11 @@ def generate_table(
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         if config.method == "independent":
+            # The independence copula: i.i.d. uniforms in (0, 1] per column.
             marg = targets if config.baseline_target_marginals else marginals_of(source)
-            syn = sample_independent(marg, n, np.random.default_rng(gen_key))
+            gen_rng = np.random.default_rng(gen_key)
+            draws = (gen_rng.random(n) for _ in range(marg.schema.d))
+            syn = _target_codes(marg, n, (np.subtract(1.0, u, out=u) for u in draws))
         elif config.method == "ipf":
             fitted = ipf_fit(
                 build_seed(source), targets, tol=config.tol, max_iter=config.max_iter
@@ -318,7 +320,8 @@ def run_experiment(config: SynthesisConfig) -> EvaluationReport:
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)
         write_micro_csv(syn, os.path.join(config.output_dir, "synthetic.csv"))
-        with open(os.path.join(config.output_dir, "report.json"), "w") as handle:
+        report_path = os.path.join(config.output_dir, "report.json")
+        with open(report_path, "w", encoding="utf-8") as handle:
             json.dump(report_to_json(report), handle, indent=2, sort_keys=True)
             handle.write("\n")
         write_marginal_csv(

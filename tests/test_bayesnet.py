@@ -2,13 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
 
 from copulasynth import (
     MicroTable,
@@ -262,6 +262,7 @@ def test_sample_chain_matches_cpt_products():
     sigma = np.sqrt(n * expected * (1 - expected))
     assert (np.abs(observed - n * expected) <= 3 * sigma).all()
     # goodness of fit should not reject at the 1% level
+    chisquare = pytest.importorskip("scipy.stats").chisquare
     assert chisquare(observed, n * expected).pvalue > 0.01
 
 
@@ -274,6 +275,97 @@ def test_sample_empty_and_determinism():
     t1 = sample_bayesnet(bn, 100, np.random.default_rng(42))
     t2 = sample_bayesnet(bn, 100, np.random.default_rng(42))
     assert (t1.codes == t2.codes).all()
+
+
+def cumsum_count_sample(bn, n, rng):
+    """The former sampler, kept as an oracle: an (n, m) comparison per node."""
+    dims = bn.schema.dims
+    codes = np.zeros((n, bn.schema.d), dtype=np.int64)
+    for node in bn.dag.topological_order():
+        config = np.zeros(n, dtype=np.int64)
+        for p in bn.dag.parents[node]:  # first parent most significant
+            config = config * dims[p] + codes[:, p]
+        cum = np.cumsum(bn.cpts[node], axis=1)[config]
+        u = rng.random(n)
+        codes[:, node] = np.minimum((u[:, None] > cum).sum(axis=1), dims[node] - 1)
+    return codes
+
+
+@st.composite
+def bayesnets(draw):
+    """A random BN with cardinalities from 1, parents, and zero CPT entries."""
+    d = draw(st.integers(1, 5))
+    dims = [draw(st.integers(1, 40)) for _ in range(d)]
+    parents = tuple(
+        tuple(p for p in range(node) if draw(st.booleans())) for node in range(d)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    cpts = []
+    for node, ps in enumerate(parents):
+        q = math.prod(dims[p] for p in ps)
+        theta = rng.dirichlet(np.ones(dims[node]), size=q)
+        theta[rng.random(theta.shape) < 0.3] = 0.0
+        theta[theta.sum(axis=1) == 0, 0] = 1.0
+        cpts.append(theta / theta.sum(axis=1, keepdims=True))
+    return BayesNet(schema=make_schema(dims), dag=Dag(parents=parents), cpts=tuple(cpts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(bayesnets(), st.integers(0, 300), st.integers(0, 2**31 - 1))
+def test_sample_matches_cumsum_count_oracle(bn, n, seed):
+    table = sample_bayesnet(bn, n, np.random.default_rng(seed))
+    expected = cumsum_count_sample(bn, n, np.random.default_rng(seed))
+    np.testing.assert_array_equal(table.codes, expected)
+
+
+class FixedUniforms:
+    """An rng stand-in whose random(n) returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, n):
+        assert n == len(self.values)
+        return self.values.copy()
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1.0], [0.5, 0.5 - 5e-13], [0.0, 0.25, 0.0, 0.75], [0.1] * 9 + [0.1 - 5e-13]],
+)
+def test_sample_matches_oracle_at_share_boundaries(row):
+    bn = BayesNet(
+        schema=make_schema([len(row)]), dag=Dag(parents=((),)), cpts=([row],)
+    )
+    cum = np.cumsum(row)
+    # 0, each cumulative share and its neighbours, and values past the last share
+    u = np.concatenate(
+        [[0.0, 1.0 - 2**-53, 1.0 - 1e-13], cum, np.nextafter(cum, 0), np.nextafter(cum, 2)]
+    )
+    u = u[u < 1.0]
+    table = sample_bayesnet(bn, len(u), FixedUniforms(u))
+    np.testing.assert_array_equal(
+        table.codes, cumsum_count_sample(bn, len(u), FixedUniforms(u))
+    )
+    assert table.codes.max() < len(row)
+
+
+@pytest.mark.parametrize("m", [2, 200])
+def test_sample_memory_does_not_grow_with_categories(m):
+    n = 50_000
+    bn = BayesNet(
+        schema=make_schema([m, 3]),
+        dag=Dag(parents=((), (0,))),
+        cpts=(np.full((1, m), 1.0 / m), np.full((m, 3), 1.0 / 3)),
+    )
+    tracemalloc.start()
+    try:
+        sample_bayesnet(bn, n, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few length-n work arrays; an (n, m) comparison would need n * m * 9 bytes
+    assert peak < 20 * 8 * n
 
 
 def test_cpt_row_order():

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from copulasynth import (
+    MicroTable,
+    Schema,
     SynthesisConfig,
     __version__,
     load_marginals_csv,
@@ -363,6 +365,17 @@ def test_evaluate_happy_path(workspace, capsys):
     assert keys[:4] == ["srmse_1", "srmse_2", "srmse_3", "srmse_4"]
 
 
+def test_evaluate_empty_train_path_exits_one(workspace, capsys):
+    args = ["evaluate",
+            "--ref", str(workspace / "reference.csv"),
+            "--syn", str(workspace / "source.csv"),
+            "--train", "",
+            "--schema", str(workspace / "schema.json")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
 def test_evaluate_schema_mismatch_names_variable(workspace, capsys):
     bad = workspace / "bad_syn.csv"
     bad.write_text("v0,v1,v2,v3\n9,0,0,0\n")
@@ -443,18 +456,50 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_benchmark_and_synth_run_without_scipy(tmp_path):
+def src_env(**extra):
+    """This process's environment with the package's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    pythonpath = src + (os.pathsep + path if path else "")
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
+
+
+def test_benchmark_and_synth_run_without_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_ONLY_RUN, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     # only the None placeholder set above: no scipy module was loaded
     assert proc.stdout.splitlines()[-1] == "['scipy']"
     assert (tmp_path / "run" / "synthetic.csv").exists()
+
+
+def test_marginals_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    source, target = make_transfer_benchmark(seed=3, d=4, n_source=600, n_target=600)
+    v0 = dataclasses.replace(source.schema.variables[0], labels=("Zürich", "Genève"))
+    schema = Schema((v0,) + source.schema.variables[1:])
+    write_schema(schema, tmp_path / "schema.json")
+    write_micro_csv(MicroTable(schema, source.codes), tmp_path / "source.csv")
+    write_micro_csv(MicroTable(schema, target.codes), tmp_path / "reference.csv")
+    write_marginals_csv(
+        marginals_of(MicroTable(schema, target.codes)), tmp_path / "targets.csv"
+    )
+    locales = {
+        "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        "utf8": {"PYTHONUTF8": "1"},
+    }
+    blobs = {}
+    for name, env in locales.items():
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / name), output_size=500)
+        proc = subprocess.run(
+            [sys.executable, "-m", "copulasynth.cli", "synth", "--config", str(cfg)],
+            env=src_env(**env), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs[name] = (tmp_path / name / "marginals.csv").read_bytes()
+    assert blobs["ascii"] == blobs["utf8"]
+    assert "Zürich".encode() in blobs["utf8"]
 
 
 def test_version_flag(capsys):

@@ -6,8 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
-from scipy.stats import chi2_contingency, spearmanr
 
 from copulasynth import (
     MicroTable,
@@ -350,6 +348,7 @@ def test_benchmark_validation_and_shape():
 
 def _benchmark_via_uniforms(seed, d, n_source, n_target, skew):
     """The benchmark pair built on the uniform scale: Phi on every latent draw."""
+    ndtr = pytest.importorskip("scipy.special").ndtr
     dims = [2 + (i % 3) for i in range(d)]
     corr = 0.6 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
     chol = np.linalg.cholesky(corr)
@@ -382,6 +381,7 @@ def test_benchmark_normal_scale_cuts_match_uniform_scale(d, skew):
 def test_benchmark_zero_skew_marginals_indistinguishable():
     src, tgt = make_transfer_benchmark(seed=8, d=4, n_source=5000, n_target=5000,
                                        marginal_skew=0.0)
+    chi2_contingency = pytest.importorskip("scipy.stats").chi2_contingency
     for i in range(4):
         m = src.schema.dims[i]
         table = np.vstack([
@@ -404,6 +404,7 @@ def test_benchmark_skew_separates_marginals():
 def test_benchmark_shares_rank_correlation():
     src, tgt = make_transfer_benchmark(seed=10, d=5, n_source=100_000,
                                        n_target=100_000, marginal_skew=0.5)
+    spearmanr = pytest.importorskip("scipy.stats").spearmanr
     rs = spearmanr(src.codes).statistic
     rt = spearmanr(tgt.codes).statistic
     assert np.abs(rs - rt).max() <= 0.05
