@@ -69,9 +69,6 @@ class Dag:
             raise SynthesisError("parent sets contain a cycle")
         return tuple(order)
 
-    def edges(self) -> set[tuple[int, int]]:
-        return {(p, node) for node, ps in enumerate(self.parents) for p in ps}
-
 
 @dataclass(frozen=True, eq=False)
 class BayesNet:

@@ -160,9 +160,6 @@ class MarginalTable:
             fixed.append(arr)
         object.__setattr__(self, "counts", tuple(fixed))
 
-    def total(self, i: int) -> int:
-        return int(self.counts[i].sum())
-
 
 @contextmanager
 def open_input(path):

@@ -94,7 +94,7 @@ def fit(
     if targets.schema is not seed.schema and targets.schema != seed.schema:
         raise SynthesisError("seed and targets use different schemas")
     d, dims = seed.schema.d, seed.schema.dims
-    totals = np.array([targets.total(i) for i in range(d)], dtype=np.float64)
+    totals = np.array([c.sum() for c in targets.counts], dtype=np.float64)
     common = float(totals.mean())
     goal = [targets.counts[i] * (common / totals[i]) for i in range(d)]
     columns = [np.ascontiguousarray(seed.cells.column(i)) for i in range(d)]

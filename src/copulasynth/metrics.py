@@ -1,9 +1,13 @@
 """Accuracy, diversity, and feasibility metrics for synthetic microdata.
 
 SRMSE compares relative combination frequencies between a reference and a
-synthetic table over variable subsets; zeros and precision/recall work on
-distinct combinations after projecting out excluded variables (high-card
-ordinal variables by default, which otherwise flood the zero counts).
+synthetic table over variable subsets: srmse_projected walks the subsets
+and srmse scores each one from the tables' shared keys. Zeros and
+precision/recall work on distinct combinations after projecting out
+excluded variables (high-card ordinal variables by default, which
+otherwise flood the zero counts): distinct_combos turns the tables into
+aligned masks of the combinations each holds, and sampled_zeros,
+structural_zeros and precision_recall_f1 are arithmetic on those masks.
 """
 
 from __future__ import annotations
@@ -65,44 +69,19 @@ def combo_keys(arrays, dims, columns, budget=None):
     return keys, span
 
 
-def _check_pair(ref: MicroTable, syn: MicroTable) -> None:
-    if ref.schema != syn.schema:
-        raise SynthesisError("reference and synthetic tables use different schemas")
-    if ref.n_rows == 0 or syn.n_rows == 0:
-        raise SynthesisError("cannot compare an empty table")
+def srmse(keys, span, n_ref: int, n_syn: int, m_product: int) -> float:
+    """sqrt(M * sum((pi - pihat)^2)) of one subset, from both tables' keys over it.
 
-
-def _srmse_of_keys(keys, span, n_ref: int, n_syn: int, m_product: int) -> float:
-    """SRMSE from the two tables' keys over one subset.
-
-    The squares are summed over the combinations seen in either table, in
-    ascending key order, so the float sum does not depend on the key range.
+    M is the product of the subset's schema cardinalities. Combinations
+    seen in neither table contribute zero and are never enumerated; the
+    squares are summed over the others in ascending key order, so the
+    float sum does not depend on the key range.
     """
     ref_counts, syn_counts = (np.bincount(k, minlength=span) for k in keys)
     seen = (ref_counts + syn_counts) > 0
     p = ref_counts[seen] / n_ref
     q = syn_counts[seen] / n_syn
     return math.sqrt(m_product * float(((p - q) ** 2).sum()))
-
-
-def srmse(ref: MicroTable, syn: MicroTable, subset) -> float:
-    """sqrt(M * sum((pi - pihat)^2)) over the subset's full category product.
-
-    M is the product of the subset's schema cardinalities; combinations
-    observed in neither table contribute zero and are never enumerated.
-    """
-    _check_pair(ref, syn)
-    subset = tuple(int(i) for i in subset)
-    if not subset:
-        raise SynthesisError("subset must be nonempty")
-    if len(set(subset)) != len(subset):
-        raise SynthesisError("subset lists a variable twice")
-    d = ref.schema.d
-    if any(not 0 <= i < d for i in subset):
-        raise SynthesisError("subset index out of range")
-    keys, span = combo_keys((ref.codes, syn.codes), ref.schema.dims, subset)
-    m_product = math.prod(ref.schema.dims[i] for i in subset)
-    return _srmse_of_keys(keys, span, ref.n_rows, syn.n_rows, m_product)
 
 
 def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
@@ -115,7 +94,10 @@ def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
     d = ref.schema.d
     if not 1 <= n <= d:
         raise SynthesisError(f"projection size {n} outside 1..{d}")
-    _check_pair(ref, syn)
+    if ref.schema != syn.schema:
+        raise SynthesisError("reference and synthetic tables use different schemas")
+    if ref.n_rows == 0 or syn.n_rows == 0:
+        raise SynthesisError("cannot compare an empty table")
     dims = ref.schema.dims
     tables = (ref, syn)
     # Each column is read once per subset that ends in it: copy it out of
@@ -133,9 +115,7 @@ def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
         for c in subset[shared:]:
             prefixes.append(extend_keys(*prefixes[-1], columns[c], dims[c]))
         m_product = math.prod(dims[c] for c in subset)
-        values.append(
-            _srmse_of_keys(*prefixes[-1], ref.n_rows, syn.n_rows, m_product)
-        )
+        values.append(srmse(*prefixes[-1], ref.n_rows, syn.n_rows, m_product))
         previous = subset
     return float(np.mean(values))
 
@@ -158,11 +138,12 @@ def _kept_indices(schema: Schema, exclude) -> tuple[int, ...]:
     return kept
 
 
-def _seen(tables, kept) -> list[np.ndarray]:
-    """Which joint keys over the kept columns occur in each table.
+def distinct_combos(tables, kept) -> list[np.ndarray]:
+    """Which joint keys over the kept columns occur in each table, as masks.
 
-    The tables are keyed together, so the masks line up. A table passed
-    more than once (the population may be the source) is keyed once.
+    The tables are keyed together, so the masks line up and zero counts
+    and precision/recall are arithmetic on them. A table passed more than
+    once (the population may be the source) is keyed once.
     """
     distinct = list({id(t): t for t in tables}.values())
     keys, span = combo_keys([t.codes for t in distinct], distinct[0].schema.dims, kept)
@@ -170,15 +151,18 @@ def _seen(tables, kept) -> list[np.ndarray]:
     return [seen[id(t)] for t in tables]
 
 
-def _sampled_zeros(train_seen, ref_seen, syn_seen) -> int:
+def sampled_zeros(train_seen, ref_seen, syn_seen) -> int:
+    """Synthetic combinations present in the reference but absent from training."""
     return int(np.count_nonzero(syn_seen & ref_seen & ~train_seen))
 
 
-def _structural_zeros(syn_seen, population_seen) -> int:
+def structural_zeros(syn_seen, population_seen) -> int:
+    """Synthetic combinations that exist nowhere in the population."""
     return int(np.count_nonzero(syn_seen & ~population_seen))
 
 
-def _precision_recall_f1(syn_seen, population_seen) -> tuple[float, float, float]:
+def precision_recall_f1(syn_seen, population_seen) -> tuple[float, float, float]:
+    """Distinct-combination precision/recall against the population, plus F1."""
     n_population = int(np.count_nonzero(population_seen))
     if not n_population:
         raise SynthesisError("population table is empty")
@@ -191,42 +175,6 @@ def _precision_recall_f1(syn_seen, population_seen) -> tuple[float, float, float
     recall = hit / n_population
     f1 = 2 * precision * recall / (precision + recall) if hit else 0.0
     return precision, recall, f1
-
-
-def distinct_combos(table: MicroTable, exclude=None) -> set:
-    """Distinct code tuples after dropping the excluded variables."""
-    kept = _kept_indices(table.schema, exclude)
-    (key,), _ = combo_keys((table.codes,), table.schema.dims, kept)
-    _, first = np.unique(key, return_index=True)
-    return set(map(tuple, table.codes[np.ix_(first, kept)].tolist()))
-
-
-def sampled_zeros(
-    train: MicroTable, ref: MicroTable, syn: MicroTable, exclude=None
-) -> int:
-    """Synthetic combinations present in the reference but absent from training."""
-    if not (train.schema == ref.schema == syn.schema):
-        raise SynthesisError("tables use different schemas")
-    kept = _kept_indices(syn.schema, exclude)
-    return _sampled_zeros(*_seen((train, ref, syn), kept))
-
-
-def structural_zeros(syn: MicroTable, population: MicroTable, exclude=None) -> int:
-    """Synthetic combinations that exist nowhere in the designated population."""
-    if syn.schema != population.schema:
-        raise SynthesisError("tables use different schemas")
-    kept = _kept_indices(syn.schema, exclude)
-    return _structural_zeros(*_seen((syn, population), kept))
-
-
-def precision_recall_f1(
-    syn: MicroTable, population: MicroTable, exclude=None
-) -> tuple[float, float, float]:
-    """Distinct-combination precision/recall against the population, plus F1."""
-    if syn.schema != population.schema:
-        raise SynthesisError("tables use different schemas")
-    kept = _kept_indices(syn.schema, exclude)
-    return _precision_recall_f1(*_seen((syn, population), kept))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,13 +278,13 @@ def evaluate(
     }
     kept = _kept_indices(ref.schema, exclude)
     tables = (train, ref, syn) + (() if population is None else (population,))
-    train_seen, ref_seen, syn_seen, *given = _seen(tables, kept)
+    train_seen, ref_seen, syn_seen, *given = distinct_combos(tables, kept)
     pop_seen = given[0] if given else train_seen | ref_seen
-    precision, recall, f1 = _precision_recall_f1(syn_seen, pop_seen)
+    precision, recall, f1 = precision_recall_f1(syn_seen, pop_seen)
     return EvaluationReport(
         srmse_by_n=srmse_by_n,
-        sampled_zeros=_sampled_zeros(train_seen, ref_seen, syn_seen),
-        structural_zeros=_structural_zeros(syn_seen, pop_seen),
+        sampled_zeros=sampled_zeros(train_seen, ref_seen, syn_seen),
+        structural_zeros=structural_zeros(syn_seen, pop_seen),
         precision=precision,
         recall=recall,
         f1=f1,

@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 import numpy as np
 
-from copulasynth import MicroTable, Schema, VariableSpec
+from copulasynth import MicroTable, Schema, VariableSpec, srmse_projected
 
 
 def make_schema(dims, kinds=None, prefix="v"):
@@ -25,6 +25,23 @@ def random_table(dims, n, seed, kinds=None):
     rng = np.random.default_rng(seed)
     codes = np.column_stack([rng.integers(0, m, n) for m in dims])
     return MicroTable(make_schema(dims, kinds), codes)
+
+
+def subset_srmse(ref, syn, subset):
+    """SRMSE of one subset, through srmse_projected on the subset's columns.
+
+    A table of |S| columns has one subset of size |S|, and its keys are
+    built over the columns in subset order.
+    """
+    subset = list(subset)
+    schema = Schema(tuple(ref.schema.variables[i] for i in subset))
+    project = lambda t: MicroTable(schema, t.codes[:, subset])
+    return srmse_projected(project(ref), project(syn), len(subset))
+
+
+def dag_edges(dag):
+    """The (parent, child) pairs of a DAG."""
+    return {(p, node) for node, ps in enumerate(dag.parents) for p in ps}
 
 
 def dense(table):

@@ -16,6 +16,7 @@ from copulasynth import (
     MicroTable,
     SynthesisConfig,
     build_seed,
+    evaluate,
     fit_ipf,
     generate_table,
     learn_structure,
@@ -29,14 +30,8 @@ from copulasynth import (
 )
 from copulasynth.cli import main
 from copulasynth.copula import ecdf, pseudo_inverse_many
-from copulasynth.metrics import (
-    precision_recall_f1,
-    sampled_zeros,
-    srmse,
-    structural_zeros,
-)
 from copulasynth.pipeline import rank_recode
-from conftest import dense, make_schema
+from conftest import dag_edges, dense, make_schema, subset_srmse
 
 
 def table_from_rows(dims, rows):
@@ -97,9 +92,9 @@ def srmse_oracle(ref, syn, subset):
 def test_criterion_03_srmse_matches_bruteforce_oracle():
     ref = table_from_rows([2], [[0]] * 5 + [[1]] * 5)
     syn = table_from_rows([2], [[0]] * 6 + [[1]] * 4)
-    assert srmse(ref, syn, [0]) == pytest.approx(0.2, abs=1e-12)
-    assert srmse(table_from_rows([2], [[0]] * 4),
-                 table_from_rows([2], [[1]] * 4), [0]) == 2.0
+    assert subset_srmse(ref, syn, [0]) == pytest.approx(0.2, abs=1e-12)
+    assert subset_srmse(table_from_rows([2], [[0]] * 4),
+                        table_from_rows([2], [[1]] * 4), [0]) == 2.0
 
     rng = np.random.default_rng(77)
     for _ in range(50):
@@ -114,7 +109,7 @@ def test_criterion_03_srmse_matches_bruteforce_oracle():
             [rng.integers(0, m, n_b) for m in dims]))
         size = int(rng.integers(1, d + 1))
         subset = sorted(rng.choice(d, size=size, replace=False).tolist())
-        assert srmse(a, b, subset) == pytest.approx(
+        assert subset_srmse(a, b, subset) == pytest.approx(
             srmse_oracle(a, b, subset), abs=1e-12)
         projected = np.mean([
             srmse_oracle(a, b, list(s))
@@ -148,7 +143,7 @@ def test_criterion_04_ipf_convergence_and_no_sampled_zeros(tmp_path):
         output_size=20_000, seed=5,
     )
     synthetic, _ = generate_table(source, marginals_of(target), config, 5)
-    assert sampled_zeros(source, target, synthetic, exclude=()) == 0
+    assert evaluate(target, source, synthetic, exclude=()).sampled_zeros == 0
 
 
 def test_criterion_05_structure_recovery_rates():
@@ -169,10 +164,10 @@ def test_criterion_05_structure_recovery_rates():
     for s in range(100):
         skeleton = {
             tuple(sorted(e))
-            for e in learn_structure(chain(s), max_parents=3, seed=s).edges()
+            for e in dag_edges(learn_structure(chain(s), max_parents=3, seed=s))
         }
         chain_hits += skeleton == {(0, 1), (1, 2)}
-        edges = learn_structure(independent(s), max_parents=3, seed=s).edges()
+        edges = dag_edges(learn_structure(independent(s), max_parents=3, seed=s))
         empty_hits += len(edges) == 0
     assert chain_hits >= 95
     assert empty_hits >= 95
@@ -213,7 +208,7 @@ def test_criterion_07_generative_method_reaches_unseen_combinations():
         output_size=20_000, seed=21,
     )
     synthetic, _ = generate_table(train, marginals_of(train), config, 21)
-    assert sampled_zeros(train, source, synthetic, exclude=()) > 0
+    assert evaluate(source, train, synthetic, exclude=()).sampled_zeros > 0
 
 
 def test_criterion_08_label_permutation_robustness(tmp_path):
@@ -270,8 +265,9 @@ def test_criterion_09_reruns_are_byte_identical(tmp_path):
 def test_criterion_10_zero_and_precision_oracles():
     pop = table_from_rows([4, 4], [[0, 0], [1, 1], [2, 2]])
     syn = table_from_rows([4, 4], [[1, 1], [2, 2], [3, 3]])
-    assert precision_recall_f1(syn, pop)[:2] == (2 / 3, 2 / 3)
-    assert precision_recall_f1(syn, pop)[2] == pytest.approx(2 / 3, abs=1e-15)
+    report = evaluate(pop, pop, syn, pop, exclude=())
+    assert (report.precision, report.recall) == (2 / 3, 2 / 3)
+    assert report.f1 == pytest.approx(2 / 3, abs=1e-15)
 
     rng = np.random.default_rng(424242)
     for _ in range(50):
@@ -286,14 +282,14 @@ def test_criterion_10_zero_and_precision_oracles():
 
         train, ref, syn = draw(), draw(), draw()
         as_set = lambda t: set(map(tuple, t.codes))
-        assert sampled_zeros(train, ref, syn) == len(
+        report = evaluate(ref, train, syn, ref, exclude=())
+        assert report.sampled_zeros == len(
             as_set(syn) & (as_set(ref) - as_set(train)))
-        assert structural_zeros(syn, ref) == len(as_set(syn) - as_set(ref))
+        assert report.structural_zeros == len(as_set(syn) - as_set(ref))
         hits = len(as_set(syn) & as_set(ref))
         p = hits / len(as_set(syn))
         r = hits / len(as_set(ref))
-        got = precision_recall_f1(syn, ref)
-        assert got[0] == pytest.approx(p, abs=1e-15)
-        assert got[1] == pytest.approx(r, abs=1e-15)
+        assert report.precision == pytest.approx(p, abs=1e-15)
+        assert report.recall == pytest.approx(r, abs=1e-15)
         expected_f1 = 2 * p * r / (p + r) if hits else 0.0
-        assert got[2] == pytest.approx(expected_f1, abs=1e-15)
+        assert report.f1 == pytest.approx(expected_f1, abs=1e-15)

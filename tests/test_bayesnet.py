@@ -23,7 +23,7 @@ from copulasynth.bayesnet import (
     family_score_mdl,
     network_score,
 )
-from conftest import make_schema, random_table
+from conftest import dag_edges, make_schema, random_table
 
 
 def chain_table(seed, n=5000, p=0.9):
@@ -109,7 +109,7 @@ def test_network_score_decomposes():
 
 def test_learn_structure_constraints_and_determinism():
     table = chain_table(1)
-    assert learn_structure(table, max_parents=0, seed=4).edges() == set()
+    assert dag_edges(learn_structure(table, max_parents=0, seed=4)) == set()
     d1 = learn_structure(table, max_parents=3, seed=11)
     d2 = learn_structure(table, max_parents=3, seed=11)
     assert d1 == d2
@@ -121,12 +121,12 @@ def test_learn_structure_empty_for_independent_pair():
     rng = np.random.default_rng(7)
     codes = np.column_stack([rng.integers(0, 2, 4000), rng.integers(0, 2, 4000)])
     dag = learn_structure(MicroTable(make_schema([2, 2]), codes), seed=0)
-    assert dag.edges() == set()
+    assert dag_edges(dag) == set()
 
 
 def test_learn_structure_recovers_chain_skeleton():
     dag = learn_structure(chain_table(21), max_parents=3, seed=5)
-    skeleton = {tuple(sorted(e)) for e in dag.edges()}
+    skeleton = {tuple(sorted(e)) for e in dag_edges(dag)}
     assert skeleton == {(0, 1), (1, 2)}
 
 

@@ -222,6 +222,10 @@ def replace_v0_counts(rows):
         pytest.param(
             {"output_size": 10**30}, None, "output_size", id="output-size-1e30"
         ),
+        pytest.param(
+            # 2**55 rows of 4 codes: under the intp bound, past any address space
+            {"output_size": 2**55}, None, "Unable to allocate", id="output-size-2**55"
+        ),
     ],
 )
 def test_synth_out_of_range_input_exits_one(
@@ -397,7 +401,7 @@ def test_marginals_subcommand(workspace, capsys):
     assert "1200 rows" in capsys.readouterr().out
     schema = load_schema(workspace / "schema.json")
     loaded = load_marginals_csv(out, schema)
-    assert loaded.total(0) == 1200
+    assert loaded.counts[0].sum() == 1200
 
 
 def test_permute_study_prints_table(workspace, capsys):

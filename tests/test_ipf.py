@@ -37,7 +37,7 @@ def dense_reference_fit(seed, targets, tol=1e-8, max_iter=1000):
     """
     values = dense(seed)
     d = values.ndim
-    totals = np.array([targets.total(i) for i in range(d)], dtype=np.float64)
+    totals = np.array([c.sum() for c in targets.counts], dtype=np.float64)
     common = float(totals.mean())
     goal = [targets.counts[i] * (common / totals[i]) for i in range(d)]
 

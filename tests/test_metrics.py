@@ -19,11 +19,10 @@ from copulasynth.metrics import (
     precision_recall_f1,
     report_to_json,
     sampled_zeros,
-    srmse,
     structural_zeros,
     write_marginal_csv,
 )
-from conftest import make_schema, random_table, small_tables, table_pairs
+from conftest import make_schema, random_table, small_tables, subset_srmse, table_pairs
 
 
 def table_from_rows(dims, rows):
@@ -57,25 +56,19 @@ def srmse_in_lexicographic_order(ref, syn, subset):
 def test_srmse_hand_cases():
     ref = table_from_rows([2], [[0]] * 5 + [[1]] * 5)
     syn = table_from_rows([2], [[0]] * 6 + [[1]] * 4)
-    assert srmse(ref, syn, [0]) == pytest.approx(0.2, abs=1e-12)
+    assert subset_srmse(ref, syn, [0]) == pytest.approx(0.2, abs=1e-12)
     disjoint_ref = table_from_rows([2], [[0]] * 4)
     disjoint_syn = table_from_rows([2], [[1]] * 4)
-    assert srmse(disjoint_ref, disjoint_syn, [0]) == 2.0
-    assert srmse(ref, ref, [0]) == 0.0
+    assert subset_srmse(disjoint_ref, disjoint_syn, [0]) == 2.0
+    assert subset_srmse(ref, ref, [0]) == 0.0
 
 
 def test_srmse_validation():
     ref = random_table([2, 2], 10, seed=0)
     syn = random_table([2, 2], 10, seed=1)
-    with pytest.raises(SynthesisError):
-        srmse(ref, syn, [])
-    with pytest.raises(SynthesisError):
-        srmse(ref, syn, [0, 0])
-    with pytest.raises(SynthesisError):
-        srmse(ref, syn, [7])
     other = random_table([2, 3], 10, seed=2)
-    with pytest.raises(SynthesisError):
-        srmse(ref, other, [0])
+    with pytest.raises(SynthesisError, match="different schemas"):
+        srmse_projected(ref, other, 1)
     with pytest.raises(SynthesisError):
         srmse_projected(ref, syn, 0)
     with pytest.raises(SynthesisError):
@@ -98,7 +91,7 @@ def test_srmse_matches_bruteforce_oracle():
         )
         size = int(rng.integers(1, d + 1))
         subset = sorted(rng.choice(d, size=size, replace=False).tolist())
-        assert srmse(ref, syn, subset) == pytest.approx(
+        assert subset_srmse(ref, syn, subset) == pytest.approx(
             srmse_oracle(ref, syn, subset), abs=1e-12
         )
 
@@ -108,8 +101,8 @@ def test_srmse_matches_bruteforce_oracle():
 def test_srmse_symmetric_and_nonnegative(pair):
     ref, syn = pair
     subset = list(range(ref.schema.d))
-    a = srmse(ref, syn, subset)
-    b = srmse(syn, ref, subset)
+    a = subset_srmse(ref, syn, subset)
+    b = subset_srmse(syn, ref, subset)
     assert a == pytest.approx(b, abs=1e-12)
     assert a >= 0.0
 
@@ -126,20 +119,22 @@ def test_srmse_invariant_under_shared_recoding(pair, seed):
         np.column_stack([perms[i][t.column(i)] for i in range(schema.d)]),
     )
     subset = list(range(schema.d))
-    before = srmse(ref, syn, subset)
-    after = srmse(recode(ref), recode(syn), subset)
+    before = subset_srmse(ref, syn, subset)
+    after = subset_srmse(recode(ref), recode(syn), subset)
     assert before == pytest.approx(after, abs=1e-12)
 
 
 def test_srmse_projected_aggregates_by_mean():
     ref = random_table([2, 2, 2], 40, seed=3)
     syn = random_table([2, 2, 2], 40, seed=4)
-    pairwise = [srmse(ref, syn, s) for s in itertools.combinations(range(3), 2)]
+    pairwise = [
+        subset_srmse(ref, syn, s) for s in itertools.combinations(range(3), 2)
+    ]
     assert srmse_projected(ref, syn, 2) == pytest.approx(np.mean(pairwise), abs=1e-12)
     # single subset of full size: projection equals the plain metric
     two = random_table([2, 3], 30, seed=5)
     two_syn = random_table([2, 3], 30, seed=6)
-    assert srmse_projected(two, two_syn, 2) == srmse(two, two_syn, [0, 1])
+    assert srmse_projected(two, two_syn, 2) == subset_srmse(two, two_syn, [0, 1])
 
 
 def test_default_exclusion_targets_wide_ordinals():
@@ -160,35 +155,37 @@ def test_sampled_zeros_set_arithmetic():
     train = table_from_rows(dims, [[0, 0]])
     ref = table_from_rows(dims, [[0, 0], [1, 1]])
     syn = table_from_rows(dims, [[1, 1], [2, 2]])
-    assert sampled_zeros(train, ref, syn) == 1  # only (1,1) counts
-    assert sampled_zeros(train, ref, train) == 0
+    assert evaluate(ref, train, syn, exclude=()).sampled_zeros == 1  # only (1,1)
+    assert evaluate(ref, train, train, exclude=()).sampled_zeros == 0
     with pytest.raises(SynthesisError, match="empty projection"):
-        sampled_zeros(train, ref, syn, exclude=("v0", "v1"))
+        evaluate(ref, train, syn, exclude=("v0", "v1"))
 
 
 def test_structural_zeros_set_arithmetic():
     dims = [4, 4]
     pop = table_from_rows(dims, [[0, 0], [1, 1], [2, 2]])
     syn = table_from_rows(dims, [[1, 1], [2, 2], [3, 3]])
-    assert structural_zeros(syn, pop) == 1
-    assert structural_zeros(pop, pop) == 0
+    assert evaluate(pop, pop, syn, pop, exclude=()).structural_zeros == 1
+    assert evaluate(pop, pop, pop, pop, exclude=()).structural_zeros == 0
 
 
 def test_precision_recall_f1_hand_case():
     dims = [4, 4]
     pop = table_from_rows(dims, [[0, 0], [1, 1], [2, 2]])
     syn = table_from_rows(dims, [[1, 1], [2, 2], [3, 3]])
-    p, r, f1 = precision_recall_f1(syn, pop)
-    assert p == 2 / 3 and r == 2 / 3
-    assert f1 == pytest.approx(2 / 3, abs=1e-15)
-    assert precision_recall_f1(pop, pop) == (1.0, 1.0, 1.0)
+    report = evaluate(pop, pop, syn, pop, exclude=())
+    assert report.precision == 2 / 3 and report.recall == 2 / 3
+    assert report.f1 == pytest.approx(2 / 3, abs=1e-15)
+    report = evaluate(pop, pop, pop, pop, exclude=())
+    assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
 
 
 def test_precision_zero_when_disjoint():
     dims = [2, 2]
     pop = table_from_rows(dims, [[0, 0]])
     syn = table_from_rows(dims, [[1, 1]])
-    assert precision_recall_f1(syn, pop) == (0.0, 0.0, 0.0)
+    report = evaluate(pop, pop, syn, pop, exclude=())
+    assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
 
 
 def test_zeros_match_bruteforce_sets():
@@ -200,14 +197,14 @@ def test_zeros_match_bruteforce_sets():
                   for _ in range(3)]
         train, ref, syn = tables
         as_set = lambda t: set(map(tuple, t.codes.tolist()))
-        assert sampled_zeros(train, ref, syn) == len(
+        report = evaluate(ref, train, syn, ref, exclude=())
+        assert report.sampled_zeros == len(
             as_set(syn) & as_set(ref) - as_set(train)
         )
-        assert structural_zeros(syn, ref) == len(as_set(syn) - as_set(ref))
-        p, r, f1 = precision_recall_f1(syn, ref)
+        assert report.structural_zeros == len(as_set(syn) - as_set(ref))
         hit = len(as_set(syn) & as_set(ref))
-        assert p == hit / len(as_set(syn))
-        assert r == hit / len(as_set(ref))
+        assert report.precision == hit / len(as_set(syn))
+        assert report.recall == hit / len(as_set(ref))
 
 
 def test_exclusion_projects_before_counting():
@@ -216,10 +213,10 @@ def test_exclusion_projects_before_counting():
     ref = table_from_rows(dims, [[0, 1]])
     syn = table_from_rows(dims, [[0, 1]])
     # with the second variable excluded, everything collapses onto v0=0
-    assert sampled_zeros(train, ref, syn) == 1
-    assert sampled_zeros(train, ref, syn, exclude=("v1",)) == 0
+    assert evaluate(ref, train, syn, exclude=()).sampled_zeros == 1
+    assert evaluate(ref, train, syn, exclude=("v1",)).sampled_zeros == 0
     with pytest.raises(SynthesisError, match="unknown"):
-        sampled_zeros(train, ref, syn, exclude=("ghost",))
+        evaluate(ref, train, syn, exclude=("ghost",))
 
 
 def test_marginal_report_hand_counts():
@@ -319,14 +316,14 @@ def test_srmse_past_the_bincount_budget_matches_oracle():
         )
         assert srmse_projected(ref, syn, n) == pytest.approx(expected, abs=1e-12)
     for subset in ([3, 1], [0, 5, 6], [6, 2, 5]):
-        assert srmse(ref, syn, subset) == pytest.approx(
+        assert subset_srmse(ref, syn, subset) == pytest.approx(
             srmse_oracle(ref, syn, subset), abs=1e-12
         )
     # Re-ranking keeps the key order, so the float sum is the sorted one, bit
     # for bit, and projected means are unchanged by the budget.
     pairs = list(itertools.combinations(range(len(dims)), 2))
     exact = [srmse_in_lexicographic_order(ref, syn, list(s)) for s in pairs]
-    assert [srmse(ref, syn, s) for s in pairs] == exact
+    assert [subset_srmse(ref, syn, s) for s in pairs] == exact
     assert srmse_projected(ref, syn, 2) == float(np.mean(exact))
 
 
@@ -341,12 +338,14 @@ def test_zeros_past_int64_match_bruteforce_sets():
     as_set = lambda t, kept: set(map(tuple, t.codes[:, kept].tolist()))
     for _ in range(5):
         train, ref, syn = draw(30), draw(30), draw(50)
-        for exclude, kept in (((), list(range(7))), (("v3",), [0, 1, 2, 4, 5, 6])):
+        for kept in (list(range(7)), [0, 1, 2, 4, 5, 6]):
             t, r, s = (as_set(x, kept) for x in (train, ref, syn))
-            assert distinct_combos(syn, exclude) == s
-            assert sampled_zeros(train, ref, syn, exclude) == len(s & r - t)
-            assert structural_zeros(syn, ref, exclude) == len(s - r)
-            p, rec, _ = precision_recall_f1(syn, ref, exclude)
+            masks = distinct_combos((train, ref, syn), kept)
+            assert [np.count_nonzero(m) for m in masks] == [len(t), len(r), len(s)]
+            t_seen, r_seen, s_seen = masks
+            assert sampled_zeros(t_seen, r_seen, s_seen) == len(s & r - t)
+            assert structural_zeros(s_seen, r_seen) == len(s - r)
+            p, rec, _ = precision_recall_f1(s_seen, r_seen)
             assert (p, rec) == (len(s & r) / len(s), len(s & r) / len(r))
 
 
