@@ -227,20 +227,16 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
         # The CPT holds all q * m cells, so the keys are counted unranked.
         (key,), _ = combo_keys((data.codes,), dims, ps + (node,), budget=q * m)
         counts = np.bincount(key, minlength=q * m).reshape(q, m).astype(np.float64)
-        totals = counts.sum(axis=1)
-        if alpha > 0:
-            theta = (counts + alpha) / (totals + alpha * m)[:, None]
-        else:
-            unseen = totals == 0
-            safe = np.where(unseen, 1.0, totals)
-            theta = counts / safe[:, None]
-            if unseen.any():
-                theta[unseen] = 1.0 / m
-                warnings.warn(
-                    f"node {data.schema.names[node]}: {int(unseen.sum())} parent "
-                    "configuration(s) unobserved; rows left uniform",
-                    stacklevel=2,
-                )
+        denom = counts.sum(axis=1) + alpha * m
+        unseen = denom == 0  # only when alpha = 0
+        theta = (counts + alpha) / np.where(unseen, 1.0, denom)[:, None]
+        if unseen.any():
+            theta[unseen] = 1.0 / m
+            warnings.warn(
+                f"node {data.schema.names[node]}: {int(unseen.sum())} parent "
+                "configuration(s) unobserved; rows left uniform",
+                stacklevel=2,
+            )
         cpts.append(theta)
     return BayesNet(schema=data.schema, dag=dag, cpts=tuple(cpts))
 

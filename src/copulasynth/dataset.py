@@ -98,13 +98,13 @@ class Schema:
 
 @dataclass(frozen=True, eq=False)
 class MicroTable:
-    """Row-major table of category codes, shape (N, d)."""
+    """Category codes, shape (N, d), stored column-major: column(i) is contiguous."""
 
     schema: Schema
     codes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.codes, dtype=np.int64, copy=True)
+        arr = np.array(self.codes, dtype=np.int64, order="F", copy=True)
         if arr.ndim != 2 or arr.shape[1] != self.schema.d:
             raise SynthesisError(
                 f"codes must have shape (N, {self.schema.d}), got {arr.shape}"

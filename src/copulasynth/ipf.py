@@ -97,7 +97,7 @@ def fit(
     totals = np.array([c.sum() for c in targets.counts], dtype=np.float64)
     common = float(totals.mean())
     goal = [targets.counts[i] * (common / totals[i]) for i in range(d)]
-    columns = [np.ascontiguousarray(seed.cells.column(i)) for i in range(d)]
+    columns = [seed.cells.column(i) for i in range(d)]
 
     def axis_sums(values: np.ndarray, axis: int) -> np.ndarray:
         return np.bincount(columns[axis], weights=values, minlength=dims[axis])

@@ -99,12 +99,8 @@ def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
     if ref.n_rows == 0 or syn.n_rows == 0:
         raise SynthesisError("cannot compare an empty table")
     dims = ref.schema.dims
-    tables = (ref, syn)
-    # Each column is read once per subset that ends in it: copy it out of
-    # the row-major table once, which halves the time of the reads.
-    columns = [[np.ascontiguousarray(t.column(i)) for t in tables] for i in range(d)]
     # prefixes[k]: the keys and range over the first k variables of `previous`
-    prefixes = [([np.zeros(t.n_rows, dtype=np.int64) for t in tables], 1)]
+    prefixes = [([np.zeros(t.n_rows, dtype=np.int64) for t in (ref, syn)], 1)]
     previous: tuple[int, ...] = ()
     values = []
     for subset in itertools.combinations(range(d), n):
@@ -113,7 +109,8 @@ def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
         )
         del prefixes[shared + 1 :]
         for c in subset[shared:]:
-            prefixes.append(extend_keys(*prefixes[-1], columns[c], dims[c]))
+            columns = (ref.column(c), syn.column(c))
+            prefixes.append(extend_keys(*prefixes[-1], columns, dims[c]))
         m_product = math.prod(dims[c] for c in subset)
         values.append(srmse(*prefixes[-1], ref.n_rows, syn.n_rows, m_product))
         previous = subset
@@ -272,11 +269,11 @@ def evaluate(
         raise SynthesisError("tables use different schemas")
     if exclude is None:
         exclude = default_exclusion(ref.schema)
+    kept = _kept_indices(ref.schema, exclude)
     srmse_by_n = {
         n: srmse_projected(ref, syn, n)
         for n in range(1, min(MAX_PROJECTION, ref.schema.d) + 1)
     }
-    kept = _kept_indices(ref.schema, exclude)
     tables = (train, ref, syn) + (() if population is None else (population,))
     train_seen, ref_seen, syn_seen, *given = distinct_combos(tables, kept)
     pop_seen = given[0] if given else train_seen | ref_seen

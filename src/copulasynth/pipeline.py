@@ -10,7 +10,9 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -190,13 +192,14 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
     ecdf_values = np.column_stack(
         [ecdf(c)[recoded.column(i)] for i, c in enumerate(marginals.counts)]
     )
-    header = ",".join(source.schema.names)
-    body = "\n".join(",".join(repr(float(v)) for v in row) for row in ecdf_values)
-    payload = header + "\n" + body + "\n"
+    payload = io.StringIO()
+    writer = csv.writer(payload, lineterminator="\n")  # a float is written as its repr
+    writer.writerow(source.schema.names)
+    writer.writerows(ecdf_values.tolist())
     cmd = list(command) + ["--n", str(n), "--seed", str(seed)]
     try:
         proc = subprocess.run(
-            cmd, input=payload, capture_output=True, text=True, check=False
+            cmd, input=payload.getvalue(), capture_output=True, text=True, check=False
         )
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the command
         raise SynthesisError(f"external generator failed to start: {exc}") from exc

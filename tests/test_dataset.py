@@ -8,16 +8,21 @@ from copulasynth import (
     MarginalTable,
     MicroTable,
     Schema,
+    SynthesisConfig,
     SynthesisError,
     VariableSpec,
+    build_seed,
+    generate_table,
     load_marginals_csv,
     load_micro_csv,
     load_schema,
+    make_transfer_benchmark,
     marginals_of,
     write_marginals_csv,
     write_micro_csv,
     write_schema,
 )
+from copulasynth.pipeline import rank_recode
 from conftest import make_schema, random_table, small_tables
 
 
@@ -75,6 +80,34 @@ def test_micro_table_copies_and_freezes():
     assert table.codes[0, 0] == 0
     with pytest.raises(ValueError):
         table.codes[0, 0] = 1
+
+
+def test_micro_table_stores_codes_column_by_column(tmp_path):
+    """Every producer's table reads each variable as one contiguous column."""
+    source, target = make_transfer_benchmark(seed=2, d=4, n_source=300, n_target=300)
+    write_micro_csv(source, tmp_path / "source.csv")
+    tables = [
+        source,
+        target,
+        load_micro_csv(tmp_path / "source.csv", source.schema),
+        rank_recode(source)[0],
+        build_seed(source).cells,
+    ]
+    for method in ("independent", "ipf", "bn", "bn_copula"):
+        cfg = SynthesisConfig(
+            source_data="x", schema="x", method=method, output_size=200, seed=1
+        )
+        tables.append(generate_table(source, marginals_of(target), cfg, 1)[0])
+    for table in tables:
+        assert table.codes.shape == (table.n_rows, table.schema.d)
+        assert table.codes.dtype == np.int64 and not table.codes.flags.writeable
+        for i in range(table.schema.d):
+            assert table.column(i).flags.c_contiguous
+    # An input already in the table's layout is still copied, not aliased.
+    src = np.asfortranarray(np.array([[0, 1], [1, 0]], dtype=np.int64))
+    table = MicroTable(make_schema([2, 2]), src)
+    src[0, 0] = 1
+    assert table.codes[0, 0] == 0
 
 
 def test_marginal_table_validation():

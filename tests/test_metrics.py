@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copulasynth import MicroTable, SynthesisError, evaluate, srmse_projected
+from copulasynth import MicroTable, SynthesisError, evaluate, metrics, srmse_projected
 from copulasynth.metrics import (
     EvaluationReport,
     default_exclusion,
@@ -217,6 +217,16 @@ def test_exclusion_projects_before_counting():
     assert evaluate(ref, train, syn, exclude=("v1",)).sampled_zeros == 0
     with pytest.raises(SynthesisError, match="unknown"):
         evaluate(ref, train, syn, exclude=("ghost",))
+
+
+def test_evaluate_checks_exclusion_before_scoring(monkeypatch):
+    def scored(*args):
+        raise AssertionError("SRMSE ran before the exclusion list was checked")
+
+    monkeypatch.setattr(metrics, "srmse_projected", scored)
+    table = random_table([2, 3], 20, seed=1)
+    with pytest.raises(SynthesisError, match="unknown excluded variable"):
+        evaluate(table, table, table, exclude=("nope",))
 
 
 def test_marginal_report_hand_counts():

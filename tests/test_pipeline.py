@@ -9,8 +9,10 @@ import pytest
 
 from copulasynth import (
     MicroTable,
+    Schema,
     SynthesisConfig,
     SynthesisError,
+    VariableSpec,
     fit_parameters,
     generate_table,
     learn_structure,
@@ -327,6 +329,69 @@ def test_external_copula_error_paths(tmp_path):
     nan = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
     with pytest.raises(SynthesisError, match=r"must lie in \(0,1\]"):
         generate_table(src, marginals_of(tgt), nan, 4)
+    for row, message in (
+        ("0.5,abc,0.5", "not numeric"),
+        ("0.5,0.5", "has shape"),
+    ):
+        emit = f"import sys; print('{row}\\n' * int(sys.argv[2]))"
+        wrong = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
+        with pytest.raises(SynthesisError, match=message):
+            generate_table(src, marginals_of(tgt), wrong, 4)
+    emit = "import sys; print('0.5,0.5\\n0.5,0.5,0.5\\n' * (int(sys.argv[2]) // 2))"
+    ragged = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
+    with pytest.raises(SynthesisError):
+        generate_table(src, marginals_of(tgt), ragged, 4)
+
+
+def test_external_copula_skips_a_header_line():
+    """A generator may print a header line first; it changes no code."""
+    src, _ = make_transfer_benchmark(seed=6, d=3, n_source=200, n_target=10)
+    runs = []
+    for echo in (  # the payload without, then with, its header line
+        "import sys; print(sys.stdin.read().split('\\n', 1)[1])",
+        "import sys; print(sys.stdin.read())",
+    ):
+        cfg = SynthesisConfig(
+            source_data="x", schema="x", method="external_copula",
+            output_size=src.n_rows, seed=4,
+            external_command=(sys.executable, "-c", echo),
+        )
+        runs.append(generate_table(src, marginals_of(src), cfg, 4)[0])
+    assert (runs[0].codes == src.codes).all()
+    assert (runs[1].codes == runs[0].codes).all()
+
+
+CSV_ECHO_GENERATOR = """\
+import csv
+import json
+import sys
+
+header, *rows = csv.reader(sys.stdin)
+with open(sys.argv[0] + ".header", "w") as handle:
+    json.dump(header, handle)
+csv.writer(sys.stdout).writerows(rows)
+"""
+
+
+def test_external_copula_quotes_variable_names(tmp_path):
+    """Names holding a comma or a quote reach a csv reader as one field each."""
+    script = tmp_path / "echo.py"
+    script.write_text(CSV_ECHO_GENERATOR)
+    src, _ = make_transfer_benchmark(seed=6, d=3, n_source=300, n_target=10)
+    names = ("a,b", 'say "hi"', "c")
+    schema = Schema(tuple(
+        VariableSpec(name, v.labels, v.kind)
+        for name, v in zip(names, src.schema.variables)
+    ))
+    src = MicroTable(schema, src.codes)
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method="external_copula",
+        output_size=src.n_rows, seed=4,
+        external_command=(sys.executable, str(script)),
+    )
+    syn, _ = generate_table(src, marginals_of(src), cfg, 4)
+    assert json.loads((tmp_path / "echo.py.header").read_text()) == list(names)
+    assert (syn.codes == src.codes).all()
 
 
 def test_benchmark_validation_and_shape():
