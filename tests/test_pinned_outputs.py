@@ -1,0 +1,116 @@
+"""Every method's output bytes, pinned on checked-in fixtures.
+
+The fixtures under tests/data are a 240-row source, a 200-row reference
+and the reference's marginals over five benchmark-style variables and a
+25-category ordinal `age` (excluded from zeros and precision/recall by
+default). They are checked in rather than drawn with
+make_transfer_benchmark, whose Cholesky factor goes through BLAS.
+
+A change that means to alter an output updates its digest here in the
+same commit and says why. The digests assume numpy's Generator streams
+are stable, so a failure names the numpy release it ran under.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from copulasynth import (
+    SynthesisConfig,
+    evaluate,
+    load_micro_csv,
+    load_schema,
+    run_experiment,
+    run_permutation_study,
+)
+
+DATA = Path(__file__).resolve().parent / "data"
+GENERATOR = Path(__file__).resolve().parent / "resample_generator.py"
+NUMPY = f"numpy {np.__version__}"
+
+# sha256 of synthetic.csv, report.json and marginals.csv per method.
+DIGESTS = {
+    "independent": (
+        "bf6d5ab192591d7711a2c649122a18659989e0f7280966c13b9b470ca809f2b5",
+        "51edb9dc0d5000b372ab4a8faad8aa463ca4eebc62f13ae5f107e4e28a2533a0",
+        "ef2703f87f8d628efa284e926aa340a56ff66f784fa6ccd9eecdecefea246c06",
+    ),
+    "ipf": (
+        "3fc51c258457001d7058d6f4f4acb270776ecf453810d62edf4bc785f80e90f3",
+        "766aa13b68df378a4ad9a3f15731836d88fba186618d18de7040e3f220427a85",
+        "bf6a716193f4571c42324a84f7ca34fbe9a9e79f98cd1a04f15b42fd01934d87",
+    ),
+    "bn": (
+        "6261f05f49a72a9bdddd57b1123c3283a7d0cfd81fe762c857d555945de208e7",
+        "b0b20fb0ba0d4fc9645886b5e570120a3347a3f4baad78fc7f8abb02a06615bc",
+        "0852968d4cc014a749c6f8e600206ce3cd2a0aca14782e47e141ca7c5b1ec483",
+    ),
+    "bn_copula": (
+        "efb57301c275e4ca5f19678f1a1cb84caf1422c67560e603c08f95fcadd6cf3f",
+        "9d98f2917a4c4cb17c2ec32433e8eb73922b521886fedf0aeef9076be7c635a1",
+        "d18761f3652e7902f553f1d9ad8925627802584e2efa01261227bbce93cd565c",
+    ),
+    "external_copula": (
+        "ab0f7137694f5dbe7e89382cae08e9519f0156d51eb1cc8504ffaf7e978efdd8",
+        "82ca7ded1a3218c29b5c7197bcc668a795ad06b70950b42d4c9551b19c520d97",
+        "a436a6914e77a6da54f66f7be3f286d4fbed2e6624e97dcce285bc2a671edc20",
+    ),
+}
+
+EVALUATE_SRMSE = (
+    "{1: 0.3776654363133158, 2: 0.731607001366574, 3: 1.2748190348775683, "
+    "4: 2.178907345707849, 5: 3.750284405817592}"
+)
+EVALUATE_DIGEST = "c134ef76b650a0539852c3191efea60745c6175ad8b5cd4a2c1e699dbc1cbaf7"
+PERMUTATION_VALUES = (
+    "{1: (0.1257831645342936, 0.1565658449043259), "
+    "2: (0.435495868927126, 0.4536175285503666), "
+    "3: (0.9754842790545762, 0.9790962750950977), "
+    "4: (1.8885505372072988, 1.8990615457122861), "
+    "5: (3.475904389610386, 3.5381347547127806)}"
+)
+
+
+def config(method, **overrides):
+    fields = {
+        "source_data": str(DATA / "source.csv"),
+        "schema": str(DATA / "schema.json"),
+        "target_marginals": str(DATA / "targets.csv"),
+        "reference_data": str(DATA / "reference.csv"),
+        "method": method,
+        "output_size": 300,
+        "seed": 7,
+    }
+    if method == "external_copula":
+        fields["external_command"] = (sys.executable, str(GENERATOR))
+    fields.update(overrides)
+    return SynthesisConfig(**fields)
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("method", sorted(DIGESTS))
+def test_run_outputs_are_pinned(tmp_path, method):
+    run_experiment(config(method, output_dir=str(tmp_path)))
+    files = ("synthetic.csv", "report.json", "marginals.csv")
+    got = tuple(sha256(tmp_path / name) for name in files)
+    assert got == DIGESTS[method], NUMPY
+
+
+def test_evaluate_is_pinned():
+    schema = load_schema(DATA / "schema.json")
+    source = load_micro_csv(DATA / "source.csv", schema)
+    reference = load_micro_csv(DATA / "reference.csv", schema)
+    report = evaluate(reference, source, source)
+    assert repr(report.srmse_by_n) == EVALUATE_SRMSE, NUMPY
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == EVALUATE_DIGEST, NUMPY
+
+
+def test_permutation_study_is_pinned():
+    study = run_permutation_study(config("bn_copula", output_size=200), 2)
+    assert repr(study.values) == PERMUTATION_VALUES, NUMPY
