@@ -20,7 +20,7 @@ from copulasynth import (
     generate_table,
     make_transfer_benchmark,
     marginals_of,
-    srmse_projected,
+    srmse_by_size,
 )
 
 METHODS = ("independent", "ipf", "bn", "bn_copula")
@@ -54,9 +54,8 @@ def main() -> None:
                 output_size=args.output_size, seed=1000 + s,
             )
             synthetic, _ = generate_table(source, targets, config, 1000 + s)
-            scores = [
-                srmse_projected(target, synthetic, n) for n in args.sizes
-            ]
+            by_size = srmse_by_size(target, synthetic, args.sizes)
+            scores = [by_size[n] for n in args.sizes]
             sums[method] += np.array(scores)
             row = [str(s), method] + [f"{v:.4f}" for v in scores]
             print(" ".join(f"{c:<12}" for c in row))

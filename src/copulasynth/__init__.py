@@ -22,7 +22,7 @@ from .dataset import (
 from .errors import SynthesisError
 from .ipf import allocate, build_seed
 from .ipf import fit as fit_ipf
-from .metrics import evaluate, srmse_projected
+from .metrics import evaluate, srmse_by_size, srmse_projected
 from .pipeline import (
     SynthesisConfig,
     generate_table,
@@ -59,5 +59,6 @@ __all__ = [
     "fit_ipf",
     "allocate",
     "evaluate",
+    "srmse_by_size",
     "srmse_projected",
 ]

@@ -1,13 +1,15 @@
 """Accuracy, diversity, and feasibility metrics for synthetic microdata.
 
 SRMSE compares relative combination frequencies between a reference and a
-synthetic table over variable subsets: srmse_projected walks the subsets
-and srmse scores each one from the tables' shared keys. Zeros and
-precision/recall work on distinct combinations after projecting out
-excluded variables (high-card ordinal variables by default, which
-otherwise flood the zero counts): distinct_combos turns the tables into
-aligned masks of the combinations each holds, and sampled_zeros,
-structural_zeros and precision_recall_f1 are arithmetic on those masks.
+synthetic table over variable subsets: srmse_by_size counts blocks of
+variables once, cuts every subset's table out of them by axis sums in one
+walk over all projection sizes, and srmse scores each subset from its two
+count arrays. Zeros and precision/recall work on distinct combinations
+after projecting out excluded variables (high-card ordinal variables by
+default, which otherwise flood the zero counts): distinct_combos turns the
+tables into aligned masks of the combinations each holds, and
+sampled_zeros, structural_zeros and precision_recall_f1 are arithmetic on
+those masks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from .errors import SynthesisError
 # they are re-ranked densely, so a bincount over them stays a few words per
 # row however many categories the columns have.
 _KEY_RANGE_PER_ROW = 4
+
+# A block table holds at most one cell per this many counted rows (reference
+# plus synthetic), so the axis sums that cut subsets out of it stay cheap
+# next to the bincount that fills it.
+_ROWS_PER_BLOCK_CELL = 16
 
 # evaluate scores SRMSE projections of sizes 1..min(MAX_PROJECTION, d).
 MAX_PROJECTION = 5
@@ -69,52 +76,167 @@ def combo_keys(arrays, dims, columns, budget=None):
     return keys, span
 
 
-def srmse(keys, span, n_ref: int, n_syn: int, m_product: int) -> float:
-    """sqrt(M * sum((pi - pihat)^2)) of one subset, from both tables' keys over it.
+def srmse(ref_counts, syn_counts, n_ref: int, n_syn: int, m_product: int) -> float:
+    """sqrt(M * sum((pi - pihat)^2)) of one subset, from both tables' counts over it.
 
-    M is the product of the subset's schema cardinalities. Combinations
-    seen in neither table contribute zero and are never enumerated; the
-    squares are summed over the others in ascending key order, so the
-    float sum does not depend on the key range.
+    M is the product of the subset's schema cardinalities. The count
+    arrays list the subset's combinations in lexicographic order, either
+    as a dense table over the subset's axes or over order-preserving keys;
+    combinations seen in neither table contribute zero and are skipped, so
+    the squares are summed over the others in the same order either way.
     """
-    ref_counts, syn_counts = (np.bincount(k, minlength=span) for k in keys)
     seen = (ref_counts + syn_counts) > 0
     p = ref_counts[seen] / n_ref
     q = syn_counts[seen] / n_syn
     return math.sqrt(m_product * float(((p - q) ** 2).sum()))
 
 
-def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
-    """Arithmetic mean of srmse over all size-n variable subsets.
+def _cover(dims, top: int, budget: int, dense_limit: int):
+    """Blocks of columns whose tables hold every size-``top`` subset once.
 
-    Subsets are taken in itertools.combinations order. Each one extends
-    the keys of the prefix it shares with the previous subset, so most
-    subsets cost one multiply-add and one bincount per table.
+    Each block starts from the first subset no earlier block holds and
+    greedily adds the column that brings in the most such subsets while
+    the product stays within the budget (or within the subset's own
+    product, if that is larger). A subset past the dense limit is a block
+    of its own. Returns (block, subsets) pairs, the subsets being those
+    the block holds first; each block lists its columns in ascending order.
     """
-    d = ref.schema.d
-    if not 1 <= n <= d:
-        raise SynthesisError(f"projection size {n} outside 1..{d}")
+    powers = [1 << c for c in range(len(dims))]
+
+    def masks(columns, k):  # the bit mask of each k-subset of the columns
+        return list(map(sum, itertools.combinations([powers[c] for c in columns], k)))
+
+    plan, covered = [], set()  # covered: the bit masks of the subsets held
+    everything = range(len(dims))
+    for subset, mask in zip(
+        itertools.combinations(everything, top), masks(everything, top)
+    ):
+        if mask in covered:
+            continue
+        block, m = list(subset), math.prod(dims[c] for c in subset)
+        cap = max(budget, m) if m <= dense_limit else 0
+        # gain[c]: the subsets not yet held that column c would bring in. It
+        # grows by the block's new (top-1)-subsets as each column joins.
+        gain = dict.fromkeys(everything, 0)
+        fresh = masks(block, top - 1)
+        while True:
+            for c in [c for c in gain if c in block or m * dims[c] > cap]:
+                del gain[c]
+            if not gain:
+                break
+            for c in gain:
+                gain[c] += sum(r | powers[c] not in covered for r in fresh)
+            best = max(gain, key=gain.get)
+            if not gain[best]:
+                break
+            fresh = [r | powers[best] for r in masks(block, top - 2)] if top > 1 else []
+            block.append(best)
+            m *= dims[best]
+        block.sort()
+        held = masks(block, top)
+        covers = itertools.combinations(block, top)
+        inner = [s for s, k in zip(covers, held) if k not in covered]
+        plan.append((tuple(block), inner))
+        covered.update(held)
+    return sorted(plan)  # in column order, neighbours share long key prefixes
+
+
+def _shared_prefix(a, b) -> int:
+    differ = (k for k, (x, y) in enumerate(zip(a, b)) if x != y)
+    return next(differ, min(len(a), len(b)))
+
+
+def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
+    """Arithmetic mean of srmse over all variable subsets of each size.
+
+    One walk serves every size. The subsets of the largest size are
+    counted in blocks of columns (see _cover): both tables are keyed over
+    a block, reusing the key prefix it shares with the previous block, and
+    one bincount per table gives the block's dense table, from which each
+    subset takes its own by axis sums. Each smaller subset S takes its
+    table from S plus the smallest column not in S by a one-axis sum,
+    depth first, so one block and one path of tables are alive at a time.
+    A subset whose product passes _KEY_RANGE_PER_ROW per row is counted
+    over re-ranked keys instead, and its children are counted on their
+    own. Every dense table lists its cells in lexicographic order, like
+    the keys, so the scores do not depend on the route; the mean runs over
+    them in itertools.combinations order.
+    """
+    d, sizes = ref.schema.d, tuple(sizes)
+    for n in sizes:
+        if not 1 <= n <= d:
+            raise SynthesisError(f"projection size {n} outside 1..{d}")
     if ref.schema != syn.schema:
         raise SynthesisError("reference and synthetic tables use different schemas")
     if ref.n_rows == 0 or syn.n_rows == 0:
         raise SynthesisError("cannot compare an empty table")
+    if not sizes:
+        return {}
     dims = ref.schema.dims
-    # prefixes[k]: the keys and range over the first k variables of `previous`
-    prefixes = [([np.zeros(t.n_rows, dtype=np.int64) for t in (ref, syn)], 1)]
-    previous: tuple[int, ...] = ()
-    values = []
-    for subset in itertools.combinations(range(d), n):
-        shared = next(
-            (k for k, (a, b) in enumerate(zip(subset, previous)) if a != b), 0
-        )
-        del prefixes[shared + 1 :]
-        for c in subset[shared:]:
-            columns = (ref.column(c), syn.column(c))
-            prefixes.append(extend_keys(*prefixes[-1], columns, dims[c]))
+    rows = ref.n_rows + syn.n_rows
+    dense_limit = _KEY_RANGE_PER_ROW * rows
+    scores: dict[tuple[int, ...], float] = {}
+
+    def counted(keys, span, subset):
+        """Both tables' counts, stacked: a dense table unless keys were re-ranked."""
+        counts = np.stack([np.bincount(k, minlength=span) for k in keys])
+        if math.prod(dims[c] for c in subset) > dense_limit:
+            return counts
+        return counts.reshape((2,) + tuple(dims[c] for c in subset))
+
+    def walk(subset, counts):
         m_product = math.prod(dims[c] for c in subset)
-        values.append(srmse(*prefixes[-1], ref.n_rows, syn.n_rows, m_product))
-        previous = subset
-    return float(np.mean(values))
+        if len(subset) in sizes:
+            scores[subset] = srmse(
+                counts[0], counts[1], ref.n_rows, syn.n_rows, m_product
+            )
+        if len(subset) == min(sizes):
+            return
+        # The children of S are S minus one of its leading columns 0..k-1.
+        for i in range(len(subset)):
+            if subset[i] != i:
+                break
+            child = subset[:i] + subset[i + 1 :]
+            if m_product > dense_limit:
+                keys, span = combo_keys((ref.codes, syn.codes), dims, child)
+                walk(child, counted(keys, span, child))
+            else:
+                walk(child, counts.sum(axis=i + 1))
+
+    plan = _cover(dims, max(sizes), rows // _ROWS_PER_BLOCK_CELL, dense_limit)
+    # prefixes[k]: the keys and range over the block's first k columns, kept
+    # only as far as the next block shares them.
+    prefixes = [([np.zeros(t.n_rows, dtype=np.int64) for t in (ref, syn)], 1)]
+    for b, (block, inner) in enumerate(plan):
+        keep = _shared_prefix(block, plan[b + 1][0]) if b + 1 < len(plan) else 0
+        keys, span = prefixes[-1]
+        for k in range(len(prefixes) - 1, len(block)):
+            c = block[k]
+            columns = (ref.column(c), syn.column(c))
+            keys, span = extend_keys(keys, span, columns, dims[c])
+            if k < keep:
+                prefixes.append((keys, span))
+        del prefixes[keep + 1 :]
+        counts = counted(keys, span, block)
+        for subset in inner:
+            # One axis at a time, leading axes first: numpy sums a leading
+            # axis over long runs, but many axes at once over short ones.
+            table, axis = counts, 1
+            for c in block:
+                if c in subset:
+                    axis += 1
+                else:
+                    table = table.sum(axis=axis)
+            walk(subset, table)
+    return {
+        n: float(np.mean([scores[s] for s in itertools.combinations(range(d), n)]))
+        for n in sizes
+    }
+
+
+def srmse_projected(ref: MicroTable, syn: MicroTable, n: int) -> float:
+    """Arithmetic mean of srmse over all size-n variable subsets."""
+    return srmse_by_size(ref, syn, (n,))[n]
 
 
 def default_exclusion(schema: Schema) -> tuple[str, ...]:
@@ -270,10 +392,9 @@ def evaluate(
     if exclude is None:
         exclude = default_exclusion(ref.schema)
     kept = _kept_indices(ref.schema, exclude)
-    srmse_by_n = {
-        n: srmse_projected(ref, syn, n)
-        for n in range(1, min(MAX_PROJECTION, ref.schema.d) + 1)
-    }
+    srmse_by_n = srmse_by_size(
+        ref, syn, range(1, min(MAX_PROJECTION, ref.schema.d) + 1)
+    )
     tables = (train, ref, syn) + (() if population is None else (population,))
     train_seen, ref_seen, syn_seen, *given = distinct_combos(tables, kept)
     pop_seen = given[0] if given else train_seen | ref_seen

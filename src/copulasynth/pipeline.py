@@ -48,7 +48,7 @@ from .metrics import (
     EvaluationReport,
     evaluate,
     report_to_json,
-    srmse_projected,
+    srmse_by_size,
     write_marginal_csv,
 )
 
@@ -219,17 +219,22 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
         raise SynthesisError(
             f"external generator emitted {len(lines)} rows, expected {n}"
         )
-    try:
-        values = np.array(
-            [[float(tok) for tok in ln.split(",")] for ln in lines], dtype=np.float64
-        )
-    except ValueError as exc:
-        raise SynthesisError(f"external generator output not numeric: {exc}") from exc
-    if values.ndim != 2 or values.shape[1] != source.schema.d:
-        raise SynthesisError(
-            f"external generator output has shape {values.shape}, "
-            f"expected ({n}, {source.schema.d})"
-        )
+    d = source.schema.d
+    rows = []
+    for i, ln in enumerate(lines, 1):
+        tokens = ln.split(",")
+        if len(tokens) != d:
+            raise SynthesisError(
+                f"external generator output row {i} has shape ({len(tokens)},), "
+                f"expected ({d},)"
+            )
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError as exc:
+            raise SynthesisError(
+                f"external generator output not numeric at row {i}: {exc}"
+            ) from exc
+    values = np.array(rows, dtype=np.float64)
     if not ((values > 0) & (values <= 1)).all():
         raise SynthesisError("external generator output must lie in (0,1]")
     return values
@@ -388,8 +393,8 @@ def run_permutation_study(
         )
         back = np.column_stack([p[syn_perm.column(i)] for i, p in enumerate(perms)])
         syn = MicroTable(schema, back)
-        for n in sizes:
-            values[n].append(srmse_projected(reference, syn, n))
+        for n, value in srmse_by_size(reference, syn, sizes).items():
+            values[n].append(value)
     mean = {n: float(np.mean(values[n])) for n in sizes}
     std = {n: float(np.std(values[n])) for n in sizes}
     return PermutationStudy(

@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from copulasynth import MicroTable, SynthesisError, evaluate, metrics, srmse_projected
 from copulasynth.metrics import (
     EvaluationReport,
+    combo_keys,
     default_exclusion,
     distinct_combos,
     marginal_report,
@@ -137,6 +139,69 @@ def test_srmse_projected_aggregates_by_mean():
     assert srmse_projected(two, two_syn, 2) == subset_srmse(two, two_syn, [0, 1])
 
 
+def srmse_by_keys(ref, syn, n):
+    """Mean SRMSE over the size-n subsets, each counted on its own keys."""
+    scores = []
+    for subset in itertools.combinations(range(ref.schema.d), n):
+        keys, span = combo_keys((ref.codes, syn.codes), ref.schema.dims, subset)
+        a, b = (np.bincount(k, minlength=span) for k in keys)
+        seen = (a + b) > 0
+        p, q = a[seen] / ref.n_rows, b[seen] / syn.n_rows
+        m_product = math.prod(ref.schema.dims[c] for c in subset)
+        scores.append(math.sqrt(m_product * float(((p - q) ** 2).sum())))
+    return float(np.mean(scores))
+
+
+@st.composite
+def walk_cases(draw):
+    """Two tables and a set of projection sizes for srmse_by_size.
+
+    Up to 300 rows let blocks span several small columns; a 300-category
+    column makes its pairs pass the dense limit, so they are counted over
+    re-ranked keys and their children become roots.
+    """
+    d = draw(st.integers(1, 7))
+    dims = [draw(st.sampled_from([2, 2, 3, 4, 5, 300])) for _ in range(d)]
+    sizes = draw(st.lists(st.integers(1, min(d, 5)), min_size=1, max_size=5, unique=True))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    skew = draw(st.sampled_from([1.0, 3.0]))  # 3.0 crowds rows onto low codes
+    schema = make_schema(dims)
+    ref, syn = (
+        MicroTable(schema, np.column_stack(
+            [(rng.random(n) ** skew * m).astype(np.int64) for m in dims]
+        ))
+        for n in (draw(st.integers(1, 300)), draw(st.integers(1, 300)))
+    )
+    return ref, syn, tuple(sizes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_cases())
+def test_srmse_by_size_matches_per_subset_keys(case):
+    ref, syn, sizes = case
+    with mock.patch.object(metrics, "srmse", wraps=metrics.srmse) as scored:
+        got = metrics.srmse_by_size(ref, syn, sizes)
+    assert list(got) == list(sizes)
+    for n in sizes:
+        assert got[n] == srmse_by_keys(ref, syn, n), n
+    # One srmse call per subset of each requested size, and none for the
+    # sizes the walk only passes through.
+    dims = ref.schema.dims
+    assert Counter(call.args[4] for call in scored.call_args_list) == Counter(
+        math.prod(dims[c] for c in subset)
+        for n in sizes
+        for subset in itertools.combinations(range(len(dims)), n)
+    )
+
+
+def test_srmse_by_size_rejects_bad_sizes():
+    ref, syn = random_table([2, 3], 10, seed=1), random_table([2, 3], 12, seed=2)
+    with pytest.raises(SynthesisError, match="outside 1..2"):
+        metrics.srmse_by_size(ref, syn, (1, 3))
+    assert metrics.srmse_by_size(ref, syn, ()) == {}
+
+
 def test_default_exclusion_targets_wide_ordinals():
     from copulasynth import Schema, VariableSpec
 
@@ -223,7 +288,7 @@ def test_evaluate_checks_exclusion_before_scoring(monkeypatch):
     def scored(*args):
         raise AssertionError("SRMSE ran before the exclusion list was checked")
 
-    monkeypatch.setattr(metrics, "srmse_projected", scored)
+    monkeypatch.setattr(metrics, "srmse_by_size", scored)
     table = random_table([2, 3], 20, seed=1)
     with pytest.raises(SynthesisError, match="unknown excluded variable"):
         evaluate(table, table, table, exclude=("nope",))

@@ -337,9 +337,11 @@ def test_external_copula_error_paths(tmp_path):
         wrong = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
         with pytest.raises(SynthesisError, match=message):
             generate_table(src, marginals_of(tgt), wrong, 4)
-    emit = "import sys; print('0.5,0.5\\n0.5,0.5,0.5\\n' * (int(sys.argv[2]) // 2))"
+    # Rows of 3 and 2 values: the first short row is named, not reported as
+    # a non-numeric array.
+    emit = "import sys; print('0.5,0.5,0.5\\n0.5,0.5\\n' * (int(sys.argv[2]) // 2))"
     ragged = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
-    with pytest.raises(SynthesisError):
+    with pytest.raises(SynthesisError, match=r"row 2 has shape \(2,\), expected \(3,\)"):
         generate_table(src, marginals_of(tgt), ragged, 4)
 
 
