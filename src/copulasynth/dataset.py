@@ -11,6 +11,8 @@ import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,11 @@ from .errors import SynthesisError
 VALID_KINDS = ("ordinal", "categorical")
 # Counts and totals up to 2**53 keep every ECDF partial sum exact in float64.
 MAX_COUNT = 2**53
+# Rows per block of the microdata CSV reader and writer. A block holds
+# about this many times d label strings or object pointers at once, which
+# bounds their memory, and is large enough that the per-block numpy calls
+# cost nothing next to the csv module's own work.
+_CSV_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -209,49 +216,91 @@ def load_micro_csv(path, schema: Schema) -> MicroTable:
     """Read a microdata CSV (header + one record per person) into codes.
 
     The header must name a superset of the schema variables; extra
-    columns are ignored. Unknown labels report variable, row number,
-    and the offending token.
+    columns are ignored. Rows are read in blocks of ``_CSV_BLOCK_ROWS``,
+    and each block is decoded column by column through the variables'
+    label dicts, so at most one block of label strings is alive at a time.
+    The first fault in file order is reported: a short row by its physical
+    line, an unknown label by variable, row number and the offending token.
     """
+    variables = schema.variables
     with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SynthesisError(f"{path}: empty file, header row required") from None
-        col_of = {}
-        for var in schema.variables:
+        col_of = []
+        for var in variables:
             if var.name not in header:
                 raise SynthesisError(f"{path}: missing column {var.name!r}")
-            col_of[var.name] = header.index(var.name)
-        rows = []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) < len(header):
-                raise SynthesisError(
-                    f"{path}: line {reader.line_num}: {len(row)} field(s), "
-                    f"header has {len(header)}"
-                )
-            rec = []
-            for var in schema.variables:
-                tok = row[col_of[var.name]]
-                try:
-                    rec.append(var.code_of(tok))
-                except SynthesisError:
-                    raise SynthesisError(
-                        f"{path}: variable {var.name!r}, row {rownum}: "
-                        f"unknown label {tok!r}"
-                    ) from None
-            rows.append(rec)
-    codes = np.array(rows, dtype=np.int64).reshape(len(rows), schema.d)
+            col_of.append(header.index(var.name))
+        decoded = [[] for _ in variables]
+        n_rows = 0
+        while True:
+            # A fault ends the block; the rows before it are decoded first,
+            # so an unknown label on an earlier row is still reported first.
+            rows = []
+            fault = None
+            try:
+                for row in islice(reader, _CSV_BLOCK_ROWS):
+                    if len(row) < len(header):
+                        fault = SynthesisError(
+                            f"{path}: line {reader.line_num}: {len(row)} field(s), "
+                            f"header has {len(header)}"
+                        )
+                        break
+                    rows.append(row)
+            except (csv.Error, UnicodeDecodeError) as exc:
+                fault = exc  # open_input names the file when it is raised
+            try:
+                for parts, var, col in zip(decoded, variables, col_of):
+                    parts.append(
+                        np.fromiter(
+                            map(var._code.__getitem__, map(itemgetter(col), rows)),
+                            dtype=np.int64,
+                            count=len(rows),
+                        )
+                    )
+            except KeyError:
+                # Name the first unknown label in row order, then schema order.
+                for r, row in enumerate(rows, start=n_rows + 1):
+                    for var, col in zip(variables, col_of):
+                        if row[col] not in var._code:
+                            raise SynthesisError(
+                                f"{path}: variable {var.name!r}, row {r}: "
+                                f"unknown label {row[col]!r}"
+                            ) from None
+            if fault is not None:
+                raise fault
+            n_rows += len(rows)
+            if len(rows) < _CSV_BLOCK_ROWS:
+                break
+    # Every column has at least one part: the last block read may be empty.
+    codes = np.empty((n_rows, schema.d), dtype=np.int64, order="F")
+    for i, parts in enumerate(decoded):
+        np.concatenate(parts, out=codes[:, i])
     return MicroTable(schema, codes)
 
 
 def write_micro_csv(table: MicroTable, path) -> None:
+    """Write a microdata CSV: a header of variable names, then labels per row.
+
+    Each block of ``_CSV_BLOCK_ROWS`` rows is built column by column, by
+    indexing a per-variable label array with that block's codes, and the
+    rows are handed to one ``csv.writer``. The bytes are the ``csv``
+    module's: minimal quoting and ``\\r\\n`` line ends, UTF-8.
+    """
+    labels = [np.array(var.labels, dtype=object) for var in table.schema.variables]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.schema.names)
-        labels = [v.labels for v in table.schema.variables]
-        for row in table.codes:
-            writer.writerow([labels[i][c] for i, c in enumerate(row)])
+        for start in range(0, table.n_rows, _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            columns = [
+                lab[table.column(i)[start:stop]].tolist()
+                for i, lab in enumerate(labels)
+            ]
+            writer.writerows(zip(*columns))
 
 
 def load_marginals_csv(path, schema: Schema) -> MarginalTable:

@@ -326,16 +326,37 @@ def run_experiment(config: SynthesisConfig) -> EvaluationReport:
     report = evaluate(reference, source, syn, population, config.exclude_variables)
     report = dataclasses.replace(report, warnings=warns)
     if config.output_dir is not None:
-        os.makedirs(config.output_dir, exist_ok=True)
-        write_micro_csv(syn, os.path.join(config.output_dir, "synthetic.csv"))
-        report_path = os.path.join(config.output_dir, "report.json")
-        with open(report_path, "w", encoding="utf-8") as handle:
+        _write_outputs(config.output_dir, syn, report)
+    return report
+
+
+def _write_outputs(
+    output_dir: str, syn: MicroTable, report: EvaluationReport
+) -> None:
+    """Write synthetic.csv, report.json and marginals.csv: all three or none.
+
+    Each file is written under a temporary name in ``output_dir`` and moved
+    into place with ``os.replace`` only once all three are written, so a
+    run that fails partway leaves no half-written output and no temporary
+    file, and any earlier run's outputs stay as they were.
+    """
+    os.makedirs(output_dir, exist_ok=True)
+    names = ("synthetic.csv", "report.json", "marginals.csv")
+    final = [os.path.join(output_dir, name) for name in names]
+    # The pid keeps two runs writing into one directory off each other's files.
+    temp = [f"{path}.{os.getpid()}.tmp" for path in final]
+    try:
+        write_micro_csv(syn, temp[0])
+        with open(temp[1], "w", encoding="utf-8") as handle:
             json.dump(report_to_json(report), handle, indent=2, sort_keys=True)
             handle.write("\n")
-        write_marginal_csv(
-            report.marginal_series, os.path.join(config.output_dir, "marginals.csv")
-        )
-    return report
+        write_marginal_csv(report.marginal_series, temp[2])
+        for src, dst in zip(temp, final):
+            os.replace(src, dst)
+    finally:
+        for path in temp:
+            if os.path.exists(path):
+                os.remove(path)
 
 
 @dataclass(frozen=True, eq=False)

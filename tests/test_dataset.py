@@ -1,5 +1,8 @@
 """Schema, table, and CSV ingestion behavior."""
 
+import csv
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from copulasynth import (
     write_micro_csv,
     write_schema,
 )
+from copulasynth.dataset import _CSV_BLOCK_ROWS
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, random_table, small_tables
 
@@ -190,13 +194,102 @@ def test_load_micro_csv_ignores_extra_columns(tmp_path):
     assert table.codes.ravel().tolist() == [1, 0]
 
 
+# Label pieces the csv module must quote or keep as they are.
+LABEL = st.lists(
+    st.sampled_from(["a", "bc", ",", '"', " ", "\n", "\r", "é", "東京"]), max_size=3
+).map("".join)
+
+
+@st.composite
+def labelled_tables(draw):
+    """A small table whose labels hold separators, quotes, newlines and spaces."""
+    table = draw(small_tables())
+    variables = tuple(
+        VariableSpec(v.name, draw(st.lists(LABEL, min_size=m, max_size=m, unique=True)))
+        for v, m in zip(table.schema.variables, table.schema.dims)
+    )
+    return MicroTable(Schema(variables), table.codes)
+
+
 @settings(max_examples=30, deadline=None)
-@given(small_tables())
+@given(st.one_of(small_tables(), labelled_tables()))
 def test_micro_csv_roundtrip(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     write_micro_csv(table, path)
     back = load_micro_csv(path, table.schema)
     assert (back.codes == table.codes).all()
+
+
+def write_rows_oracle(table, path):
+    """The writer's reference: one csv.writer row per record, label by label."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.schema.names)
+        labels = [v.labels for v in table.schema.variables]
+        for row in table.codes:
+            writer.writerow([labels[i][c] for i, c in enumerate(row)])
+
+
+def test_write_micro_csv_matches_row_by_row_oracle(tmp_path):
+    tricky = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", " pad ", "Zürich", "東京")
+    schema = Schema(
+        (
+            VariableSpec("tricky", tricky),
+            VariableSpec("plain", ("x", "y", "z")),
+            VariableSpec("empty", ("", "e")),
+        )
+    )
+    cases = {
+        "crosses a block": random_table([7, 3, 2], _CSV_BLOCK_ROWS + 3, seed=5).codes,
+        "empty": np.zeros((0, 3), dtype=np.int64),
+        "empty label in a row": np.array([[0, 1, 0], [6, 2, 1]]),
+    }
+    for name, codes in cases.items():
+        table = MicroTable(schema, codes)
+        write_micro_csv(table, tmp_path / "new.csv")
+        write_rows_oracle(table, tmp_path / "oracle.csv")
+        blob = (tmp_path / "new.csv").read_bytes()
+        assert blob == (tmp_path / "oracle.csv").read_bytes(), name
+        assert (load_micro_csv(tmp_path / "new.csv", schema).codes == codes).all()
+    # An empty label inside a wider row stays an empty field.
+    assert blob.endswith('"a,b",y,\r\n東京,z,e\r\n'.encode())
+    # csv.writer quotes a lone empty field, so a one-column row is never blank.
+    one = MicroTable(Schema((VariableSpec("only", ("", "x")),)), np.array([[0], [1]]))
+    write_micro_csv(one, tmp_path / "new.csv")
+    write_rows_oracle(one, tmp_path / "oracle.csv")
+    blob = (tmp_path / "new.csv").read_bytes()
+    assert blob == (tmp_path / "oracle.csv").read_bytes() == b'only\r\n""\r\nx\r\n'
+
+
+def test_load_micro_csv_names_faults_across_blocks(tmp_path):
+    schema = Schema((VariableSpec("a", ("x", "x\ny")), VariableSpec("b", ("0", "1"))))
+    path = tmp_path / "rows.csv"
+    n = _CSV_BLOCK_ROWS + 5
+    path.write_text("a,b\n" + "x,0\n" * (n - 1) + "x,zz\n")
+    with pytest.raises(SynthesisError, match=rf"'b', row {n}: unknown label 'zz'"):
+        load_micro_csv(path, schema)
+    # A quoted field spanning two lines: the short row is named by physical line.
+    path.write_text('a,b\n"x\ny",1\n' + "x,0\n" * _CSV_BLOCK_ROWS + "y\n")
+    with pytest.raises(
+        SynthesisError, match=rf"rows\.csv: line {_CSV_BLOCK_ROWS + 4}: 1 field"
+    ):
+        load_micro_csv(path, schema)
+    # Unknown labels are named in row order, then in schema order within a row.
+    for body, expected in (
+        ("x,9\nq,1", "'b', row 2: unknown label '9'"),
+        ("q,9", "'a', row 2: unknown label 'q'"),
+    ):
+        path.write_text(f"a,b\nx,0\n{body}\n")
+        with pytest.raises(SynthesisError, match=expected):
+            load_micro_csv(path, schema)
+    # The first fault in file order wins, even when a later one ends the block.
+    for later in ("x", "x," + "9" * 200_000):
+        path.write_text(f"a,b\nx,0\nq,1\nx,1\n{later}\n")
+        with pytest.raises(SynthesisError, match=r"'a', row 2: unknown label 'q'"):
+            load_micro_csv(path, schema)
+    path.write_text("a,b\nx,0\nx," + "9" * 200_000 + "\n")
+    with pytest.raises(SynthesisError, match=r"rows\.csv: field larger than field"):
+        load_micro_csv(path, schema)
 
 
 def test_marginals_csv_roundtrip(tmp_path):

@@ -26,6 +26,7 @@ from copulasynth import (
     write_micro_csv,
     write_schema,
 )
+from copulasynth import pipeline
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, random_table
 
@@ -225,6 +226,34 @@ def test_run_experiment_writes_deterministic_outputs(tmp_path):
     run_experiment(cfg)
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
+
+
+def test_run_experiment_outputs_are_all_or_none(tmp_path, monkeypatch):
+    """A run whose last write fails leaves no output and no temporary file."""
+    write_benchmark_inputs(tmp_path, d=4, n=1200)
+    out = tmp_path / "out"
+    names = ("synthetic.csv", "report.json", "marginals.csv")
+
+    def half_write(series, path):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("variable,")
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "write_marginal_csv", half_write)
+        cfg = base_config(tmp_path, output_size=200, output_dir=str(out))
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg)
+        assert sorted(out.iterdir()) == []
+    # An earlier run's outputs survive a later run that fails.
+    run_experiment(cfg)
+    before = {name: (out / name).read_bytes() for name in names}
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "write_marginal_csv", half_write)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(dataclasses.replace(cfg, seed=cfg.seed + 1))
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    assert {name: (out / name).read_bytes() for name in names} == before
 
 
 def test_report_json_is_valid_json(tmp_path):
