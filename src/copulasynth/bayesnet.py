@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MicroTable, Schema
+from .dataset import MicroTable, Schema, code_dtype
 from .errors import SynthesisError
 from .metrics import combo_keys, extend_keys
 
@@ -246,7 +246,9 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     if n < 0:
         raise SynthesisError("sample size must be >= 0")
     dims = bn.schema.dims
-    codes = np.zeros((n, bn.schema.d), dtype=np.int64)
+    # Column-major, so each node reads its parents as contiguous columns;
+    # topological order fills every parent before its children read it.
+    codes = np.empty((n, bn.schema.d), dtype=code_dtype(bn.schema), order="F")
     for node in bn.dag.topological_order():
         theta = bn.cpts[node]
         # A budget of the CPT's row count keeps the keys unranked: row indices.
@@ -258,13 +260,14 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         m = dims[node]
         cum = np.cumsum(theta, axis=1)
         cum[:, -1] = np.inf
+        shares, row_start = cum.ravel(), config * m
         u = rng.random(n)
         lo = np.zeros(n, dtype=np.int64)
         hi = np.full(n, m - 1, dtype=np.int64)
         for _ in range((m - 1).bit_length()):
             mid = (lo + hi) >> 1
-            below = cum[config, mid] < u
+            below = shares.take(row_start + mid) < u
             lo = np.where(below, mid + 1, lo)
             hi = np.where(below, hi, mid)
-        codes[:, node] = lo
+        codes[:, node] = lo  # lo <= hi = m - 1: the narrowing store cannot wrap
     return MicroTable(bn.schema, codes)

@@ -2,7 +2,11 @@
 
 All tabular data is held as dense integer category codes. A code is the
 position of a label in its variable's declared label list, so every
-downstream computation works on codes and never on label strings.
+downstream computation works on codes and never on label strings. Codes
+are stored in the smallest unsigned dtype that holds ``max(dims) - 1``
+(see ``code_dtype``), so arithmetic on them starts from int64 keys or
+indices: under numpy's promotion rules ``uint8 * int`` stays uint8 and
+wraps.
 """
 
 from __future__ import annotations
@@ -103,15 +107,29 @@ class Schema:
             raise SynthesisError(f"unknown variable {name!r}") from None
 
 
+def code_dtype(schema: Schema) -> np.dtype:
+    """The smallest unsigned dtype that holds every code of the schema."""
+    return np.min_scalar_type(max(schema.dims) - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class MicroTable:
-    """Category codes, shape (N, d), stored column-major: column(i) is contiguous."""
+    """Category codes, shape (N, d), stored column-major: column(i) is contiguous.
+
+    The table keeps its own read-only copy in ``code_dtype(schema)``. An
+    integer input is range-checked as given, before it is narrowed, so an
+    out-of-range or negative code is rejected and never wraps; any other
+    input is converted to int64 first. Arithmetic on the codes starts from
+    int64, because narrow unsigned arithmetic wraps.
+    """
 
     schema: Schema
     codes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.codes, dtype=np.int64, order="F", copy=True)
+        arr = np.asarray(self.codes)
+        if arr.dtype.kind not in "iu":
+            arr = np.array(self.codes, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != self.schema.d:
             raise SynthesisError(
                 f"codes must have shape (N, {self.schema.d}), got {arr.shape}"
@@ -126,6 +144,7 @@ class MicroTable:
                         f"variable {self.schema.names[i]!r}: code {hi} out of range "
                         f"(m={m})"
                     )
+        arr = np.array(arr, dtype=code_dtype(self.schema), order="F", copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "codes", arr)
 
@@ -223,6 +242,7 @@ def load_micro_csv(path, schema: Schema) -> MicroTable:
     line, an unknown label by variable, row number and the offending token.
     """
     variables = schema.variables
+    dtype = code_dtype(schema)
     with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -253,11 +273,13 @@ def load_micro_csv(path, schema: Schema) -> MicroTable:
             except (csv.Error, UnicodeDecodeError) as exc:
                 fault = exc  # open_input names the file when it is raised
             try:
+                # A decoded code is a label's position, at most m - 1, so it
+                # fits the narrow dtype.
                 for parts, var, col in zip(decoded, variables, col_of):
                     parts.append(
                         np.fromiter(
                             map(var._code.__getitem__, map(itemgetter(col), rows)),
-                            dtype=np.int64,
+                            dtype=dtype,
                             count=len(rows),
                         )
                     )
@@ -276,7 +298,7 @@ def load_micro_csv(path, schema: Schema) -> MicroTable:
             if len(rows) < _CSV_BLOCK_ROWS:
                 break
     # Every column has at least one part: the last block read may be empty.
-    codes = np.empty((n_rows, schema.d), dtype=np.int64, order="F")
+    codes = np.empty((n_rows, schema.d), dtype=dtype, order="F")
     for i, parts in enumerate(decoded):
         np.concatenate(parts, out=codes[:, i])
     return MicroTable(schema, codes)

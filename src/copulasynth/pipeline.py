@@ -33,6 +33,7 @@ from .dataset import (
     MicroTable,
     Schema,
     VariableSpec,
+    code_dtype,
     load_marginals_csv,
     load_micro_csv,
     load_schema,
@@ -178,6 +179,7 @@ def rank_recode(source: MicroTable) -> tuple[MicroTable, MarginalTable]:
     ranks = np.empty_like(source.codes)
     derived = []
     for i, (var, support) in enumerate(zip(source.schema.variables, supports)):
+        # A rank is below the support's size, at most m: the store cannot wrap.
         ranks[:, i] = np.searchsorted(support, source.column(i))
         labels = tuple(var.labels[c] for c in support)
         derived.append(VariableSpec(name=var.name, labels=labels, kind=var.kind))
@@ -187,7 +189,10 @@ def rank_recode(source: MicroTable) -> tuple[MicroTable, MarginalTable]:
 
 
 def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
-    """Send the source's ECDF values to the generator; read back n rows of uniforms."""
+    """Send the source's ECDF values to the generator; read back n rows of uniforms.
+
+    The uniforms come back column-major, so each column is contiguous.
+    """
     recoded, marginals = rank_recode(source)
     ecdf_values = np.column_stack(
         [ecdf(c)[recoded.column(i)] for i, c in enumerate(marginals.counts)]
@@ -220,7 +225,7 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
             f"external generator emitted {len(lines)} rows, expected {n}"
         )
     d = source.schema.d
-    rows = []
+    values = np.empty((n, d), dtype=np.float64, order="F")
     for i, ln in enumerate(lines, 1):
         tokens = ln.split(",")
         if len(tokens) != d:
@@ -229,12 +234,11 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
                 f"expected ({d},)"
             )
         try:
-            rows.append([float(tok) for tok in tokens])
+            values[i - 1] = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise SynthesisError(
                 f"external generator output not numeric at row {i}: {exc}"
             ) from exc
-    values = np.array(rows, dtype=np.float64)
     if not ((values > 0) & (values <= 1)).all():
         raise SynthesisError("external generator output must lie in (0,1]")
     return values
@@ -246,10 +250,13 @@ def _target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
     ``uniforms`` yields one length-n array per column, in column order, so
     only one column of floats needs to be alive at a time.
     """
-    codes = np.empty((n, targets.schema.d), dtype=np.int64)
+    schema = targets.schema
+    codes = np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
     for i, u in enumerate(uniforms):
+        # searchsorted on an ECDF that ends at exactly 1.0, for u <= 1, gives
+        # at most m - 1: the narrowing store cannot wrap.
         codes[:, i] = pseudo_inverse_many(targets.counts[i], u)
-    return MicroTable(targets.schema, codes)
+    return MicroTable(schema, codes)
 
 
 def generate_table(
@@ -395,6 +402,14 @@ def run_permutation_study(
     run_seeds = run_key.generate_state(n_permutations)
     sizes = range(1, min(MAX_PROJECTION, schema.d) + 1)
     values: dict[int, list[float]] = {n: [] for n in sizes}
+
+    def relabeled(table: MicroTable, lookups) -> MicroTable:
+        codes = np.empty_like(table.codes)
+        for i, lookup in enumerate(lookups):
+            # A lookup is a permutation of 0..m-1: the store cannot wrap.
+            codes[:, i] = lookup[table.column(i)]
+        return MicroTable(schema, codes)
+
     for r in range(n_permutations):
         # Generation reads only codes and dims, so the permuted table keeps
         # the original schema: its code j stands for the original code p[j].
@@ -402,18 +417,14 @@ def run_permutation_study(
             perm_rng.permutation(m) if i in categorical else np.arange(m)
             for i, m in enumerate(schema.dims)
         ]
-        recoded = np.column_stack(
-            [np.argsort(p)[source.column(i)] for i, p in enumerate(perms)]
-        )
         counts = tuple(targets.counts[i][p] for i, p in enumerate(perms))
         syn_perm, _ = generate_table(
-            MicroTable(schema, recoded),
+            relabeled(source, [np.argsort(p) for p in perms]),
             MarginalTable(schema, counts),
             config,
             int(run_seeds[r]),
         )
-        back = np.column_stack([p[syn_perm.column(i)] for i, p in enumerate(perms)])
-        syn = MicroTable(schema, back)
+        syn = relabeled(syn_perm, perms)
         for n, value in srmse_by_size(reference, syn, sizes).items():
             values[n].append(value)
     mean = {n: float(np.mean(values[n])) for n in sizes}
@@ -465,13 +476,14 @@ def make_transfer_benchmark(
 
     def draw(n: int, powered: bool) -> MicroTable:
         latent = rng.standard_normal((n, d)) @ chol.T
-        codes = np.empty((n, d), dtype=np.int64)
+        codes = np.empty((n, d), dtype=code_dtype(schema), order="F")
         for i in range(d):
             cuts = np.arange(1, dims[i]) / dims[i]
             if powered:
                 gamma = 1.0 + marginal_skew if i % 2 == 0 else 1.0 / (1.0 + marginal_skew)
                 cuts = cuts**gamma
             z_cuts = [statistics.NormalDist().inv_cdf(c) for c in cuts]
+            # At most len(z_cuts) = m - 1: the narrowing store cannot wrap.
             codes[:, i] = np.searchsorted(z_cuts, latent[:, i], side="left")
         return MicroTable(schema, codes)
 

@@ -14,6 +14,7 @@ from copulasynth import (
     SynthesisConfig,
     SynthesisError,
     VariableSpec,
+    allocate,
     build_seed,
     generate_table,
     load_marginals_csv,
@@ -21,11 +22,14 @@ from copulasynth import (
     load_schema,
     make_transfer_benchmark,
     marginals_of,
+    sample_bayesnet,
     write_marginals_csv,
     write_micro_csv,
     write_schema,
 )
-from copulasynth.dataset import _CSV_BLOCK_ROWS
+from copulasynth.bayesnet import BayesNet, Dag
+from copulasynth.dataset import _CSV_BLOCK_ROWS, code_dtype
+from copulasynth.ipf import ContingencyTable
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, random_table, small_tables
 
@@ -104,7 +108,8 @@ def test_micro_table_stores_codes_column_by_column(tmp_path):
         tables.append(generate_table(source, marginals_of(target), cfg, 1)[0])
     for table in tables:
         assert table.codes.shape == (table.n_rows, table.schema.d)
-        assert table.codes.dtype == np.int64 and not table.codes.flags.writeable
+        assert table.codes.dtype == code_dtype(table.schema)
+        assert not table.codes.flags.writeable
         for i in range(table.schema.d):
             assert table.column(i).flags.c_contiguous
     # An input already in the table's layout is still copied, not aliased.
@@ -112,6 +117,56 @@ def test_micro_table_stores_codes_column_by_column(tmp_path):
     table = MicroTable(make_schema([2, 2]), src)
     src[0, 0] = 1
     assert table.codes[0, 0] == 0
+
+
+def test_micro_table_checks_codes_before_narrowing():
+    """An out-of-range int64 code is rejected as given, not wrapped into range."""
+    schema = make_schema([256, 2])
+    assert code_dtype(schema) == np.uint8
+    with pytest.raises(SynthesisError, match=r"'v0': code 256 out of range \(m=256\)"):
+        MicroTable(schema, np.array([[256, 0]], dtype=np.int64))
+    with pytest.raises(SynthesisError, match="negative category code"):
+        MicroTable(schema, np.array([[-1, 0]], dtype=np.int64))
+    # An input already in the table's dtype and layout is still copied.
+    src = np.asfortranarray(np.array([[255, 1]], dtype=np.uint8))
+    table = MicroTable(schema, src)
+    src[0, 0] = 0
+    assert table.codes[0, 0] == 255
+
+
+@pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16)])
+def test_every_producer_keeps_code_m_minus_1(tmp_path, m, dtype):
+    """At the uint8/uint16 boundary, code m - 1 survives each producer's store."""
+    schema = make_schema([m, 2])
+    assert code_dtype(schema) == dtype
+    full = MicroTable(schema, np.column_stack([np.arange(m), np.arange(m) % 2]))
+    last = np.zeros(m, dtype=np.int64)
+    last[-1] = 1
+    # Node 0 is always m - 1, and node 1 is m - 1 under that parent code.
+    bn = BayesNet(
+        schema=make_schema([m, m]),
+        dag=Dag(parents=((), (0,))),
+        cpts=(last[None, :].astype(float), np.vstack([np.full((m - 1, m), 1 / m), last])),
+    )
+    only_last = MicroTable(schema, [[m - 1, 1]])
+    write_micro_csv(only_last, tmp_path / "last.csv")
+    tables = [
+        sample_bayesnet(bn, 5, np.random.default_rng(0)),
+        rank_recode(full)[0],
+        load_micro_csv(tmp_path / "last.csv", schema),
+        allocate(ContingencyTable(only_last, [1.0]), 5, np.random.default_rng(0)),
+    ]
+    targets = MarginalTable(schema, (last, np.array([1, 1])))
+    for method in ("independent", "bn_copula"):
+        cfg = SynthesisConfig(
+            source_data="x", schema="x", method=method, output_size=50, seed=1,
+            baseline_target_marginals=True,
+        )
+        tables.append(generate_table(full, targets, cfg, 1)[0])
+    assert (tables[0].codes == m - 1).all()
+    for table in tables:
+        assert table.codes.dtype == dtype
+        assert table.column(0).max() == m - 1
 
 
 def test_marginal_table_validation():

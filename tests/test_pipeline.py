@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,23 @@ def test_generate_table_deterministic_per_seed():
     assert (a.codes == b.codes).all()
     c, _ = generate_table(src, targets, cfg, 10)
     assert (a.codes != c.codes).any()
+
+
+def test_generate_memory_stays_below_one_int64_table():
+    """Sampling and the pseudo-inverse fill narrow columns: no (n, d) int64 buffer."""
+    n, d = 200_000, 20
+    src, tgt = make_transfer_benchmark(seed=1, d=d, n_source=5000, n_target=5000)
+    targets = marginals_of(tgt)
+    cfg = SynthesisConfig(source_data="x", schema="x", method="bn_copula",
+                          output_size=n, seed=2)
+    tracemalloc.start()
+    try:
+        syn, _ = generate_table(src, targets, cfg, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert syn.n_rows == n
+    assert peak < n * d * 8
 
 
 def test_bn_method_keeps_source_marginals():
