@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import integer_array
 from .errors import SynthesisError
 
 
@@ -24,7 +25,7 @@ def ecdf(counts) -> np.ndarray:
     A zero-count category repeats the value before it; the last value is
     exactly 1 because the last partial sum is the total.
     """
-    arr = np.asarray(counts, dtype=np.int64)
+    arr = integer_array(counts, "counts").astype(np.int64, copy=False)
     if arr.ndim != 1 or arr.sum() <= 0:
         raise SynthesisError("counts must be a 1-d array with positive total")
     if (arr < 0).any():
@@ -40,7 +41,7 @@ def jitter_cells(counts, cells, rng) -> np.ndarray:
     cum = ecdf(counts)
     if (np.asarray(counts) == 0).any():
         raise SynthesisError("jitter needs the counts of observed cells only")
-    idx = np.asarray(cells, dtype=np.int64)
+    idx = integer_array(cells, "cells").astype(np.int64, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= len(cum)):
         raise SynthesisError(
             f"cell index outside 0..{len(cum) - 1}: range [{idx.min()}, {idx.max()}]"

@@ -107,6 +107,14 @@ class Schema:
             raise SynthesisError(f"unknown variable {name!r}") from None
 
 
+def integer_array(values, what: str) -> np.ndarray:
+    """``values`` as an array, rejected unless its dtype is an integer one."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise SynthesisError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr
+
+
 def code_dtype(schema: Schema) -> np.dtype:
     """The smallest unsigned dtype that holds every code of the schema."""
     return np.min_scalar_type(max(schema.dims) - 1)
@@ -116,20 +124,18 @@ def code_dtype(schema: Schema) -> np.dtype:
 class MicroTable:
     """Category codes, shape (N, d), stored column-major: column(i) is contiguous.
 
-    The table keeps its own read-only copy in ``code_dtype(schema)``. An
-    integer input is range-checked as given, before it is narrowed, so an
-    out-of-range or negative code is rejected and never wraps; any other
-    input is converted to int64 first. Arithmetic on the codes starts from
-    int64, because narrow unsigned arithmetic wraps.
+    The table keeps its own read-only copy in ``code_dtype(schema)``. The
+    input must have an integer dtype (a float or bool is rejected, never
+    truncated) and is range-checked as given, before it is narrowed, so an
+    out-of-range or negative code is rejected and never wraps. Arithmetic
+    on the codes starts from int64, because narrow unsigned arithmetic wraps.
     """
 
     schema: Schema
     codes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.codes)
-        if arr.dtype.kind not in "iu":
-            arr = np.array(self.codes, dtype=np.int64)
+        arr = integer_array(self.codes, "category codes")
         if arr.ndim != 2 or arr.shape[1] != self.schema.d:
             raise SynthesisError(
                 f"codes must have shape (N, {self.schema.d}), got {arr.shape}"
@@ -166,9 +172,7 @@ class MarginalTable:
     def __post_init__(self):
         fixed = []
         for var, cnt in zip(self.schema.variables, self.counts, strict=True):
-            arr = np.asarray(cnt)
-            if arr.dtype.kind not in "iu":
-                raise SynthesisError(f"variable {var.name!r}: counts must be integers")
+            arr = integer_array(cnt, f"variable {var.name!r}: counts")
             if arr.shape != (var.n_categories,):
                 raise SynthesisError(
                     f"variable {var.name!r}: expected {var.n_categories} counts, "

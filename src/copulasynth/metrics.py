@@ -18,7 +18,6 @@ import csv
 import dataclasses
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,8 +286,7 @@ def precision_recall_f1(syn_seen, population_seen) -> tuple[float, float, float]
         raise SynthesisError("population table is empty")
     n_syn = int(np.count_nonzero(syn_seen))
     if not n_syn:
-        warnings.warn("empty synthetic table: precision undefined, reporting 0")
-        return 0.0, 0.0, 0.0
+        raise SynthesisError("synthetic table is empty")
     hit = int(np.count_nonzero(syn_seen & population_seen))
     precision = hit / n_syn
     recall = hit / n_population

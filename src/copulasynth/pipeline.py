@@ -53,7 +53,9 @@ from .metrics import (
     write_marginal_csv,
 )
 
-GENERATORS = ("independent", "ipf", "bn", "bn_copula", "external_copula")
+GENERATORS = (
+    "independent", "independent_copula", "ipf", "bn", "bn_copula", "external_copula"
+)
 
 
 def _is_str_list(value) -> bool:
@@ -79,7 +81,6 @@ class SynthesisConfig:
     reference_data: str | None = None
     population_data: str | None = None
     external_command: tuple[str, ...] | None = None
-    baseline_target_marginals: bool = False
 
     def __post_init__(self):
         for name in ("source_data", "schema", "method", "target_marginals"):
@@ -117,8 +118,6 @@ class SynthesisConfig:
                 or not math.isfinite(value)
             ):
                 raise SynthesisError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.baseline_target_marginals, bool):
-            raise SynthesisError("baseline_target_marginals must be true or false")
         if self.seed < 0:
             raise SynthesisError("seed must be >= 0")
         if self.method not in GENERATORS:
@@ -269,11 +268,12 @@ def generate_table(
     if n * source.schema.d * 8 > np.iinfo(np.intp).max:
         raise SynthesisError(f"output_size {n} exceeds an addressable table")
     structure_seed, gen_key, jitter_key = _streams(seed)
+    copula = config.method.endswith("_copula")
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        if config.method == "independent":
+        if config.method in ("independent", "independent_copula"):
             # The independence copula: i.i.d. uniforms in (0, 1] per column.
-            marg = targets if config.baseline_target_marginals else marginals_of(source)
+            marg = targets if copula else marginals_of(source)
             gen_rng = np.random.default_rng(gen_key)
             draws = (gen_rng.random(n) for _ in range(marg.schema.d))
             syn = _target_codes(marg, n, (np.subtract(1.0, u, out=u) for u in draws))
@@ -283,13 +283,12 @@ def generate_table(
             )
             syn = allocate(fitted, n, np.random.default_rng(gen_key))
         elif config.method in ("bn", "bn_copula"):
-            copula = config.method == "bn_copula"
             data, source_marginals = rank_recode(source) if copula else (source, None)
             dag = learn_structure(
                 data, max_parents=config.max_parents, seed=structure_seed
             )
             bn = fit_parameters(data, dag, alpha=config.alpha)
-            cells = bn_sample(bn, n, np.random.default_rng(gen_key))
+            syn = cells = bn_sample(bn, n, np.random.default_rng(gen_key))
             if copula:
                 jitter_rng = np.random.default_rng(jitter_key)
                 uniforms = (
@@ -297,8 +296,6 @@ def generate_table(
                     for i, c in enumerate(source_marginals.counts)
                 )
                 syn = _target_codes(targets, n, uniforms)
-            else:
-                syn = cells
         else:  # external_copula
             ext_seed = int(gen_key.generate_state(1)[0])
             u = _run_external(config.external_command, source, n, ext_seed)

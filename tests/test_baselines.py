@@ -1,4 +1,4 @@
-"""The independent method: the independence copula through the target pseudo-inverse."""
+"""independent_copula: the independence copula through the target pseudo-inverse."""
 
 import numpy as np
 
@@ -7,10 +7,10 @@ from conftest import make_schema
 
 
 def independent_rows(marg, n, seed):
-    """n rows drawn by the independent method from marg, with config seed ``seed``."""
+    """n rows drawn by independent_copula from marg, with config seed ``seed``."""
     source = MicroTable(marg.schema, np.zeros((1, marg.schema.d), dtype=np.int64))
-    cfg = SynthesisConfig(source_data="x", schema="x", method="independent",
-                          output_size=n, seed=seed, baseline_target_marginals=True)
+    cfg = SynthesisConfig(source_data="x", schema="x", method="independent_copula",
+                          output_size=n, seed=seed)
     syn, _ = generate_table(source, marg, cfg, cfg.seed)
     return syn
 

@@ -30,6 +30,7 @@ from copulasynth.dataset import (
     write_schema,
 )
 from copulasynth.pipeline import GENERATORS, make_transfer_benchmark
+from conftest import make_schema
 
 
 @pytest.fixture()
@@ -128,6 +129,7 @@ def test_synth_malformed_config_json(tmp_path, capsys):
         {"population_data": ""},
         {"output_dir": ""},
         {"target_marginals": ""},
+        {"target_flag": True},
     ],
 )
 def test_synth_mistyped_config_exits_one(workspace, capsys, override):
@@ -138,6 +140,35 @@ def test_synth_mistyped_config_exits_one(workspace, capsys, override):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert next(iter(override)) in err
     assert not (workspace / "out").exists()
+
+
+def test_synth_empty_population_exits_one(workspace, capsys):
+    header = (workspace / "source.csv").read_text("utf-8").splitlines()[0]
+    (workspace / "population.csv").write_text(header + "\n", "utf-8")
+    cfg = write_config(workspace, population_data=str(workspace / "population.csv"))
+    assert main(["synth", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: population table is empty\n"
+    assert not (workspace / "out").exists()
+
+
+def test_synth_prints_generation_warnings(tmp_path, capsys):
+    # The targets put mass on v0 = 1, which the source never shows.
+    schema = make_schema([2, 2])
+    write_schema(schema, tmp_path / "schema.json")
+    write_micro_csv(MicroTable(schema, [[0, 0], [0, 1], [0, 1]]), tmp_path / "source.csv")
+    (tmp_path / "targets.csv").write_text(
+        "variable,label,count\nv0,0,5\nv0,1,5\nv1,0,5\nv1,1,5\n", "utf-8"
+    )
+    cfg = write_config(tmp_path, method="ipf", output_size=50, reference_data=None)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    printed = [
+        line.removeprefix("warning: ")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("warning: ")
+    ]
+    assert printed and all("unreachable" in line for line in printed)
+    report = json.loads((tmp_path / "out" / "report.json").read_text("utf-8"))
+    assert report["warnings"] == printed
 
 
 def set_labels(value):

@@ -47,6 +47,8 @@ def test_from_counts_drops_zero_categories():
     for bad in ([0, 0], [3, -1], [[1, 2]], []):
         with pytest.raises(SynthesisError):
             ecdf(bad)
+    with pytest.raises(SynthesisError, match="counts must be integers"):
+        ecdf([0.5, 1.5])
 
 
 def test_jitter_lands_in_cell_interval():
@@ -69,6 +71,8 @@ def test_jitter_cells_vectorized():
         jitter_cells(counts, np.array([-1]), rng)
     with pytest.raises(SynthesisError, match=r"outside 0\.\.2"):
         jitter_cells(counts, np.array([3]), rng)
+    with pytest.raises(SynthesisError, match="cells must be integers"):
+        jitter_cells(counts, [0.9, 1.7], rng)
     # cells are ranks on the observed support, so a zero count has no cell
     with pytest.raises(SynthesisError, match="observed"):
         jitter_cells([3, 0, 4], np.array([0]), rng)

@@ -72,6 +72,11 @@ def test_micro_table_validates_codes():
         MicroTable(schema, np.array([[0, -1]]))
     with pytest.raises(SynthesisError):
         MicroTable(schema, np.array([0, 1]))  # wrong rank
+    # A code that is not stored as an integer is rejected, never truncated.
+    for bad in ([[0.7, 2.9]], np.array([[True, False]]), [[np.nan, 0]],
+                [[None, 0]], [[1e30, 0]], [[10**30, 0]]):
+        with pytest.raises(SynthesisError, match="codes must be integers"):
+            MicroTable(schema, bad)
     err = None
     try:
         MicroTable(schema, np.array([[0, 5]]))
@@ -157,10 +162,9 @@ def test_every_producer_keeps_code_m_minus_1(tmp_path, m, dtype):
         allocate(ContingencyTable(only_last, [1.0]), 5, np.random.default_rng(0)),
     ]
     targets = MarginalTable(schema, (last, np.array([1, 1])))
-    for method in ("independent", "bn_copula"):
+    for method in ("independent_copula", "bn_copula"):
         cfg = SynthesisConfig(
-            source_data="x", schema="x", method=method, output_size=50, seed=1,
-            baseline_target_marginals=True,
+            source_data="x", schema="x", method=method, output_size=50, seed=1
         )
         tables.append(generate_table(full, targets, cfg, 1)[0])
     assert (tables[0].codes == m - 1).all()

@@ -245,6 +245,15 @@ def test_precision_recall_f1_hand_case():
     assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
 
 
+def test_precision_recall_f1_rejects_empty_masks():
+    seen = np.array([True, False])
+    empty = np.zeros(2, dtype=bool)
+    with pytest.raises(SynthesisError, match="synthetic table is empty"):
+        precision_recall_f1(empty, seen)
+    with pytest.raises(SynthesisError, match="population table is empty"):
+        precision_recall_f1(seen, empty)
+
+
 def test_precision_zero_when_disjoint():
     dims = [2, 2]
     pop = table_from_rows(dims, [[0, 0]])

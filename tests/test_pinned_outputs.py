@@ -38,6 +38,11 @@ DIGESTS = {
         "51edb9dc0d5000b372ab4a8faad8aa463ca4eebc62f13ae5f107e4e28a2533a0",
         "ef2703f87f8d628efa284e926aa340a56ff66f784fa6ccd9eecdecefea246c06",
     ),
+    "independent_copula": (
+        "c169bf332974cc2dcdda9fbb55e8e492f2f8320123812d2e6f5568c5417340c0",
+        "890ccf41e68ebe3a4ff7fbf139c0ea9a4b6db29aff3ea01ce509d85b9d4f2ef7",
+        "9a0a1365acdc4421d8ed6c90341a480187eaca4343940421bc632c1344ebfb9a",
+    ),
     "ipf": (
         "3fc51c258457001d7058d6f4f4acb270776ecf453810d62edf4bc785f80e90f3",
         "766aa13b68df378a4ad9a3f15731836d88fba186618d18de7040e3f220427a85",

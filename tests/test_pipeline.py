@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from copulasynth import (
     write_schema,
 )
 from copulasynth import pipeline
-from copulasynth.pipeline import rank_recode
+from copulasynth.pipeline import GENERATORS, rank_recode
 from conftest import make_schema, random_table
 
 
@@ -81,7 +83,6 @@ def test_config_validation():
         ("alpha", "0.1"),
         ("alpha", True),
         ("tol", float("nan")),
-        ("baseline_target_marginals", "no"),
         ("source_data", None),
         ("schema", None),
         ("method", 5),
@@ -109,6 +110,17 @@ def test_config_validation():
             SynthesisConfig(**fields)
     assert SynthesisConfig(source_data="s", schema="c", method="bn",
                            output_size=np.int64(10), seed=0, alpha=1, tol=1e-6)
+
+
+def test_readme_config_table_matches_the_dataclass():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    table = section[section.index("| field |"):].split("\n\n", 1)[0]
+    rows = [line.split(" | ") for line in table.splitlines()[2:]]
+    documented = [name for row in rows for name in re.findall(r"`(\w+)`", row[0])]
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(SynthesisConfig))
+    (method,) = [row for row in rows if row[0] == "| `method`"]
+    assert tuple(re.findall(r"`(\w+)`", method[3])) == GENERATORS
 
 
 def test_load_config_rejects_unknown_and_missing_fields(tmp_path):
@@ -202,11 +214,11 @@ def test_bn_method_keeps_source_marginals():
         assert tv(syn, i, src_m.counts) < tv(syn, i, tgt_m.counts)
 
 
-def test_independent_method_target_flag():
+def test_independent_copula_hits_target_marginals():
     src, tgt = make_transfer_benchmark(seed=5, d=4, n_source=4000, n_target=4000)
     targets = marginals_of(tgt)
-    cfg = SynthesisConfig(source_data="x", schema="x", method="independent",
-                          output_size=30000, seed=3, baseline_target_marginals=True)
+    cfg = SynthesisConfig(source_data="x", schema="x", method="independent_copula",
+                          output_size=30000, seed=3)
     syn, _ = generate_table(src, targets, cfg, 3)
     for i in range(4):
         p = targets.counts[i] / targets.counts[i].sum()
