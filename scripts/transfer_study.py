@@ -22,8 +22,10 @@ from copulasynth import (
     marginals_of,
     srmse_by_size,
 )
+from copulasynth.pipeline import GENERATORS
 
-METHODS = ("independent", "ipf", "bn", "bn_copula")
+# Every in-process method; external_copula needs a generator command.
+METHODS = tuple(m for m in GENERATORS if m != "external_copula")
 
 
 def main() -> None:

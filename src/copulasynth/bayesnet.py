@@ -8,6 +8,7 @@ logarithms throughout.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import warnings
@@ -162,14 +163,7 @@ def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Da
     if max_parents < 0:
         raise SynthesisError("max_parents must be >= 0")
     d = data.schema.d
-    cache: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def scored(node: int, parents: tuple[int, ...]) -> float:
-        key = (node, parents)
-        if key not in cache:
-            cache[key] = family_score_mdl(data, node, parents)
-        return cache[key]
-
+    scored = functools.cache(functools.partial(family_score_mdl, data))
     rng = np.random.default_rng(seed)
     best_parents: tuple[tuple[int, ...], ...] | None = None
     best_total = -math.inf

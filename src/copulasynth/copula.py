@@ -1,22 +1,46 @@
-"""Empirical CDFs, cell jittering, and the pseudo-inverse transform.
+"""The copula transform: into the unit hypercube and back out.
 
-The pipeline casts a discrete sample into the unit hypercube through each
-column's ECDF (see ``pipeline.rank_recode``), models the dependence there,
-and maps generated uniforms back through the pseudo-inverse of a (possibly
-different) target marginal. A marginal is its per-category counts; the
-ECDF is their cumulative share. Jittering realizes the continuous
-relaxation of the step ECDF: a generated cell k is placed uniformly inside
-the probability interval (F(x^(k-1)), F(x^(k))], which makes the generated
-uniforms exactly uniform on (0,1] whenever cells follow the source
-marginal.
+In: ``rank_recode`` recodes each source column onto its observed support,
+and ``ecdf`` gives each rank its column's empirical CDF, the cumulative
+share of the per-category counts; the dependence is modelled there. Out:
+``jitter_cells`` places a generated cell k uniformly inside its probability
+interval (F(x^(k-1)), F(x^(k))], the continuous relaxation of the step
+ECDF, so the uniforms are exactly uniform on (0,1] whenever cells follow
+the source marginal. ``target_codes`` maps each column of uniforms through
+the pseudo-inverse of a (possibly different) target marginal
+(``pseudo_inverse_many``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import integer_array
+from .dataset import MarginalTable, MicroTable, Schema, VariableSpec, code_dtype
+from .dataset import integer_array, marginals_of
 from .errors import SynthesisError
+
+
+def rank_recode(source: MicroTable) -> tuple[MicroTable, MarginalTable]:
+    """Recode each column onto its observed support 0..k-1, with its counts.
+
+    The recoding is strictly monotone per column, so dependence structure
+    is untouched; the derived schema drops categories the sample never
+    shows, so every recoded count is positive.
+    """
+    if source.n_rows == 0:
+        raise SynthesisError("cannot fit an ECDF on an empty table")
+    full = marginals_of(source)
+    supports = [np.flatnonzero(c) for c in full.counts]
+    ranks = np.empty_like(source.codes)
+    derived = []
+    for i, (var, support) in enumerate(zip(source.schema.variables, supports)):
+        # A rank is below the support's size, at most m: the store cannot wrap.
+        ranks[:, i] = np.searchsorted(support, source.column(i))
+        labels = tuple(var.labels[c] for c in support)
+        derived.append(VariableSpec(name=var.name, labels=labels, kind=var.kind))
+    schema = Schema(tuple(derived))
+    counts = tuple(c[s] for c, s in zip(full.counts, supports))
+    return MicroTable(schema, ranks), MarginalTable(schema, counts)
 
 
 def ecdf(counts) -> np.ndarray:
@@ -63,3 +87,18 @@ def pseudo_inverse_many(counts, u) -> np.ndarray:
     if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise SynthesisError("u values must lie in (0,1]")
     return np.searchsorted(cum, arr, side="left")
+
+
+def target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
+    """Map column i's uniforms through target marginal i's pseudo-inverse.
+
+    ``uniforms`` yields one length-n array per column, in column order, so
+    only one column of floats needs to be alive at a time.
+    """
+    schema = targets.schema
+    codes = np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
+    for i, u in enumerate(uniforms):
+        # searchsorted on an ECDF that ends at exactly 1.0, for u <= 1, gives
+        # at most m - 1: the narrowing store cannot wrap.
+        codes[:, i] = pseudo_inverse_many(targets.counts[i], u)
+    return MicroTable(schema, codes)

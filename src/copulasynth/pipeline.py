@@ -27,7 +27,7 @@ import numpy as np
 
 from .bayesnet import fit_parameters, learn_structure
 from .bayesnet import sample as bn_sample
-from .copula import ecdf, jitter_cells, pseudo_inverse_many
+from .copula import ecdf, jitter_cells, rank_recode, target_codes
 from .dataset import (
     MarginalTable,
     MicroTable,
@@ -164,37 +164,13 @@ def _streams(seed: int):
     return structure_seed, children[1], children[2]
 
 
-def rank_recode(source: MicroTable) -> tuple[MicroTable, MarginalTable]:
-    """Recode each column onto its observed support 0..k-1, with its counts.
-
-    The recoding is strictly monotone per column, so dependence structure
-    is untouched; the derived schema drops categories the sample never
-    shows, so every recoded count is positive.
-    """
-    if source.n_rows == 0:
-        raise SynthesisError("cannot fit an ECDF on an empty table")
-    full = marginals_of(source)
-    supports = [np.flatnonzero(c) for c in full.counts]
-    ranks = np.empty_like(source.codes)
-    derived = []
-    for i, (var, support) in enumerate(zip(source.schema.variables, supports)):
-        # A rank is below the support's size, at most m: the store cannot wrap.
-        ranks[:, i] = np.searchsorted(support, source.column(i))
-        labels = tuple(var.labels[c] for c in support)
-        derived.append(VariableSpec(name=var.name, labels=labels, kind=var.kind))
-    schema = Schema(tuple(derived))
-    counts = tuple(c[s] for c, s in zip(full.counts, supports))
-    return MicroTable(schema, ranks), MarginalTable(schema, counts)
-
-
 def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
     """Send the source's ECDF values to the generator; read back n rows of uniforms.
 
     The uniforms come back column-major, so each column is contiguous.
     """
-    recoded, marginals = rank_recode(source)
     ecdf_values = np.column_stack(
-        [ecdf(c)[recoded.column(i)] for i, c in enumerate(marginals.counts)]
+        [ecdf(c)[source.column(i)] for i, c in enumerate(marginals_of(source).counts)]
     )
     payload = io.StringIO()
     writer = csv.writer(payload, lineterminator="\n")  # a float is written as its repr
@@ -217,6 +193,8 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
     if lines:
         try:
             float(lines[0].split(",")[0])
+            if tuple(next(csv.reader(lines[:1]))) == source.schema.names:
+                lines = lines[1:]  # the header it was sent, with numeric names
         except ValueError:
             lines = lines[1:]  # optional header
     if len(lines) != n:
@@ -243,21 +221,6 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
     return values
 
 
-def _target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
-    """Map column i's uniforms through target marginal i's pseudo-inverse.
-
-    ``uniforms`` yields one length-n array per column, in column order, so
-    only one column of floats needs to be alive at a time.
-    """
-    schema = targets.schema
-    codes = np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
-    for i, u in enumerate(uniforms):
-        # searchsorted on an ECDF that ends at exactly 1.0, for u <= 1, gives
-        # at most m - 1: the narrowing store cannot wrap.
-        codes[:, i] = pseudo_inverse_many(targets.counts[i], u)
-    return MicroTable(schema, codes)
-
-
 def generate_table(
     source: MicroTable, targets: MarginalTable, config: SynthesisConfig, seed: int
 ) -> tuple[MicroTable, tuple[str, ...]]:
@@ -270,13 +233,13 @@ def generate_table(
     structure_seed, gen_key, jitter_key = _streams(seed)
     copula = config.method.endswith("_copula")
     with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
+        _warnings.simplefilter("always", UserWarning)
         if config.method in ("independent", "independent_copula"):
             # The independence copula: i.i.d. uniforms in (0, 1] per column.
             marg = targets if copula else marginals_of(source)
             gen_rng = np.random.default_rng(gen_key)
             draws = (gen_rng.random(n) for _ in range(marg.schema.d))
-            syn = _target_codes(marg, n, (np.subtract(1.0, u, out=u) for u in draws))
+            syn = target_codes(marg, n, (np.subtract(1.0, u, out=u) for u in draws))
         elif config.method == "ipf":
             fitted = ipf_fit(
                 build_seed(source), targets, tol=config.tol, max_iter=config.max_iter
@@ -295,11 +258,11 @@ def generate_table(
                     jitter_cells(c, cells.column(i), jitter_rng)
                     for i, c in enumerate(source_marginals.counts)
                 )
-                syn = _target_codes(targets, n, uniforms)
+                syn = target_codes(targets, n, uniforms)
         else:  # external_copula
             ext_seed = int(gen_key.generate_state(1)[0])
             u = _run_external(config.external_command, source, n, ext_seed)
-            syn = _target_codes(targets, n, u.T)
+            syn = target_codes(targets, n, u.T)
     return syn, tuple(str(w.message) for w in caught)
 
 

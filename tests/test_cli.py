@@ -151,6 +151,26 @@ def test_synth_empty_population_exits_one(workspace, capsys):
     assert not (workspace / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("source.csv", "", "empty file, header row required"),
+        ("targets.csv", "", "empty marginals file"),
+        ("targets.csv", "variable,label,count\nv0,0,1.5\n", "'1.5' is not an integer"),
+        ("config.json", "[1, 2]", "config must be a JSON object"),
+    ],
+    ids=["empty_source", "empty_marginals", "fractional_count", "config_array"],
+)
+def test_synth_bad_input_file_exits_one(workspace, capsys, name, text, message):
+    cfg = write_config(workspace)
+    (workspace / name).write_text(text, "utf-8")
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert message in err
+    assert not (workspace / "out").exists()
+
+
 def test_synth_prints_generation_warnings(tmp_path, capsys):
     # The targets put mass on v0 = 1, which the source never shows.
     schema = make_schema([2, 2])
@@ -542,6 +562,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+def test_cli_module_runs_as_a_script():
+    proc = subprocess.run(
+        [sys.executable, "-m", "copulasynth.cli", "--version"],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == __version__
 
 
 def test_usage_errors_exit_two(capsys):

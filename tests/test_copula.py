@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulasynth import MicroTable, SynthesisError, marginals_of
+from copulasynth import copula, pipeline
 from copulasynth.copula import ecdf, jitter_cells, pseudo_inverse_many
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, small_tables
@@ -122,3 +123,9 @@ def test_roundtrip_is_exact(table):
         u = ecdf(counts)[recoded.column(i)]
         back = pseudo_inverse_many(targets.counts[i], u)
         assert (back == table.column(i)).all()
+
+
+def test_pipeline_runs_the_copula_modules_transform():
+    """The pipeline holds no copy of the transform; its names are copula's."""
+    assert pipeline.rank_recode is copula.rank_recode
+    assert pipeline.target_codes is copula.target_codes

@@ -1,0 +1,142 @@
+"""Input checks that end in SynthesisError, each with its own message."""
+
+import json
+
+import numpy as np
+import pytest
+
+from copulasynth import (
+    MicroTable,
+    SynthesisConfig,
+    SynthesisError,
+    build_seed,
+    evaluate,
+    fit_parameters,
+    generate_table,
+    learn_structure,
+    load_config,
+    load_marginals_csv,
+    load_micro_csv,
+    marginals_of,
+    sample_bayesnet,
+    srmse_by_size,
+    write_micro_csv,
+)
+from copulasynth.bayesnet import BayesNet, Dag, family_score_mdl
+from copulasynth.ipf import allocate
+from copulasynth.metrics import marginal_report
+from conftest import random_table
+
+TABLE = random_table([2, 3], 40, seed=1)
+EMPTY = MicroTable(TABLE.schema, np.zeros((0, 2), dtype=np.int64))
+OTHER = random_table([2, 3], 40, seed=2, kinds=["categorical", "ordinal"])
+CONFIG = SynthesisConfig(
+    source_data="x", schema="x", method="independent", output_size=5, seed=0
+)
+
+
+def written(tmp_path, text):
+    path = tmp_path / "input"
+    path.write_text(text, "utf-8")
+    return path
+
+
+CASES = {
+    "bayesnet_node_count": (
+        lambda _: BayesNet(TABLE.schema, Dag(((),)), (np.full((1, 2), 0.5),)),
+        "DAG, CPTs, and schema disagree on node count",
+    ),
+    "score_empty": (
+        lambda _: family_score_mdl(EMPTY, 0),
+        "cannot score an empty table",
+    ),
+    "score_parent_range": (
+        lambda _: family_score_mdl(TABLE, 0, (5,)),
+        "parent index out of range",
+    ),
+    "structure_empty": (
+        lambda _: learn_structure(EMPTY),
+        "cannot learn structure from an empty table",
+    ),
+    "fit_empty": (
+        lambda _: fit_parameters(EMPTY, Dag(((), ()))),
+        "cannot fit parameters on an empty table",
+    ),
+    "fit_alpha": (
+        lambda _: fit_parameters(TABLE, Dag(((), ())), alpha=-0.5),
+        "alpha must be >= 0",
+    ),
+    "fit_node_count": (
+        lambda _: fit_parameters(TABLE, Dag(((),))),
+        "DAG and data disagree on node count",
+    ),
+    "sample_size": (
+        lambda _: sample_bayesnet(
+            fit_parameters(TABLE, Dag(((), ()))), -1, np.random.default_rng(0)
+        ),
+        "sample size must be >= 0",
+    ),
+    "micro_csv_empty": (
+        lambda tmp: load_micro_csv(written(tmp, ""), TABLE.schema),
+        "{path}: empty file, header row required",
+    ),
+    "marginals_csv_empty": (
+        lambda tmp: load_marginals_csv(written(tmp, ""), TABLE.schema),
+        "{path}: empty marginals file",
+    ),
+    "marginals_csv_count": (
+        lambda tmp: load_marginals_csv(
+            written(tmp, "variable,label,count\nv0,0,1.5\n"), TABLE.schema
+        ),
+        "{path}: row 1: count '1.5' is not an integer",
+    ),
+    "marginals_of_empty": (
+        lambda _: marginals_of(EMPTY),
+        "cannot take marginals of an empty table",
+    ),
+    "allocate_size": (
+        lambda _: allocate(build_seed(TABLE), -1, np.random.default_rng(0)),
+        "allocation size must be >= 0",
+    ),
+    "srmse_empty": (
+        lambda _: srmse_by_size(EMPTY, TABLE, [1]),
+        "cannot compare an empty table",
+    ),
+    "marginal_report_schemas": (
+        lambda _: marginal_report(TABLE, OTHER, TABLE),
+        "tables use different schemas",
+    ),
+    "evaluate_schemas": (
+        lambda _: evaluate(TABLE, TABLE, OTHER),
+        "tables use different schemas",
+    ),
+    "config_not_object": (
+        lambda tmp: load_config(written(tmp, json.dumps([1, 2]))),
+        "config must be a JSON object",
+    ),
+    "generate_schemas": (
+        lambda _: generate_table(TABLE, marginals_of(OTHER), CONFIG, 0),
+        "source and target marginals use different schemas",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_raise_site_names_its_fault(case, tmp_path):
+    call, message = CASES[case]
+    with pytest.raises(SynthesisError) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(path=tmp_path / "input")
+
+
+def test_empty_training_table_scores_zero_frequencies(tmp_path):
+    """A header-only training CSV loads as an empty table, and its marginal
+    frequencies in the report are all zero."""
+    path = tmp_path / "train.csv"
+    write_micro_csv(EMPTY, path)
+    train = load_micro_csv(path, TABLE.schema)
+    assert train.n_rows == 0
+    report = evaluate(TABLE, train, random_table([2, 3], 30, seed=3))
+    for series, m in zip(report.marginal_series, TABLE.schema.dims):
+        assert series.training == (0.0,) * m
+        assert sum(series.reference) == pytest.approx(1.0)

@@ -5,6 +5,7 @@ import json
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -405,21 +406,47 @@ def test_external_copula_error_paths(tmp_path):
 
 
 def test_external_copula_skips_a_header_line():
-    """A generator may print a header line first; it changes no code."""
-    src, _ = make_transfer_benchmark(seed=6, d=3, n_source=200, n_target=10)
-    runs = []
-    for echo in (  # the payload without, then with, its header line
-        "import sys; print(sys.stdin.read().split('\\n', 1)[1])",
-        "import sys; print(sys.stdin.read())",
-    ):
-        cfg = SynthesisConfig(
-            source_data="x", schema="x", method="external_copula",
-            output_size=src.n_rows, seed=4,
-            external_command=(sys.executable, "-c", echo),
-        )
-        runs.append(generate_table(src, marginals_of(src), cfg, 4)[0])
-    assert (runs[0].codes == src.codes).all()
-    assert (runs[1].codes == runs[0].codes).all()
+    """A generator may print a header line first; it changes no code. An
+    echoed header counts even when the variable names parse as numbers."""
+    base, _ = make_transfer_benchmark(seed=6, d=3, n_source=200, n_target=10)
+    numeric = Schema(tuple(
+        dataclasses.replace(v, name=name)
+        for v, name in zip(base.schema.variables, ("2019", "1", "nan"))
+    ))
+    for src in (base, MicroTable(numeric, base.codes)):
+        runs = []
+        for echo in (  # the payload without, then with, its header line
+            "import sys; print(sys.stdin.read().split('\\n', 1)[1])",
+            "import sys; print(sys.stdin.read())",
+        ):
+            cfg = SynthesisConfig(
+                source_data="x", schema="x", method="external_copula",
+                output_size=src.n_rows, seed=4,
+                external_command=(sys.executable, "-c", echo),
+            )
+            runs.append(generate_table(src, marginals_of(src), cfg, 4)[0])
+        assert (runs[0].codes == src.codes).all()
+        assert (runs[1].codes == runs[0].codes).all()
+
+
+def test_generate_table_lets_foreign_warnings_through(monkeypatch):
+    """Only UserWarnings become report lines; a numpy RuntimeWarning meets the
+    active filters, here "error"."""
+    src, tgt = make_transfer_benchmark(seed=6, d=3, n_source=200, n_target=200)
+    jitter = pipeline.jitter_cells
+
+    def noisy_jitter(*args):
+        np.log(np.zeros(1))
+        return jitter(*args)
+
+    monkeypatch.setattr(pipeline, "jitter_cells", noisy_jitter)
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method="bn_copula", output_size=50, seed=4
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            generate_table(src, marginals_of(tgt), cfg, 4)
 
 
 CSV_ECHO_GENERATOR = """\

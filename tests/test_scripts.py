@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from copulasynth.pipeline import GENERATORS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -31,3 +33,6 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if argv[0] == "scripts/transfer_study.py":
+        printed = set(proc.stdout.split())
+        assert {m for m in GENERATORS if m != "external_copula"} <= printed
