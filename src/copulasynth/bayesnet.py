@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MicroTable, Schema, code_dtype
+from .dataset import MicroTable, Schema, code_dtype, combo_keys, extend_keys
 from .errors import SynthesisError
-from .metrics import combo_keys, extend_keys
 
 # learn_structure keeps the best of this many seeded orderings.
 N_RESTARTS = 10

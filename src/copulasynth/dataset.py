@@ -7,6 +7,11 @@ are stored in the smallest unsigned dtype that holds ``max(dims) - 1``
 (see ``code_dtype``), so arithmetic on them starts from int64 keys or
 indices: under numpy's promotion rules ``uint8 * int`` stays uint8 and
 wraps.
+
+The module also owns the one key encoding of a table's rows, shared by
+the metrics, the BN and the IPF seed: ``combo_keys`` and ``extend_keys``
+build mixed-radix keys from int64 and re-rank them once their range
+passes ``KEY_RANGE_PER_ROW`` per row.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ MAX_COUNT = 2**53
 # bounds their memory, and is large enough that the per-block numpy calls
 # cost nothing next to the csv module's own work.
 _CSV_BLOCK_ROWS = 1 << 14
+# Combination keys may range over this many values per counted row before
+# they are re-ranked densely, so a bincount over them stays a few words per
+# row however many categories the columns have.
+KEY_RANGE_PER_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,41 @@ def integer_array(values, what: str) -> np.ndarray:
 def code_dtype(schema: Schema) -> np.dtype:
     """The smallest unsigned dtype that holds every code of the schema."""
     return np.min_scalar_type(max(schema.dims) - 1)
+
+
+def extend_keys(keys, span, columns, m, budget=None):
+    """Append one column of m categories to each key array's mixed-radix key.
+
+    Keys lie in 0..span-1 and compare across the arrays. When the new range
+    would pass the budget, which defaults to KEY_RANGE_PER_ROW per key,
+    the keys are re-ranked jointly by np.unique. The re-rank keeps their
+    order and brings the range down to the number of distinct keys, so a
+    range never exceeds budget * m and a key cannot overflow int64.
+    """
+    if budget is None:
+        budget = KEY_RANGE_PER_ROW * sum(k.size for k in keys)
+    keys = [k * m + c for k, c in zip(keys, columns)]
+    span *= m
+    if span > budget:
+        uniq, rank = np.unique(np.concatenate(keys), return_inverse=True)
+        keys = np.split(rank, np.cumsum([k.size for k in keys[:-1]]))
+        span = uniq.size
+    return keys, span
+
+
+def combo_keys(arrays, dims, columns, budget=None):
+    """Each (N, d) code array's row keys over the columns, first most significant.
+
+    ``dims`` are the category counts of the d columns. Returns one int64
+    key array per code array and the key range. Keys compare across the
+    arrays, and ascending keys follow the lexicographic order of the
+    combinations. The range stays within the budget (see extend_keys);
+    keys that are never re-ranked equal np.ravel_multi_index's.
+    """
+    keys, span = [np.zeros(len(a), dtype=np.int64) for a in arrays], 1
+    for c in columns:
+        keys, span = extend_keys(keys, span, [a[:, c] for a in arrays], dims[c], budget)
+    return keys, span
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MarginalTable, MicroTable, Schema
+from .dataset import MarginalTable, MicroTable, Schema, combo_keys
 from .errors import SynthesisError
-from .metrics import combo_keys
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,14 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dataset
 from .dataset import MicroTable, Schema
 from .errors import SynthesisError
 
-
-# Combination keys may range over this many values per counted row before
-# they are re-ranked densely, so a bincount over them stays a few words per
-# row however many categories the columns have.
-_KEY_RANGE_PER_ROW = 4
 
 # A block table holds at most one cell per this many counted rows (reference
 # plus synthetic), so the axis sums that cut subsets out of it stay cheap
@@ -38,41 +34,6 @@ _ROWS_PER_BLOCK_CELL = 16
 
 # evaluate scores SRMSE projections of sizes 1..min(MAX_PROJECTION, d).
 MAX_PROJECTION = 5
-
-
-def extend_keys(keys, span, columns, m, budget=None):
-    """Append one column of m categories to each key array's mixed-radix key.
-
-    Keys lie in 0..span-1 and compare across the arrays. When the new range
-    would pass the budget, which defaults to _KEY_RANGE_PER_ROW per key,
-    the keys are re-ranked jointly by np.unique. The re-rank keeps their
-    order and brings the range down to the number of distinct keys, so a
-    range never exceeds budget * m and a key cannot overflow int64.
-    """
-    if budget is None:
-        budget = _KEY_RANGE_PER_ROW * sum(k.size for k in keys)
-    keys = [k * m + c for k, c in zip(keys, columns)]
-    span *= m
-    if span > budget:
-        uniq, rank = np.unique(np.concatenate(keys), return_inverse=True)
-        keys = np.split(rank, np.cumsum([k.size for k in keys[:-1]]))
-        span = uniq.size
-    return keys, span
-
-
-def combo_keys(arrays, dims, columns, budget=None):
-    """Each (N, d) code array's row keys over the columns, first most significant.
-
-    ``dims`` are the category counts of the d columns. Returns one int64
-    key array per code array and the key range. Keys compare across the
-    arrays, and ascending keys follow the lexicographic order of the
-    combinations. The range stays within the budget (see extend_keys);
-    keys that are never re-ranked equal np.ravel_multi_index's.
-    """
-    keys, span = [np.zeros(len(a), dtype=np.int64) for a in arrays], 1
-    for c in columns:
-        keys, span = extend_keys(keys, span, [a[:, c] for a in arrays], dims[c], budget)
-    return keys, span
 
 
 def srmse(ref_counts, syn_counts, n_ref: int, n_syn: int, m_product: int) -> float:
@@ -155,7 +116,7 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     subset takes its own by axis sums. Each smaller subset S takes its
     table from S plus the smallest column not in S by a one-axis sum,
     depth first, so one block and one path of tables are alive at a time.
-    A subset whose product passes _KEY_RANGE_PER_ROW per row is counted
+    A subset whose product passes dataset.KEY_RANGE_PER_ROW per row is counted
     over re-ranked keys instead, and its children are counted on their
     own. Every dense table lists its cells in lexicographic order, like
     the keys, so the scores do not depend on the route; the mean runs over
@@ -173,7 +134,7 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
         return {}
     dims = ref.schema.dims
     rows = ref.n_rows + syn.n_rows
-    dense_limit = _KEY_RANGE_PER_ROW * rows
+    dense_limit = dataset.KEY_RANGE_PER_ROW * rows
     scores: dict[tuple[int, ...], float] = {}
 
     def counted(keys, span, subset):
@@ -197,7 +158,7 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
                 break
             child = subset[:i] + subset[i + 1 :]
             if m_product > dense_limit:
-                keys, span = combo_keys((ref.codes, syn.codes), dims, child)
+                keys, span = dataset.combo_keys((ref.codes, syn.codes), dims, child)
                 walk(child, counted(keys, span, child))
             else:
                 walk(child, counts.sum(axis=i + 1))
@@ -205,14 +166,14 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     plan = _cover(dims, max(sizes), rows // _ROWS_PER_BLOCK_CELL, dense_limit)
     # prefixes[k]: the keys and range over the block's first k columns, kept
     # only as far as the next block shares them.
-    prefixes = [([np.zeros(t.n_rows, dtype=np.int64) for t in (ref, syn)], 1)]
+    prefixes = [dataset.combo_keys((ref.codes, syn.codes), dims, ())]
     for b, (block, inner) in enumerate(plan):
         keep = _shared_prefix(block, plan[b + 1][0]) if b + 1 < len(plan) else 0
         keys, span = prefixes[-1]
         for k in range(len(prefixes) - 1, len(block)):
             c = block[k]
             columns = (ref.column(c), syn.column(c))
-            keys, span = extend_keys(keys, span, columns, dims[c])
+            keys, span = dataset.extend_keys(keys, span, columns, dims[c])
             if k < keep:
                 prefixes.append((keys, span))
         del prefixes[keep + 1 :]
@@ -245,8 +206,9 @@ def default_exclusion(schema: Schema) -> tuple[str, ...]:
     )
 
 
-def _kept_indices(schema: Schema, exclude) -> tuple[int, ...]:
-    exclude = tuple(exclude) if exclude is not None else ()
+def kept_indices(schema: Schema, exclude) -> tuple[int, ...]:
+    """The columns left after the exclusion list (None: default_exclusion)."""
+    exclude = default_exclusion(schema) if exclude is None else tuple(exclude)
     for name in exclude:
         if name not in schema.names:
             raise SynthesisError(f"unknown excluded variable '{name}'")
@@ -264,7 +226,8 @@ def distinct_combos(tables, kept) -> list[np.ndarray]:
     once (the population may be the source) is keyed once.
     """
     distinct = list({id(t): t for t in tables}.values())
-    keys, span = combo_keys([t.codes for t in distinct], distinct[0].schema.dims, kept)
+    codes = [t.codes for t in distinct]
+    keys, span = dataset.combo_keys(codes, distinct[0].schema.dims, kept)
     seen = {id(t): np.bincount(k, minlength=span) > 0 for t, k in zip(distinct, keys)}
     return [seen[id(t)] for t in tables]
 
@@ -387,9 +350,7 @@ def evaluate(
         population is not None and population.schema != ref.schema
     ):
         raise SynthesisError("tables use different schemas")
-    if exclude is None:
-        exclude = default_exclusion(ref.schema)
-    kept = _kept_indices(ref.schema, exclude)
+    kept = kept_indices(ref.schema, exclude)
     srmse_by_n = srmse_by_size(
         ref, syn, range(1, min(MAX_PROJECTION, ref.schema.d) + 1)
     )

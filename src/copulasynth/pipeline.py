@@ -48,6 +48,7 @@ from .metrics import (
     MAX_PROJECTION,
     EvaluationReport,
     evaluate,
+    kept_indices,
     report_to_json,
     srmse_by_size,
     write_marginal_csv,
@@ -263,7 +264,17 @@ def generate_table(
             ext_seed = int(gen_key.generate_state(1)[0])
             u = _run_external(config.external_command, source, n, ext_seed)
             syn = target_codes(targets, n, u.T)
-    return syn, tuple(str(w.message) for w in caught)
+    # record=True caught every warning the filters let through. The package's
+    # own UserWarnings are returned; any other meets the caller's filters again.
+    own = []
+    for w in caught:
+        if issubclass(w.category, UserWarning):
+            own.append(str(w.message))
+        else:
+            _warnings.warn_explicit(
+                w.message, w.category, w.filename, w.lineno, source=w.source
+            )
+    return syn, tuple(own)
 
 
 def _load_inputs(config: SynthesisConfig):
@@ -289,6 +300,7 @@ def _load_inputs(config: SynthesisConfig):
 def run_experiment(config: SynthesisConfig) -> EvaluationReport:
     """Generate, evaluate, and (when output_dir is set) persist one run."""
     _, source, targets, reference, population = _load_inputs(config)
+    kept_indices(source.schema, config.exclude_variables)  # fail before generating
     syn, warns = generate_table(source, targets, config, config.seed)
     report = evaluate(reference, source, syn, population, config.exclude_variables)
     report = dataclasses.replace(report, warnings=warns)

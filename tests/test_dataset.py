@@ -1,6 +1,7 @@
 """Schema, table, and CSV ingestion behavior."""
 
 import csv
+import math
 
 import hypothesis.strategies as st
 import numpy as np
@@ -28,7 +29,7 @@ from copulasynth import (
     write_schema,
 )
 from copulasynth.bayesnet import BayesNet, Dag
-from copulasynth.dataset import _CSV_BLOCK_ROWS, code_dtype
+from copulasynth.dataset import _CSV_BLOCK_ROWS, code_dtype, combo_keys
 from copulasynth.ipf import ContingencyTable
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, random_table, small_tables
@@ -171,6 +172,61 @@ def test_every_producer_keeps_code_m_minus_1(tmp_path, m, dtype):
     for table in tables:
         assert table.codes.dtype == dtype
         assert table.column(0).max() == m - 1
+
+
+def lexicographic_ranks(*tables):
+    """Each row's rank among the distinct rows of all the tables together."""
+    rows = [tuple(r) for t in tables for r in t.codes.tolist()]
+    rank = {row: i for i, row in enumerate(sorted(set(rows)))}
+    return [rank[row] for row in rows]
+
+
+@pytest.mark.parametrize("columns", [(0, 1, 2, 3), (2, 0), (3,), ()])
+def test_combo_keys_without_rerank_equal_ravel_multi_index(columns):
+    """With a budget of the full product nothing is re-ranked, so the keys are
+    the mixed-radix indices that BN sampling and CPT fitting index with."""
+    table = random_table([3, 5, 2, 7], 200, seed=4)
+    dims = [table.schema.dims[c] for c in columns]
+    (key,), span = combo_keys(
+        (table.codes,), table.schema.dims, columns, budget=math.prod(dims)
+    )
+    assert key.dtype == np.int64
+    assert span == math.prod(dims)
+    expected = np.ravel_multi_index(table.codes[:, columns].T, dims) if columns else 0
+    np.testing.assert_array_equal(key, expected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_combo_keys_after_rerank_align_and_keep_lexicographic_order(seed):
+    """Re-ranked keys still compare across both arrays like the rows do."""
+    dims = [4, 6, 5, 3]
+    a = random_table(dims, 30, seed=seed)
+    b = random_table(dims, 20, seed=seed + 100)
+    budget = 2 * (a.n_rows + b.n_rows)  # 100, passed at the third column
+    keys, span = combo_keys((a.codes, b.codes), dims, range(4), budget=budget)
+    assert span < math.prod(dims)  # at least one re-rank happened
+    assert span <= budget * dims[-1]
+    joint = np.concatenate(keys)
+    assert joint.min() >= 0 and joint.max() < span
+    _, ranks = np.unique(joint, return_inverse=True)
+    assert ranks.tolist() == lexicographic_ranks(a, b)
+
+
+def test_combo_keys_on_uint8_codes_do_not_wrap():
+    """Eight 256-category columns span 2**64 combinations: uint8 codes key
+    without wrapping, and re-ranking keeps the range near the row count."""
+    rng = np.random.default_rng(9)
+    pool = rng.integers(0, 256, (300, 8))
+    # Rows sharing all but their last code would collide first if keys wrapped.
+    pool[150:, :7] = pool[:150, :7]
+    table = MicroTable(make_schema([256] * 8), pool[rng.integers(0, 300, 500)])
+    assert table.codes.dtype == np.uint8
+    (key,), span = combo_keys((table.codes,), table.schema.dims, range(8))
+    budget = 4 * table.n_rows  # the default, KEY_RANGE_PER_ROW per key
+    assert np.unique(key).size == np.unique(table.codes, axis=0).shape[0]
+    assert 0 <= key.min() and key.max() < span <= budget * 256
+    _, ranks = np.unique(key, return_inverse=True)
+    assert ranks.tolist() == lexicographic_ranks(table)
 
 
 def test_marginal_table_validation():

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulasynth import MicroTable, SynthesisError, evaluate, metrics, srmse_projected
+from copulasynth.dataset import combo_keys
 from copulasynth.metrics import (
     EvaluationReport,
-    combo_keys,
     default_exclusion,
     distinct_combos,
     marginal_report,

@@ -259,6 +259,36 @@ def test_run_experiment_writes_deterministic_outputs(tmp_path):
         assert (out / name).read_bytes() == blob
 
 
+@pytest.mark.parametrize(
+    "wide, exclude, message",
+    [
+        (False, ["nope"], "unknown excluded variable 'nope'"),
+        (True, None, "every variable is excluded"),
+    ],
+)
+def test_run_experiment_checks_exclusion_before_generating(
+    tmp_path, monkeypatch, wide, exclude, message
+):
+    """A bad exclusion list fails before any generation work is done; with
+    wide=True every variable is an ordinal that the default list excludes."""
+    dims = [25, 30] if wide else [2, 3]
+    source = random_table(dims, 40, seed=2, kinds=["ordinal"] * 2)
+    write_schema(source.schema, tmp_path / "schema.json")
+    write_micro_csv(source, tmp_path / "source.csv")
+
+    def generate(*args):
+        raise AssertionError("generated before the exclusion list was checked")
+
+    monkeypatch.setattr(pipeline, "generate_table", generate)
+    cfg = SynthesisConfig(
+        source_data=str(tmp_path / "source.csv"),
+        schema=str(tmp_path / "schema.json"),
+        method="independent", output_size=10, seed=1, exclude_variables=exclude,
+    )
+    with pytest.raises(SynthesisError, match=re.escape(message)):
+        run_experiment(cfg)
+
+
 def test_run_experiment_outputs_are_all_or_none(tmp_path, monkeypatch):
     """A run whose last write fails leaves no output and no temporary file."""
     write_benchmark_inputs(tmp_path, d=4, n=1200)
@@ -430,13 +460,14 @@ def test_external_copula_skips_a_header_line():
 
 
 def test_generate_table_lets_foreign_warnings_through(monkeypatch):
-    """Only UserWarnings become report lines; a numpy RuntimeWarning meets the
-    active filters, here "error"."""
+    """Only UserWarnings become returned warnings; a numpy RuntimeWarning meets
+    the caller's filters: "error" raises it, "default" passes it on."""
     src, tgt = make_transfer_benchmark(seed=6, d=3, n_source=200, n_target=200)
     jitter = pipeline.jitter_cells
 
     def noisy_jitter(*args):
         np.log(np.zeros(1))
+        warnings.warn("own warning", UserWarning)
         return jitter(*args)
 
     monkeypatch.setattr(pipeline, "jitter_cells", noisy_jitter)
@@ -447,6 +478,12 @@ def test_generate_table_lets_foreign_warnings_through(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="divide by zero"):
             generate_table(src, marginals_of(tgt), cfg, 4)
+    with warnings.catch_warnings(record=True) as outer:
+        warnings.simplefilter("default")
+        _, warns = generate_table(src, marginals_of(tgt), cfg, 4)
+    assert [w.category for w in outer] == [RuntimeWarning]
+    assert "divide by zero" in str(outer[0].message)
+    assert warns == ("own warning",) * 3
 
 
 CSV_ECHO_GENERATOR = """\
