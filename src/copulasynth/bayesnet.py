@@ -253,7 +253,9 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         m = dims[node]
         cum = np.cumsum(theta, axis=1)
         cum[:, -1] = np.inf
-        shares, row_start = cum.ravel(), config * m
+        # Keys come in the narrowest dtype of their range, where config * m
+        # would wrap: widen before the multiply.
+        shares, row_start = cum.ravel(), np.multiply(config, m, dtype=np.int64)
         u = rng.random(n)
         lo = np.zeros(n, dtype=np.int64)
         hi = np.full(n, m - 1, dtype=np.int64)

@@ -4,14 +4,18 @@ All tabular data is held as dense integer category codes. A code is the
 position of a label in its variable's declared label list, so every
 downstream computation works on codes and never on label strings. Codes
 are stored in the smallest unsigned dtype that holds ``max(dims) - 1``
-(see ``code_dtype``), so arithmetic on them starts from int64 keys or
-indices: under numpy's promotion rules ``uint8 * int`` stays uint8 and
-wraps.
+(see ``code_dtype``). Under numpy's promotion rules ``uint8 * int`` stays
+uint8 and wraps, so arithmetic on codes names its result dtype.
 
 The module also owns the one key encoding of a table's rows, shared by
 the metrics, the BN and the IPF seed: ``combo_keys`` and ``extend_keys``
-build mixed-radix keys from int64 and re-rank them once their range
-passes ``KEY_RANGE_PER_ROW`` per row.
+build mixed-radix keys and re-rank them once their range passes
+``KEY_RANGE_PER_ROW`` per row. Keys over a range of ``span`` values are
+stored in the narrowest of uint8, uint16 and uint32 that holds
+``span - 1``, or in int64 once ``span - 1`` reaches 2**32. Each
+multiply-add names that dtype for the new range, which holds every new
+key, so it cannot wrap. A consumer that does its own arithmetic on keys
+widens them first, as ``bayesnet.sample`` does before ``config * m``.
 """
 
 from __future__ import annotations
@@ -129,36 +133,53 @@ def code_dtype(schema: Schema) -> np.dtype:
     return np.min_scalar_type(max(schema.dims) - 1)
 
 
+def _key_dtype(span) -> np.dtype:
+    """The dtype of keys in 0..span-1: the narrowest unsigned one up to
+    uint32, else int64, never uint64 (uint64 mixed with int64 gives float64)."""
+    return np.min_scalar_type(span - 1) if span <= 2**32 else np.dtype(np.int64)
+
+
 def extend_keys(keys, span, columns, m, budget=None):
     """Append one column of m categories to each key array's mixed-radix key.
 
-    Keys lie in 0..span-1 and compare across the arrays. When the new range
-    would pass the budget, which defaults to KEY_RANGE_PER_ROW per key,
-    the keys are re-ranked jointly by np.unique. The re-rank keeps their
-    order and brings the range down to the number of distinct keys, so a
-    range never exceeds budget * m and a key cannot overflow int64.
+    Keys lie in 0..span-1 and compare across the arrays; columns hold
+    unsigned codes. When the new range would pass the budget, which
+    defaults to KEY_RANGE_PER_ROW per key, the keys are re-ranked jointly
+    by np.unique. The re-rank keeps their order and brings the range down
+    to the number of distinct keys, at most one per key, so a range never
+    exceeds max(budget, number of keys) * m. The new keys are stored in
+    _key_dtype of the exact new range, not of this bound.
     """
     if budget is None:
         budget = KEY_RANGE_PER_ROW * sum(k.size for k in keys)
-    keys = [k * m + c for k, c in zip(keys, columns)]
+    dtype = _key_dtype(span * m)
+    if span == 1:  # every key is 0, and m itself may not fit (uint8 and 256)
+        keys = [c.astype(dtype) for c in columns]
+    else:
+        keys = [
+            np.add(np.multiply(k, m, dtype=dtype), c, dtype=dtype)
+            for k, c in zip(keys, columns)
+        ]
     span *= m
     if span > budget:
         uniq, rank = np.unique(np.concatenate(keys), return_inverse=True)
-        keys = np.split(rank, np.cumsum([k.size for k in keys[:-1]]))
         span = uniq.size
+        rank = rank.astype(_key_dtype(span))
+        keys = np.split(rank, np.cumsum([k.size for k in keys[:-1]]))
     return keys, span
 
 
 def combo_keys(arrays, dims, columns, budget=None):
     """Each (N, d) code array's row keys over the columns, first most significant.
 
-    ``dims`` are the category counts of the d columns. Returns one int64
-    key array per code array and the key range. Keys compare across the
-    arrays, and ascending keys follow the lexicographic order of the
-    combinations. The range stays within the budget (see extend_keys);
-    keys that are never re-ranked equal np.ravel_multi_index's.
+    ``dims`` are the category counts of the d columns. Returns one key
+    array per code array, in _key_dtype of the range, and the range. Keys
+    compare across the arrays, and ascending keys follow the lexicographic
+    order of the combinations. The range stays within the budget (see
+    extend_keys); keys that are never re-ranked equal
+    np.ravel_multi_index's.
     """
-    keys, span = [np.zeros(len(a), dtype=np.int64) for a in arrays], 1
+    keys, span = [np.zeros(len(a), dtype=_key_dtype(1)) for a in arrays], 1
     for c in columns:
         keys, span = extend_keys(keys, span, [a[:, c] for a in arrays], dims[c], budget)
     return keys, span
@@ -171,8 +192,9 @@ class MicroTable:
     The table keeps its own read-only copy in ``code_dtype(schema)``. The
     input must have an integer dtype (a float or bool is rejected, never
     truncated) and is range-checked as given, before it is narrowed, so an
-    out-of-range or negative code is rejected and never wraps. Arithmetic
-    on the codes starts from int64, because narrow unsigned arithmetic wraps.
+    out-of-range or negative code is rejected and never wraps. Narrow
+    unsigned arithmetic wraps, so arithmetic on the codes names a result
+    dtype wide enough for it, as extend_keys does with _key_dtype.
     """
 
     schema: Schema

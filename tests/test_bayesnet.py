@@ -1,5 +1,6 @@
 """MDL scoring, structure search, parameter fitting, and sampling."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -348,6 +349,44 @@ def test_sample_matches_oracle_at_share_boundaries(row):
         table.codes, cumsum_count_sample(bn, len(u), FixedUniforms(u))
     )
     assert table.codes.max() < len(row)
+
+
+@pytest.mark.parametrize(
+    "parent_dims, m, digest",
+    [
+        # q = 144 configurations key as uint8, and q * m = 576 passes 255
+        (
+            (12, 12),
+            4,
+            "c6215652def2cbb317d0fa6a40872a0a0f7f245a8a534c3ff61b026786e56be1",
+        ),
+        # q = 65,536 configurations key as uint16, and q * m passes 65,535
+        (
+            (256, 256),
+            3,
+            "19bee0f952bcb0aab061eb7df29750c2725fcb41e8cd10fda236902765bf5ee9",
+        ),
+    ],
+)
+def test_sample_row_index_does_not_wrap_on_narrow_keys(parent_dims, m, digest):
+    """Config keys come in the narrowest dtype of their range, so the row
+    index config * m must be widened first; the digests were pinned from
+    int64 config keys."""
+    k = len(parent_dims)
+    rng = np.random.default_rng(5)
+    cpts = [np.full((1, p), 1.0 / p) for p in parent_dims]
+    cpts.append(rng.dirichlet(np.ones(m), size=math.prod(parent_dims)))
+    bn = BayesNet(
+        schema=make_schema(list(parent_dims) + [m]),
+        dag=Dag(parents=((),) * k + (tuple(range(k)),)),
+        cpts=tuple(cpts),
+    )
+    table = sample_bayesnet(bn, 4000, np.random.default_rng(6))
+    codes = np.ascontiguousarray(table.codes)
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
+    np.testing.assert_array_equal(
+        codes, cumsum_count_sample(bn, 4000, np.random.default_rng(6))
+    )
 
 
 @pytest.mark.parametrize("m", [2, 200])

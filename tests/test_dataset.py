@@ -29,7 +29,7 @@ from copulasynth import (
     write_schema,
 )
 from copulasynth.bayesnet import BayesNet, Dag
-from copulasynth.dataset import _CSV_BLOCK_ROWS, code_dtype, combo_keys
+from copulasynth.dataset import _CSV_BLOCK_ROWS, code_dtype, combo_keys, extend_keys
 from copulasynth.ipf import ContingencyTable
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, random_table, small_tables
@@ -190,7 +190,7 @@ def test_combo_keys_without_rerank_equal_ravel_multi_index(columns):
     (key,), span = combo_keys(
         (table.codes,), table.schema.dims, columns, budget=math.prod(dims)
     )
-    assert key.dtype == np.int64
+    assert key.dtype == np.uint8  # every range here is at most 3 * 5 * 2 * 7
     assert span == math.prod(dims)
     expected = np.ravel_multi_index(table.codes[:, columns].T, dims) if columns else 0
     np.testing.assert_array_equal(key, expected)
@@ -206,6 +206,7 @@ def test_combo_keys_after_rerank_align_and_keep_lexicographic_order(seed):
     keys, span = combo_keys((a.codes, b.codes), dims, range(4), budget=budget)
     assert span < math.prod(dims)  # at least one re-rank happened
     assert span <= budget * dims[-1]
+    assert all(k.dtype == np.uint8 for k in keys)  # re-ranked keys narrow too
     joint = np.concatenate(keys)
     assert joint.min() >= 0 and joint.max() < span
     _, ranks = np.unique(joint, return_inverse=True)
@@ -227,6 +228,73 @@ def test_combo_keys_on_uint8_codes_do_not_wrap():
     assert 0 <= key.min() and key.max() < span <= budget * 256
     _, ranks = np.unique(key, return_inverse=True)
     assert ranks.tolist() == lexicographic_ranks(table)
+
+
+@pytest.mark.parametrize(
+    "span, m, dtype",
+    [
+        (128, 2, np.uint8),  # span * m = 256
+        (1, 256, np.uint8),  # a 256-category first column: 256 does not fit uint8
+        (1, 257, np.uint16),
+        (256, 256, np.uint16),  # 65,536
+        (1, 65_537, np.uint32),
+        (65_536, 65_536, np.uint32),  # 2**32
+        (6_700_417, 641, np.int64),  # 2**32 + 1
+    ],
+)
+def test_extend_keys_stores_the_narrowest_dtype_of_the_range(span, m, dtype):
+    """New keys take the narrowest of uint8/uint16/uint32 that holds
+    span * m - 1, else int64, and equal the int64 mixed-radix key."""
+    keys = np.array([0, span // 2, span - 1], dtype=np.min_scalar_type(span - 1))
+    column = np.array([m - 1, 0, m - 1], dtype=np.min_scalar_type(m - 1))
+    (key,), new_span = extend_keys([keys], span, [column], m, budget=span * m)
+    assert key.dtype == dtype
+    assert new_span == span * m
+    expected = keys.astype(np.int64) * m + column.astype(np.int64)
+    np.testing.assert_array_equal(key, expected)
+
+
+@st.composite
+def keyed_tables(draw):
+    """One or two tables of up to 4 columns of 2..300 categories, so codes
+    cross uint8/uint16 and key ranges cross every key dtype, with an
+    ordered subset of their columns to key."""
+    d = draw(st.integers(1, 4))
+    dims = [draw(st.integers(2, 300)) for _ in range(d)]
+    tables = [
+        random_table(dims, draw(st.integers(1, 60)), draw(st.integers(0, 2**31 - 1)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    columns = draw(st.permutations(range(d)))[: draw(st.integers(0, d))]
+    return tables, tuple(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(keyed_tables(), st.integers(1, 30))
+def test_combo_keys_property(case, budget):
+    """Unranked keys equal np.ravel_multi_index; with a budget small enough to
+    force re-ranks, joint keys still follow the rows' lexicographic order."""
+    tables, columns = case
+    dims = tables[0].schema.dims
+    codes = [t.codes for t in tables]
+    sub_dims = [dims[c] for c in columns]
+    keys, span = combo_keys(codes, dims, columns, budget=math.prod(sub_dims))
+    assert span == math.prod(sub_dims)
+    for key, t in zip(keys, tables):
+        expected = (
+            np.ravel_multi_index(t.codes[:, columns].T, sub_dims) if columns else 0
+        )
+        np.testing.assert_array_equal(key, expected)
+    keys, span = combo_keys(codes, dims, columns, budget=budget)
+    joint = np.concatenate(keys)
+    assert joint.max() < span
+    _, ranks = np.unique(joint, return_inverse=True)
+    if columns:
+        schema = make_schema(sub_dims)
+        tables = [MicroTable(schema, t.codes[:, columns]) for t in tables]
+        assert ranks.tolist() == lexicographic_ranks(*tables)
+    else:
+        assert not ranks.any()
 
 
 def test_marginal_table_validation():
