@@ -21,6 +21,7 @@ widens them first, as ``bayesnet.sample`` does before ``config * m``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,10 +37,12 @@ VALID_KINDS = ("ordinal", "categorical")
 # Counts and totals up to 2**53 keep every ECDF partial sum exact in float64.
 MAX_COUNT = 2**53
 # Rows per block of the microdata CSV reader and writer. A block holds
-# about this many times d label strings or object pointers at once, which
-# bounds their memory, and is large enough that the per-block numpy calls
-# cost nothing next to the csv module's own work.
-_CSV_BLOCK_ROWS = 1 << 14
+# about this many times d label strings or object pointers at once, and the
+# writer also holds the block's joined text and its encoded copy. Blocks of
+# 4,096 rows bound both, and they are still large enough that the
+# per-block numpy calls and the one write cost nothing next to the string
+# work.
+_CSV_BLOCK_ROWS = 1 << 12
 # Combination keys may range over this many values per counted row before
 # they are re-ranked densely, so a bincount over them stays a few words per
 # row however many categories the columns have.
@@ -261,13 +264,16 @@ class MarginalTable:
 def open_input(path):
     """Open an input file as UTF-8 text, less any byte-order mark, for csv or json.
 
-    Undecodable bytes and csv or JSON syntax errors raised while the file
-    is read become a SynthesisError that names the file.
+    Undecodable bytes, csv or JSON syntax errors and JSON nested too deeply
+    to decode, raised while the file is read, become a SynthesisError that
+    names the file.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
-    except (UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
+    except (
+        UnicodeDecodeError, csv.Error, json.JSONDecodeError, RecursionError
+    ) as exc:
         raise SynthesisError(f"{path}: {exc}") from None
 
 
@@ -374,25 +380,56 @@ def load_micro_csv(path, schema: Schema) -> MicroTable:
     return MicroTable(schema, codes)
 
 
+def _csv_row(fields, what) -> str:
+    """One row as ``csv.writer`` writes it; a row it refuses names ``what``."""
+    buf = io.StringIO()
+    try:
+        csv.writer(buf).writerow(fields)
+    except csv.Error as exc:
+        raise SynthesisError(f"{what}: cannot be written as CSV: {exc}") from None
+    return buf.getvalue()
+
+
+def _field_text(var: VariableSpec, label: str, d: int) -> str:
+    """A label's field text in a d-column microdata row, less its separator.
+
+    A lone empty field is quoted, so for d = 1 the text comes from the row
+    ``[label]``; for d >= 2 it is the first half of ``[label, label]``,
+    where every field is quoted on its own.
+    """
+    k = min(d, 2)
+    row = _csv_row([label] * k, f"variable {var.name!r}, label {label!r}")
+    return row[: (len(row) - k - 1) // k]
+
+
 def write_micro_csv(table: MicroTable, path) -> None:
     """Write a microdata CSV: a header of variable names, then labels per row.
 
-    Each block of ``_CSV_BLOCK_ROWS`` rows is built column by column, by
-    indexing a per-variable label array with that block's codes, and the
-    rows are handed to one ``csv.writer``. The bytes are the ``csv``
-    module's: minimal quoting and ``\\r\\n`` line ends, UTF-8.
+    ``csv.writer`` renders the header and each label's field text once,
+    before the file is opened; a label it refuses (NUL on Python 3.10) is a
+    SynthesisError naming the variable and the label. Each text carries its
+    separator, ``,`` or ``\\r\\n`` for the last column. Each block of
+    ``_CSV_BLOCK_ROWS`` rows is one flat list filled column by column, by
+    indexing a variable's texts with the block's codes, and is written with
+    one join. The bytes are the ``csv`` module's: minimal quoting and
+    ``\\r\\n`` line ends, UTF-8.
     """
-    labels = [np.array(var.labels, dtype=object) for var in table.schema.variables]
+    d = table.schema.d
+    header = _csv_row(table.schema.names, "variable names")
+    texts = [
+        np.array(
+            [_field_text(var, label, d) + sep for label in var.labels], dtype=object
+        )
+        for var, sep in zip(table.schema.variables, [","] * (d - 1) + ["\r\n"])
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.schema.names)
+        fh.write(header)
         for start in range(0, table.n_rows, _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
-            columns = [
-                lab[table.column(i)[start:stop]].tolist()
-                for i, lab in enumerate(labels)
-            ]
-            writer.writerows(zip(*columns))
+            stop = min(start + _CSV_BLOCK_ROWS, table.n_rows)
+            cells = [None] * ((stop - start) * d)
+            for i, text in enumerate(texts):
+                cells[i::d] = text[table.column(i)[start:stop]].tolist()
+            fh.write("".join(cells))
 
 
 def load_marginals_csv(path, schema: Schema) -> MarginalTable:

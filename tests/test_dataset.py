@@ -444,6 +444,69 @@ def test_write_micro_csv_matches_row_by_row_oracle(tmp_path):
     assert blob == (tmp_path / "oracle.csv").read_bytes() == b'only\r\n""\r\nx\r\n'
 
 
+# Every character a csv field may need quoted or kept as it is; an empty
+# draw gives the empty label.
+FIELD_LABEL = st.text(
+    alphabet=[",", '"', "\r", "\n", " ", "\t", "a", "é", "東"], max_size=4
+)
+
+
+@st.composite
+def quoted_tables(draw):
+    """A table of 1 to 4 columns whose labels are drawn from FIELD_LABEL."""
+    labels = st.lists(FIELD_LABEL, min_size=1, max_size=4, unique=True)
+    variables = tuple(
+        VariableSpec(f"v{i}", draw(labels)) for i in range(draw(st.integers(1, 4)))
+    )
+    schema = Schema(variables)
+    n = draw(st.integers(0, 20))
+    codes = np.array(
+        [[draw(st.integers(0, m - 1)) for m in schema.dims] for _ in range(n)],
+        dtype=np.int64,
+    ).reshape(n, schema.d)
+    return MicroTable(schema, codes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(quoted_tables())
+def test_write_micro_csv_matches_csv_writer_on_any_labels(tmp_path_factory, table):
+    folder = tmp_path_factory.mktemp("csv")
+    write_micro_csv(table, folder / "new.csv")
+    write_rows_oracle(table, folder / "oracle.csv")
+    assert (folder / "new.csv").read_bytes() == (folder / "oracle.csv").read_bytes()
+    back = load_micro_csv(folder / "new.csv", table.schema)
+    assert (back.codes == table.codes).all()
+
+
+def test_write_micro_csv_names_a_label_csv_refuses(tmp_path, monkeypatch):
+    """Python 3.10's csv.writer refuses NUL; a label it refuses is a
+    SynthesisError naming the variable and the label, raised before the
+    file is opened."""
+    real = csv.writer
+
+    class RefusesNul:
+        def __init__(self, fh):
+            self.writer = real(fh)
+
+        def writerow(self, row):
+            if any("\0" in field for field in row):
+                raise csv.Error("need to escape, but no escapechar set")
+            return self.writer.writerow(row)
+
+    monkeypatch.setattr(csv, "writer", RefusesNul)
+    schema = Schema(
+        (VariableSpec("x", ("0", "1")), VariableSpec("city", ("a", "b\0c")))
+    )
+    path = tmp_path / "out.csv"
+    with pytest.raises(SynthesisError) as info:
+        write_micro_csv(MicroTable(schema, np.array([[0, 0]])), path)
+    assert str(info.value) == (
+        "variable 'city', label 'b\\x00c': cannot be written as CSV: "
+        "need to escape, but no escapechar set"
+    )
+    assert not path.exists()
+
+
 def test_load_micro_csv_names_faults_across_blocks(tmp_path):
     schema = Schema((VariableSpec("a", ("x", "x\ny")), VariableSpec("b", ("0", "1"))))
     path = tmp_path / "rows.csv"

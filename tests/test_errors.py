@@ -17,6 +17,7 @@ from copulasynth import (
     load_config,
     load_marginals_csv,
     load_micro_csv,
+    load_schema,
     marginals_of,
     sample_bayesnet,
     srmse_by_size,
@@ -32,6 +33,11 @@ EMPTY = MicroTable(TABLE.schema, np.zeros((0, 2), dtype=np.int64))
 OTHER = random_table([2, 3], 40, seed=2, kinds=["categorical", "ordinal"])
 CONFIG = SynthesisConfig(
     source_data="x", schema="x", method="independent", output_size=5, seed=0
+)
+
+# json.load's RecursionError on Python 3.10 to 3.13.
+DEEP_JSON = (
+    "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 )
 
 
@@ -113,6 +119,14 @@ CASES = {
     "config_not_object": (
         lambda tmp: load_config(written(tmp, json.dumps([1, 2]))),
         "config must be a JSON object",
+    ),
+    "schema_nested_too_deeply": (
+        lambda tmp: load_schema(written(tmp, "[" * 100_000 + "]" * 100_000)),
+        "{path}: " + DEEP_JSON,
+    ),
+    "config_nested_too_deeply": (
+        lambda tmp: load_config(written(tmp, "[" * 100_000 + "]" * 100_000)),
+        "{path}: " + DEEP_JSON,
     ),
     "generate_schemas": (
         lambda _: generate_table(TABLE, marginals_of(OTHER), CONFIG, 0),
