@@ -109,7 +109,8 @@ def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
 
     Penalty = (ln N / 2) * q * (m - 1) where q is the number of parent
     configurations (the full product of parent cardinalities) and m the
-    node's cardinality. Higher is better.
+    node's cardinality. Higher is better. Both count vectors come from one
+    bincount of the family keys unless the family step was re-ranked.
     """
     n = data.n_rows
     if n == 0:
@@ -126,12 +127,13 @@ def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
     m = dims[node]
     q = math.prod(dims[p] for p in parents)
     (config_key,), span = combo_keys((data.codes,), dims, parents)
-    (pair_key,), _ = extend_keys([config_key], span, [data.column(node)], m)
+    (pair_key,), pair_span = extend_keys([config_key], span, [data.column(node)], m)
     # Rows per observed combination, in lexicographic order whatever the
     # key range, so the float sums below always add in the same order.
-    pair_counts, config_counts = (
-        c[c > 0] for c in (np.bincount(pair_key), np.bincount(config_key))
-    )
+    pair = np.bincount(pair_key, minlength=pair_span)
+    dense = pair_span == span * m  # not re-ranked: a config's m counts are adjacent
+    config = pair.reshape(span, m).sum(axis=1) if dense else np.bincount(config_key)
+    pair_counts, config_counts = (c[c > 0] for c in (pair, config))
     loglik = float(
         np.sum(pair_counts * np.log(pair_counts))
         - np.sum(config_counts * np.log(config_counts))
@@ -235,7 +237,12 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
 
 
 def sample(bn: BayesNet, n: int, rng) -> MicroTable:
-    """Ancestral sampling in topological order, vectorized over rows."""
+    """Ancestral sampling in topological order, vectorized over rows.
+
+    Each node draws one rng.random(n). A row's code is the count of its CPT
+    row's first m - 1 cumulative shares below its uniform: O(log m) branchless
+    halvings of the row, padded with inf to a power of two, in O(n) memory.
+    """
     if n < 0:
         raise SynthesisError("sample size must be >= 0")
     dims = bn.schema.dims
@@ -244,25 +251,16 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     codes = np.empty((n, bn.schema.d), dtype=code_dtype(bn.schema), order="F")
     for node in bn.dag.topological_order():
         theta = bn.cpts[node]
+        q, m = theta.shape
         # A budget of the CPT's row count keeps the keys unranked: row indices.
-        (config,), _ = combo_keys(
-            (codes,), dims, bn.dag.parents[node], budget=theta.shape[0]
-        )
-        # Binary-search u among the row's first m - 1 cumulative shares, in
-        # O(n) memory; the last share is raised to inf so no code passes m - 1.
-        m = dims[node]
-        cum = np.cumsum(theta, axis=1)
-        cum[:, -1] = np.inf
-        # Keys come in the narrowest dtype of their range, where config * m
-        # would wrap: widen before the multiply.
-        shares, row_start = cum.ravel(), np.multiply(config, m, dtype=np.int64)
+        (config,), _ = combo_keys((codes,), dims, bn.dag.parents[node], budget=q)
+        width = step = 1 << (m - 1).bit_length()
+        cum = np.full((q, width), np.inf)
+        np.cumsum(theta[:, :-1], axis=1, out=cum[:, : m - 1])
+        # Keys come in their range's narrowest dtype: widen before * width.
+        shares, pos = cum.ravel(), np.multiply(config, width, dtype=np.intp)
         u = rng.random(n)
-        lo = np.zeros(n, dtype=np.int64)
-        hi = np.full(n, m - 1, dtype=np.int64)
-        for _ in range((m - 1).bit_length()):
-            mid = (lo + hi) >> 1
-            below = shares.take(row_start + mid) < u
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(below, hi, mid)
-        codes[:, node] = lo  # lo <= hi = m - 1: the narrowing store cannot wrap
+        while step := step >> 1:
+            pos += (shares.take(pos + (step - 1)) < u) * step
+        codes[:, node] = pos & (width - 1)  # < m: the narrowing store cannot wrap
     return MicroTable(bn.schema, codes)

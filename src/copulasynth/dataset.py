@@ -15,7 +15,7 @@ stored in the narrowest of uint8, uint16 and uint32 that holds
 ``span - 1``, or in int64 once ``span - 1`` reaches 2**32. Each
 multiply-add names that dtype for the new range, which holds every new
 key, so it cannot wrap. A consumer that does its own arithmetic on keys
-widens them first, as ``bayesnet.sample`` does before ``config * m``.
+widens them first, as ``bayesnet.sample`` does before ``config * width``.
 """
 
 from __future__ import annotations

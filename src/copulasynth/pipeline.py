@@ -33,6 +33,7 @@ from .dataset import (
     MicroTable,
     Schema,
     VariableSpec,
+    _csv_row,
     code_dtype,
     load_marginals_csv,
     load_micro_csv,
@@ -170,6 +171,7 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
 
     The uniforms come back column-major, so each column is contiguous.
     """
+    _csv_row(source.schema.names, "variable names")  # a name csv refuses fails here
     ecdf_values = np.column_stack(
         [ecdf(c)[source.column(i)] for i, c in enumerate(marginals_of(source).counts)]
     )

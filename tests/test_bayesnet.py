@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copulasynth import (
@@ -330,9 +330,27 @@ class FixedUniforms:
         return self.values.copy()
 
 
+def edge_rows(m):
+    """CPT rows of m categories: random shares, shares that end in zeros,
+    and one-hot rows at the first, middle and last category."""
+    rng = np.random.default_rng(m)
+    trailing = np.zeros(m)
+    trailing[: (m + 1) // 2] = rng.dirichlet(np.ones((m + 1) // 2))
+    rows = [rng.dirichlet(np.ones(m)), trailing]
+    for j in sorted({0, m // 2, m - 1}):
+        rows.append(np.eye(m)[j])
+    return rows
+
+
 @pytest.mark.parametrize(
     "row",
-    [[1.0], [0.5, 0.5 - 5e-13], [0.0, 0.25, 0.0, 0.75], [0.1] * 9 + [0.1 - 5e-13]],
+    [[1.0], [0.5, 0.5 - 5e-13], [0.0, 0.25, 0.0, 0.75], [0.1] * 9 + [0.1 - 5e-13]]
+    # category counts at and next to the sampler's padded row widths 2^k
+    + [
+        pytest.param(row, id=f"m{m}-{i}")
+        for m in (1, 2, 3, 4, 5, 8, 9, 16, 17, 256, 257)
+        for i, row in enumerate(edge_rows(m))
+    ],
 )
 def test_sample_matches_oracle_at_share_boundaries(row):
     bn = BayesNet(
@@ -389,7 +407,7 @@ def test_sample_row_index_does_not_wrap_on_narrow_keys(parent_dims, m, digest):
     )
 
 
-@pytest.mark.parametrize("m", [2, 200])
+@pytest.mark.parametrize("m", [2, 200, 257])
 def test_sample_memory_does_not_grow_with_categories(m):
     n = 50_000
     bn = BayesNet(
@@ -435,6 +453,11 @@ def tables_with_dags(draw):
     return random_table(dims, n, seed), Dag(parents=parents)
 
 
+# Ten rows give a key budget of 40. Node 2's parents, 12 x 12, are re-ranked
+# to at most 10 keys; its family step then stays dense at m = 2 and is
+# re-ranked again at m = 12. Nodes 0 and 1 have no parents.
+@example(case=(random_table([12, 12, 2], 10, 3), Dag(((), (), (0, 1)))), alpha=0.1)
+@example(case=(random_table([12, 12, 12], 10, 3), Dag(((), (), (0, 1)))), alpha=0.1)
 @settings(max_examples=60, deadline=None)
 @given(tables_with_dags(), st.sampled_from([0.1, 1.0]))
 def test_family_score_and_fit_match_counter_reference(case, alpha):

@@ -1,5 +1,6 @@
 """Input checks that end in SynthesisError, each with its own message."""
 
+import csv
 import json
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from copulasynth import (
     MicroTable,
+    Schema,
     SynthesisConfig,
     SynthesisError,
+    VariableSpec,
     build_seed,
     evaluate,
     fit_parameters,
@@ -154,3 +157,36 @@ def test_empty_training_table_scores_zero_frequencies(tmp_path):
     for series, m in zip(report.marginal_series, TABLE.schema.dims):
         assert series.training == (0.0,) * m
         assert sum(series.reference) == pytest.approx(1.0)
+
+
+def test_external_copula_names_variable_names_csv_refuses(monkeypatch):
+    """Python 3.10's csv.writer refuses NUL; a variable name it refuses is a
+    SynthesisError naming the variable names, raised before the external
+    generator starts."""
+    real = csv.writer
+
+    class RefusesNul:
+        def __init__(self, fh, **kwargs):
+            self.writer = real(fh, **kwargs)
+
+        def writerow(self, row):
+            if any("\0" in str(field) for field in row):
+                raise csv.Error("need to escape, but no escapechar set")
+            return self.writer.writerow(row)
+
+        def writerows(self, rows):
+            return self.writer.writerows(rows)
+
+    monkeypatch.setattr(csv, "writer", RefusesNul)
+    schema = Schema((VariableSpec("x", ("0", "1")), VariableSpec("a\0b", ("0", "1"))))
+    source = MicroTable(schema, np.array([[0, 1], [1, 0]]))
+    config = SynthesisConfig(
+        source_data="x", schema="x", method="external_copula", output_size=5,
+        seed=0, external_command=("never-started",),
+    )
+    with pytest.raises(SynthesisError) as info:
+        generate_table(source, marginals_of(source), config, 0)
+    assert str(info.value) == (
+        "variable names: cannot be written as CSV: "
+        "need to escape, but no escapechar set"
+    )

@@ -21,8 +21,11 @@ import pytest
 from copulasynth import (
     SynthesisConfig,
     evaluate,
+    generate_table,
     load_micro_csv,
     load_schema,
+    make_transfer_benchmark,
+    marginals_of,
     run_experiment,
     run_permutation_study,
 )
@@ -78,6 +81,9 @@ PERMUTATION_VALUES = (
     "5: (3.475904389610386, 3.5381347547127806)}"
 )
 
+# sha256 of the bn_copula codes at d=20 (see test_bn_copula_d20_codes_are_pinned).
+D20_DIGEST = "88e36435f34870dee45775e9a952f3e57b20659c24d43d9441d1d15c146e14dd"
+
 
 def config(method, **overrides):
     fields = {
@@ -119,3 +125,18 @@ def test_evaluate_is_pinned():
 def test_permutation_study_is_pinned():
     study = run_permutation_study(config("bn_copula", output_size=200), 2)
     assert repr(study.values) == PERMUTATION_VALUES, NUMPY
+
+
+def test_bn_copula_d20_codes_are_pinned():
+    """A larger shape than the fixtures: the search scores families of up to
+    three parents over cardinalities 2 to 4, and 20,000 rows are sampled.
+    make_transfer_benchmark's Cholesky factor goes through BLAS, so a
+    failure here alone may also name a LAPACK build."""
+    source, target = make_transfer_benchmark(seed=0, d=20, n_source=10_000)
+    cfg = SynthesisConfig(
+        source_data="unused", schema="unused", method="bn_copula",
+        output_size=20_000, seed=0,
+    )
+    synthetic, _ = generate_table(source, marginals_of(target), cfg, 0)
+    codes = np.ascontiguousarray(synthetic.codes)
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == D20_DIGEST, NUMPY
