@@ -242,6 +242,7 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     Each node draws one rng.random(n). A row's code is the count of its CPT
     row's first m - 1 cumulative shares below its uniform: O(log m) branchless
     halvings of the row, padded with inf to a power of two, in O(n) memory.
+    A category whose share is 0 is never drawn.
     """
     if n < 0:
         raise SynthesisError("sample size must be >= 0")
@@ -257,6 +258,12 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         width = step = 1 << (m - 1).bit_length()
         cum = np.full((q, width), np.inf)
         np.cumsum(theta[:, :-1], axis=1, out=cum[:, : m - 1])
+        # A zero share at either end of a row stays unreachable even when u is
+        # 0 or the row's float sum falls short of u: shares before the first
+        # positive one always count, and none from the last positive one on.
+        positive, j = theta > 0, np.arange(width)
+        cum[j < positive.argmax(axis=1)[:, None]] = -np.inf
+        cum[j >= m - 1 - positive[:, ::-1].argmax(axis=1)[:, None]] = np.inf
         # Keys come in their range's narrowest dtype: widen before * width.
         shares, pos = cum.ravel(), np.multiply(config, width, dtype=np.intp)
         u = rng.random(n)

@@ -36,13 +36,14 @@ from .errors import SynthesisError
 VALID_KINDS = ("ordinal", "categorical")
 # Counts and totals up to 2**53 keep every ECDF partial sum exact in float64.
 MAX_COUNT = 2**53
-# Rows per block of the microdata CSV reader and writer. A block holds
-# about this many times d label strings or object pointers at once, and the
-# writer also holds the block's joined text and its encoded copy. Blocks of
-# 4,096 rows bound both, and they are still large enough that the
-# per-block numpy calls and the one write cost nothing next to the string
-# work.
+# Rows per block of the microdata CSV reader and writer. The reader holds
+# about this many times d label strings at once. The writer holds the
+# block's fixed-width byte records, at most _CSV_BLOCK_BYTES of them, so a
+# schema with a very wide label writes fewer rows per block. Both bounds
+# keep a block's memory small, and blocks are still large enough that the
+# per-block numpy calls and the one write cost little next to the bytes.
 _CSV_BLOCK_ROWS = 1 << 12
+_CSV_BLOCK_BYTES = 1 << 18
 # Combination keys may range over this many values per counted row before
 # they are re-ranked densely, so a bincount over them stays a few words per
 # row however many categories the columns have.
@@ -70,6 +71,16 @@ class VariableSpec:
             raise SynthesisError(f"variable {self.name!r}: duplicate labels")
         if self.kind not in VALID_KINDS:
             raise SynthesisError(f"variable {self.name!r}: unknown kind {self.kind!r}")
+        # Every output is UTF-8; a lone surrogate (JSON "\ud800") has no encoding.
+        texts = [("name", str(self.name))] + [("label", x) for x in self.labels]
+        for what, text in texts:
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise SynthesisError(
+                    f"variable {self.name!r}: {what} {text!r} "
+                    "cannot be encoded as UTF-8"
+                ) from None
         object.__setattr__(self, "_code", {lab: i for i, lab in enumerate(self.labels)})
 
     @property
@@ -408,28 +419,41 @@ def write_micro_csv(table: MicroTable, path) -> None:
     ``csv.writer`` renders the header and each label's field text once,
     before the file is opened; a label it refuses (NUL on Python 3.10) is a
     SynthesisError naming the variable and the label. Each text carries its
-    separator, ``,`` or ``\\r\\n`` for the last column. Each block of
-    ``_CSV_BLOCK_ROWS`` rows is one flat list filled column by column, by
-    indexing a variable's texts with the block's codes, and is written with
-    one join. The bytes are the ``csv`` module's: minimal quoting and
-    ``\\r\\n`` line ends, UTF-8.
+    separator, ``,`` or ``\\r\\n`` for the last column, and is encoded to
+    UTF-8 and padded with 0xFF bytes to its column's widest text. A block
+    of rows is one array of fixed-width records, one field per column,
+    filled by one ``take`` of each column's padded texts by the block's
+    codes. One compress drops the block's 0xFF bytes, and the rest is
+    written as it is. UTF-8 never holds the byte 0xFF, so the compress
+    removes the padding and nothing else. The bytes are the ``csv``
+    module's: minimal quoting and ``\\r\\n`` line ends, UTF-8.
+
+    A block holds at most ``_CSV_BLOCK_ROWS`` rows, and its records take at
+    most ``_CSV_BLOCK_BYTES`` (256 KiB) unless one record alone is larger.
+    While a block is written, its records, the compress's byte mask, its
+    8-byte positions and its output take at most 11 times that. The padded
+    texts take m times the widest text's bytes per column.
     """
     d = table.schema.d
-    header = _csv_row(table.schema.names, "variable names")
-    texts = [
-        np.array(
-            [_field_text(var, label, d) + sep for label in var.labels], dtype=object
-        )
-        for var, sep in zip(table.schema.variables, [","] * (d - 1) + ["\r\n"])
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    header = _csv_row(table.schema.names, "variable names").encode()
+    texts = []
+    for var, sep in zip(table.schema.variables, [","] * (d - 1) + ["\r\n"]):
+        fields = [(_field_text(var, label, d) + sep).encode() for label in var.labels]
+        width = max(map(len, fields))
+        padded = b"".join(field.ljust(width, b"\xff") for field in fields)
+        texts.append(np.frombuffer(padded, dtype=f"V{width}"))
+    record = np.dtype([(f"f{i}", text.dtype) for i, text in enumerate(texts)])
+    rows = max(1, min(_CSV_BLOCK_ROWS, _CSV_BLOCK_BYTES // record.itemsize))
+    block = np.empty(rows, dtype=record)
+    with open(path, "wb") as fh:
         fh.write(header)
-        for start in range(0, table.n_rows, _CSV_BLOCK_ROWS):
-            stop = min(start + _CSV_BLOCK_ROWS, table.n_rows)
-            cells = [None] * ((stop - start) * d)
+        for start in range(0, table.n_rows, rows):
+            stop = min(start + rows, table.n_rows)
+            records = block[: stop - start]
             for i, text in enumerate(texts):
-                cells[i::d] = text[table.column(i)[start:stop]].tolist()
-            fh.write("".join(cells))
+                records[f"f{i}"] = text.take(table.column(i)[start:stop])
+            raw = records.view(np.uint8)
+            fh.write(raw.compress(raw != 0xFF))
 
 
 def load_marginals_csv(path, schema: Schema) -> MarginalTable:

@@ -279,16 +279,21 @@ def test_sample_empty_and_determinism():
 
 
 def cumsum_count_sample(bn, n, rng):
-    """The former sampler, kept as an oracle: an (n, m) comparison per node."""
+    """The former sampler, kept as an oracle: an (n, m) comparison per node,
+    its count clipped to the row's first and last positive shares."""
     dims = bn.schema.dims
     codes = np.zeros((n, bn.schema.d), dtype=np.int64)
     for node in bn.dag.topological_order():
         config = np.zeros(n, dtype=np.int64)
         for p in bn.dag.parents[node]:  # first parent most significant
             config = config * dims[p] + codes[:, p]
-        cum = np.cumsum(bn.cpts[node], axis=1)[config]
+        theta = np.asarray(bn.cpts[node])
+        positive = [np.flatnonzero(row > 0) for row in theta]
+        first = np.array([p[0] for p in positive])[config]
+        last = np.array([p[-1] for p in positive])[config]
+        cum = np.cumsum(theta, axis=1)[config]
         u = rng.random(n)
-        codes[:, node] = np.minimum((u[:, None] > cum).sum(axis=1), dims[node] - 1)
+        codes[:, node] = np.clip((u[:, None] > cum).sum(axis=1), first, last)
     return codes
 
 
@@ -366,7 +371,23 @@ def test_sample_matches_oracle_at_share_boundaries(row):
     np.testing.assert_array_equal(
         table.codes, cumsum_count_sample(bn, len(u), FixedUniforms(u))
     )
-    assert table.codes.max() < len(row)
+    assert (np.asarray(row)[table.codes[:, 0]] > 0).all()
+
+
+@pytest.mark.parametrize(
+    "row, u, code",
+    [
+        # the row's float sum falls short of u: the trailing zero stays out
+        ([0.5, 0.5 - 5e-13, 0.0], 1.0 - 1e-13, 1),
+        # u = 0 is below no share: the leading zero stays out
+        ([0.0, 0.5, 0.5], 0.0, 1),
+    ],
+)
+def test_sample_never_draws_a_zero_share(row, u, code):
+    bn = BayesNet(
+        schema=make_schema([len(row)]), dag=Dag(parents=((),)), cpts=([row],)
+    )
+    assert sample_bayesnet(bn, 1, FixedUniforms([u])).codes.tolist() == [[code]]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -29,7 +30,13 @@ from copulasynth import (
     write_schema,
 )
 from copulasynth.bayesnet import BayesNet, Dag
-from copulasynth.dataset import _CSV_BLOCK_ROWS, code_dtype, combo_keys, extend_keys
+from copulasynth.dataset import (
+    _CSV_BLOCK_BYTES,
+    _CSV_BLOCK_ROWS,
+    code_dtype,
+    combo_keys,
+    extend_keys,
+)
 from copulasynth.ipf import ContingencyTable
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, random_table, small_tables
@@ -377,10 +384,18 @@ def test_load_micro_csv_ignores_extra_columns(tmp_path):
     assert table.codes.ravel().tolist() == [1, 0]
 
 
-# Label pieces the csv module must quote or keep as they are.
-LABEL = st.lists(
-    st.sampled_from(["a", "bc", ",", '"', " ", "\n", "\r", "é", "東京"]), max_size=3
-).map("".join)
+# A 300-character label that csv quotes, with 1- to 4-byte UTF-8 characters.
+LONG_LABEL = 'a"é€𝄞,' * 50
+
+# Label pieces the csv module must quote or keep as they are, and one long
+# label, so that a column's field texts range from 1 to over 600 bytes.
+LABEL = st.one_of(
+    st.lists(
+        st.sampled_from(["a", "bc", ",", '"', " ", "\n", "\r", "é", "東京", "€", "𝄞"]),
+        max_size=3,
+    ).map("".join),
+    st.just(LONG_LABEL),
+)
 
 
 @st.composite
@@ -414,7 +429,7 @@ def write_rows_oracle(table, path):
 
 
 def test_write_micro_csv_matches_row_by_row_oracle(tmp_path):
-    tricky = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", " pad ", "Zürich", "東京")
+    tricky = ("a,b", 'say "hi"', "two\nlines", "cr\rhere", " pad ", "Zürich", "東京", "€𝄞")
     schema = Schema(
         (
             VariableSpec("tricky", tricky),
@@ -423,7 +438,11 @@ def test_write_micro_csv_matches_row_by_row_oracle(tmp_path):
         )
     )
     cases = {
-        "crosses a block": random_table([7, 3, 2], _CSV_BLOCK_ROWS + 3, seed=5).codes,
+        "crosses a block": random_table([8, 3, 2], _CSV_BLOCK_ROWS + 3, seed=5).codes,
+        **{
+            f"{n} rows": random_table([8, 3, 2], n, seed=n).codes
+            for n in (_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1)
+        },
         "empty": np.zeros((0, 3), dtype=np.int64),
         "empty label in a row": np.array([[0, 1, 0], [6, 2, 1]]),
     }
@@ -436,6 +455,16 @@ def test_write_micro_csv_matches_row_by_row_oracle(tmp_path):
         assert (load_micro_csv(tmp_path / "new.csv", schema).codes == codes).all()
     # An empty label inside a wider row stays an empty field.
     assert blob.endswith('"a,b",y,\r\n東京,z,e\r\n'.encode())
+    # A long label ends each block at _CSV_BLOCK_BYTES, well before
+    # _CSV_BLOCK_ROWS rows, so these rows cross several blocks.
+    n = 2 * _CSV_BLOCK_BYTES // len(LONG_LABEL) + 7
+    wide_schema = Schema(
+        (VariableSpec("long", ("x", LONG_LABEL)), VariableSpec("b", ("0", "1")))
+    )
+    wide = MicroTable(wide_schema, random_table([2, 2], n, seed=6).codes)
+    write_micro_csv(wide, tmp_path / "new.csv")
+    write_rows_oracle(wide, tmp_path / "oracle.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     # csv.writer quotes a lone empty field, so a one-column row is never blank.
     one = MicroTable(Schema((VariableSpec("only", ("", "x")),)), np.array([[0], [1]]))
     write_micro_csv(one, tmp_path / "new.csv")
@@ -444,10 +473,14 @@ def test_write_micro_csv_matches_row_by_row_oracle(tmp_path):
     assert blob == (tmp_path / "oracle.csv").read_bytes() == b'only\r\n""\r\nx\r\n'
 
 
-# Every character a csv field may need quoted or kept as it is; an empty
-# draw gives the empty label.
-FIELD_LABEL = st.text(
-    alphabet=[",", '"', "\r", "\n", " ", "\t", "a", "é", "東"], max_size=4
+# Every character a csv field may need quoted or kept as it is, in 1 to 4
+# UTF-8 bytes, and one long label; an empty draw gives the empty label.
+FIELD_LABEL = st.one_of(
+    st.text(
+        alphabet=[",", '"', "\r", "\n", " ", "\t", "a", "é", "東", "€", "𝄞"],
+        max_size=4,
+    ),
+    st.just(LONG_LABEL),
 )
 
 
@@ -476,6 +509,28 @@ def test_write_micro_csv_matches_csv_writer_on_any_labels(tmp_path_factory, tabl
     assert (folder / "new.csv").read_bytes() == (folder / "oracle.csv").read_bytes()
     back = load_micro_csv(folder / "new.csv", table.schema)
     assert (back.codes == table.codes).all()
+
+
+def test_write_micro_csv_memory_is_bounded_by_block_bytes(tmp_path):
+    """A 64 KiB label makes each record that wide, so a block holds few
+    rows; the peak stays within the docstring's bound of 11 blocks of
+    records plus the padded texts, and the bytes still match the oracle."""
+    wide = "w" * (1 << 16)
+    schema = Schema((VariableSpec("wide", ("a", wide)), VariableSpec("x", ("0", "1"))))
+    codes = np.zeros((20_000, 2), dtype=np.uint8)
+    codes[::5000, 0] = 1
+    codes[1::2, 1] = 1
+    table = MicroTable(schema, codes)
+    tracemalloc.start()
+    try:
+        write_micro_csv(table, tmp_path / "new.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Each padded text is as wide as the widest field: 2 * (len(wide) + 1).
+    assert peak < 11 * _CSV_BLOCK_BYTES + 2 * (len(wide) + 1)
+    write_rows_oracle(table, tmp_path / "oracle.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_write_micro_csv_names_a_label_csv_refuses(tmp_path, monkeypatch):

@@ -24,9 +24,11 @@ from copulasynth import (
     marginals_of,
     sample_bayesnet,
     srmse_by_size,
+    write_marginals_csv,
     write_micro_csv,
 )
 from copulasynth.bayesnet import BayesNet, Dag, family_score_mdl
+from copulasynth.cli import main
 from copulasynth.ipf import allocate
 from copulasynth.metrics import marginal_report
 from conftest import random_table
@@ -190,3 +192,42 @@ def test_external_copula_names_variable_names_csv_refuses(monkeypatch):
         "variable names: cannot be written as CSV: "
         "need to escape, but no escapechar set"
     )
+
+
+# JSON's "\\ud800" loads as a lone surrogate, which no output can encode.
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            '{"v0": {"labels": ["0", "\\ud800"]}}',
+            "variable 'v0': label '\\ud800' cannot be encoded as UTF-8",
+        ),
+        (
+            '{"v\\udc80": {"labels": ["0"]}}',
+            "variable 'v\\udc80': name 'v\\udc80' cannot be encoded as UTF-8",
+        ),
+    ],
+    ids=["label", "name"],
+)
+def test_schema_text_utf8_cannot_encode_exits_one(tmp_path, capsys, raw, message):
+    """A name or label UTF-8 cannot encode is a SynthesisError from
+    load_schema, so synth exits 1 with one error line and writes nothing."""
+    path = written(tmp_path, raw)
+    with pytest.raises(SynthesisError) as info:
+        load_schema(path)
+    assert str(info.value) == message
+    write_micro_csv(TABLE, tmp_path / "source.csv")
+    write_marginals_csv(marginals_of(TABLE), tmp_path / "targets.csv")
+    config = {
+        "source_data": str(tmp_path / "source.csv"),
+        "schema": str(path),
+        "target_marginals": str(tmp_path / "targets.csv"),
+        "method": "independent",
+        "output_size": 5,
+        "seed": 0,
+        "output_dir": str(tmp_path / "out"),
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(["synth", "--config", str(tmp_path / "config.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
