@@ -7,8 +7,9 @@ share of the per-category counts; the dependence is modelled there. Out:
 interval (F(x^(k-1)), F(x^(k))], the continuous relaxation of the step
 ECDF, so the uniforms are exactly uniform on (0,1] whenever cells follow
 the source marginal. ``target_codes`` maps each column of uniforms through
-the pseudo-inverse of a (possibly different) target marginal
-(``pseudo_inverse_many``).
+the pseudo-inverse of a marginal (``pseudo_inverse_many``): an external
+generator's uniforms through the source's, onto cells to jitter, and the
+jittered uniforms through the (possibly different) target's.
 """
 
 from __future__ import annotations

@@ -166,18 +166,19 @@ def _streams(seed: int):
     return structure_seed, children[1], children[2]
 
 
-def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
+def _run_external(command, data: MicroTable, marginals: MarginalTable, n: int, seed: int):
     """Send the source's ECDF values to the generator; read back n rows of uniforms.
 
-    The uniforms come back column-major, so each column is contiguous.
+    ``data`` and ``marginals`` are ``rank_recode``'s; a rank keeps its code's ECDF
+    value. The uniforms come back column-major, so each column is contiguous.
     """
-    _csv_row(source.schema.names, "variable names")  # a name csv refuses fails here
+    _csv_row(data.schema.names, "variable names")  # a name csv refuses fails here
     ecdf_values = np.column_stack(
-        [ecdf(c)[source.column(i)] for i, c in enumerate(marginals_of(source).counts)]
+        [ecdf(c)[data.column(i)] for i, c in enumerate(marginals.counts)]
     )
     payload = io.StringIO()
     writer = csv.writer(payload, lineterminator="\n")  # a float is written as its repr
-    writer.writerow(source.schema.names)
+    writer.writerow(data.schema.names)
     writer.writerows(ecdf_values.tolist())
     cmd = list(command) + ["--n", str(n), "--seed", str(seed)]
     try:
@@ -196,7 +197,7 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
     if lines:
         try:
             float(lines[0].split(",")[0])
-            if tuple(next(csv.reader(lines[:1]))) == source.schema.names:
+            if tuple(next(csv.reader(lines[:1]))) == data.schema.names:
                 lines = lines[1:]  # the header it was sent, with numeric names
         except ValueError:
             lines = lines[1:]  # optional header
@@ -204,7 +205,7 @@ def _run_external(command, source: MicroTable, n: int, seed: int) -> np.ndarray:
         raise SynthesisError(
             f"external generator emitted {len(lines)} rows, expected {n}"
         )
-    d = source.schema.d
+    d = data.schema.d
     values = np.empty((n, d), dtype=np.float64, order="F")
     for i, ln in enumerate(lines, 1):
         tokens = ln.split(",")
@@ -248,24 +249,27 @@ def generate_table(
                 build_seed(source), targets, tol=config.tol, max_iter=config.max_iter
             )
             syn = allocate(fitted, n, np.random.default_rng(gen_key))
-        elif config.method in ("bn", "bn_copula"):
+        else:  # bn, bn_copula, external_copula
             data, source_marginals = rank_recode(source) if copula else (source, None)
-            dag = learn_structure(
-                data, max_parents=config.max_parents, seed=structure_seed
-            )
-            bn = fit_parameters(data, dag, alpha=config.alpha)
-            syn = cells = bn_sample(bn, n, np.random.default_rng(gen_key))
-            if copula:
+            if config.method == "external_copula":
+                ext_seed = int(gen_key.generate_state(1)[0])
+                u = _run_external(
+                    config.external_command, data, source_marginals, n, ext_seed
+                )
+                cells = target_codes(source_marginals, n, u.T)  # onto source ranks
+            else:
+                dag = learn_structure(
+                    data, max_parents=config.max_parents, seed=structure_seed
+                )
+                bn = fit_parameters(data, dag, alpha=config.alpha)
+                syn = cells = bn_sample(bn, n, np.random.default_rng(gen_key))
+            if copula:  # the one exit from generated cells to target codes
                 jitter_rng = np.random.default_rng(jitter_key)
                 uniforms = (
                     jitter_cells(c, cells.column(i), jitter_rng)
                     for i, c in enumerate(source_marginals.counts)
                 )
                 syn = target_codes(targets, n, uniforms)
-        else:  # external_copula
-            ext_seed = int(gen_key.generate_state(1)[0])
-            u = _run_external(config.external_command, source, n, ext_seed)
-            syn = target_codes(targets, n, u.T)
     # record=True caught every warning the filters let through. The package's
     # own UserWarnings are returned; any other meets the caller's filters again.
     own = []

@@ -62,9 +62,9 @@ DIGESTS = {
         "d18761f3652e7902f553f1d9ad8925627802584e2efa01261227bbce93cd565c",
     ),
     "external_copula": (
-        "ab0f7137694f5dbe7e89382cae08e9519f0156d51eb1cc8504ffaf7e978efdd8",
-        "82ca7ded1a3218c29b5c7197bcc668a795ad06b70950b42d4c9551b19c520d97",
-        "a436a6914e77a6da54f66f7be3f286d4fbed2e6624e97dcce285bc2a671edc20",
+        "cbdb7a1471d26ad9675b04bea27fa97fc25009ea57ac9eb38a41c5e1e1dd2465",
+        "41997e4736893e416a7dcc83bf8b5cf625d88137dafcafdde28c9ca3e5c969b3",
+        "4c4b96803d81a59faa6874c46569db67bc3a6d48274f336cc7ce0927eac15179",
     ),
 }
 

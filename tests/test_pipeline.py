@@ -26,6 +26,7 @@ from copulasynth import (
     run_experiment,
     run_permutation_study,
     sample_bayesnet,
+    srmse_projected,
     write_marginals_csv,
     write_micro_csv,
     write_schema,
@@ -33,6 +34,9 @@ from copulasynth import (
 from copulasynth import pipeline
 from copulasynth.pipeline import GENERATORS, rank_recode
 from conftest import make_schema, random_table
+
+
+RESAMPLE_GENERATOR = Path(__file__).resolve().parent / "resample_generator.py"
 
 
 def write_benchmark_inputs(tmp_path, seed=3, d=5, n=3000, skew=0.5):
@@ -373,10 +377,19 @@ print(payload.split("\\n", 1)[1])
 
 def test_external_copula_receives_source_ecdf_values(tmp_path):
     """The generator reads each source code's ECDF value, (#rows <= code) / N;
-    echoed back through the source marginals, they give the source table."""
+    echoed back through the source marginals, they give the source table.
+    A label the source never shows changes neither."""
     script = tmp_path / "echo.py"
     script.write_text(ECHO_GENERATOR)
     src, _ = make_transfer_benchmark(seed=6, d=4, n_source=700, n_target=10)
+    # v1 gains an unseen label "u" at code 1; the observed codes 1.. move up one.
+    v1 = src.schema.variables[1]
+    unseen = dataclasses.replace(v1, labels=(v1.labels[0], "u") + v1.labels[1:])
+    codes = src.codes.copy()
+    codes[:, 1] += codes[:, 1] > 0
+    variables = src.schema.variables
+    src = MicroTable(Schema((variables[0], unseen) + variables[2:]), codes)
+    assert marginals_of(src).counts[1][1] == 0
     cfg = SynthesisConfig(
         source_data="x", schema="x", method="external_copula",
         output_size=src.n_rows, seed=4,
@@ -393,6 +406,27 @@ def test_external_copula_receives_source_ecdf_values(tmp_path):
     assert (sent == ecdf).all()
     assert syn.schema == src.schema
     assert (syn.codes == src.codes).all()
+
+
+def test_external_copula_transfers_target_marginals():
+    """The generator's uniforms snap onto source cells and are jittered
+    before the targets, like bn_copula's samples: resampled source rows land
+    on the target marginals, not on one fixed target category per cell."""
+    source, target = make_transfer_benchmark(
+        seed=100, d=6, n_source=6000, n_target=6000, marginal_skew=0.5
+    )
+    targets = marginals_of(target)
+    scores = {}
+    for method in ("external_copula", "bn"):
+        config = SynthesisConfig(
+            source_data="unused", schema="unused", method=method,
+            output_size=20_000, seed=1000,
+            external_command=(sys.executable, str(RESAMPLE_GENERATOR)),
+        )
+        synthetic, _ = generate_table(source, targets, config, 1000)
+        scores[method] = srmse_projected(target, synthetic, 1)
+    assert scores["external_copula"] <= 0.2 * scores["bn"]
+    assert scores["external_copula"] < 0.05
 
 
 def test_external_copula_error_paths(tmp_path):
