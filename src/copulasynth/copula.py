@@ -62,44 +62,85 @@ def jitter_cells(counts, cells, rng) -> np.ndarray:
     """A uniform draw in (F(x^(k-1)), F(x^(k))] per 0-based cell k; F(x^(-1)) is 0.
 
     Cells are ranks on the observed support, so every count must be positive.
+    Each cell gathers its width from one table of F(x^(k)) - F(x^(k-1)) and
+    its top from F; top - r * width is computed in the buffer of the draws r.
     """
     cum = ecdf(counts)
     if (np.asarray(counts) == 0).any():
         raise SynthesisError("jitter needs the counts of observed cells only")
-    idx = integer_array(cells, "cells").astype(np.int64, copy=False)
-    if idx.size and (idx.min() < 0 or idx.max() >= len(cum)):
+    cells = integer_array(cells, "cells")
+    if cells.size and (cells.min() < 0 or cells.max() >= len(cum)):
         raise SynthesisError(
-            f"cell index outside 0..{len(cum) - 1}: range [{idx.min()}, {idx.max()}]"
+            f"cell index outside 0..{len(cum) - 1}: "
+            f"range [{cells.min()}, {cells.max()}]"
         )
-    lows = np.concatenate([[0.0], cum[:-1]])
-    lo = lows[idx]
-    hi = cum[idx]
-    return hi - rng.random(idx.shape) * (hi - lo)
+    idx = cells.astype(np.intp, copy=False)
+    u = rng.random(idx.shape)
+    # idx is in range, so 'clip' clips nothing; it skips the buffered 'raise'.
+    widths = np.diff(cum, prepend=0.0).take(idx, mode="clip")
+    u *= widths
+    return np.subtract(cum.take(idx, out=widths, mode="clip"), u, out=u)
 
 
 def pseudo_inverse_many(counts, u) -> np.ndarray:
     """For each u, the smallest code whose cumulative probability reaches u.
 
-    A zero-count code repeats its predecessor's F, so it is never the
-    smallest code reaching any u > 0.
+    That code is the count of the ECDF's first m - 1 values below u, found
+    by the sampler's search (``bayesnet.sample``): O(log m) branchless
+    halvings of those cuts, padded with inf to a power of two, into buffers
+    of u's shape allocated once. A zero-count code repeats its predecessor's
+    F, so it is never the smallest code reaching any u > 0.
     """
     cum = ecdf(counts)
-    arr = np.asarray(u, dtype=np.float64)
+    try:
+        arr = np.asarray(u, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise SynthesisError("u values must lie in (0,1]") from None
     if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise SynthesisError("u values must lie in (0,1]")
-    return np.searchsorted(cum, arr, side="left")
+    width = max(2, 1 << (len(cum) - 1).bit_length())
+    cuts = np.full(width, np.inf)
+    cuts[: len(cum) - 1] = cum[:-1]
+    step = width >> 1
+    # The first halving reads one cut; out= keeps hit an array for a 0-d u.
+    hit = np.less(cuts[step - 1], arr, out=np.empty(arr.shape, bool))
+    pos = np.multiply(hit, step, dtype=np.intp)
+    below = np.empty(arr.shape)
+    inc = below.view(np.intp)  # below's buffer, free again once hit is set
+    while step := step >> 1:
+        # pos + step - 1 < width - 1: 'clip' clips nothing and skips the
+        # buffered 'raise' mode.
+        cuts[step - 1 :].take(pos, out=below, mode="clip")
+        np.less(below, arr, out=hit)
+        pos += np.multiply(hit, step, out=inc)
+    return pos
 
 
 def target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
     """Map column i's uniforms through target marginal i's pseudo-inverse.
 
     ``uniforms`` yields one length-n array per column, in column order, so
-    only one column of floats needs to be alive at a time.
+    only one column of floats needs to be alive at a time. Any other count
+    of columns, or a column of another length, is a SynthesisError.
     """
     schema = targets.schema
     codes = np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
+    given = 0
     for i, u in enumerate(uniforms):
-        # searchsorted on an ECDF that ends at exactly 1.0, for u <= 1, gives
-        # at most m - 1: the narrowing store cannot wrap.
-        codes[:, i] = pseudo_inverse_many(targets.counts[i], u)
+        if i == schema.d:
+            raise SynthesisError(f"more than {schema.d} columns of uniforms")
+        # The count of cuts below u <= 1 is at most m - 1: the narrowing
+        # store cannot wrap.
+        column = pseudo_inverse_many(targets.counts[i], u)
+        if column.shape != (n,):
+            raise SynthesisError(
+                f"column {i}: expected {n} uniforms, got shape {column.shape}"
+            )
+        codes[:, i] = column
+        given = i + 1
+        # Free this column's floats and codes before the next column's are
+        # made: it lowers the peak RSS.
+        del u, column
+    if given < schema.d:
+        raise SynthesisError(f"{given} columns of uniforms for {schema.d} variables")
     return MicroTable(schema, codes)

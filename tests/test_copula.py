@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copulasynth import MicroTable, SynthesisError, marginals_of
+from copulasynth import MarginalTable, MicroTable, SynthesisError, marginals_of
 from copulasynth import copula, pipeline
-from copulasynth.copula import ecdf, jitter_cells, pseudo_inverse_many
+from copulasynth.copula import ecdf, jitter_cells, pseudo_inverse_many, target_codes
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, small_tables
 
@@ -79,6 +79,39 @@ def test_jitter_cells_vectorized():
         jitter_cells([3, 0, 4], np.array([0]), rng)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 10**6), min_size=1, max_size=300),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.int64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jitter_cells_is_top_minus_draw_times_width(counts, dtype, seed):
+    """Bit for bit hi - r * (hi - lo), with r from a generator of the same seed."""
+    cum = ecdf(counts)
+    high = min(len(cum), np.iinfo(dtype).max + 1)
+    cells = np.random.default_rng(seed).integers(0, high, 500)
+    got = jitter_cells(counts, cells.astype(dtype), np.random.default_rng(seed))
+    hi, lo = cum[cells], np.concatenate([[0.0], cum[:-1]])[cells]
+    r = np.random.default_rng(seed).random(cells.shape)
+    assert got.tobytes() == (hi - r * (hi - lo)).tobytes()
+
+
+def test_target_codes_takes_one_length_n_column_per_variable():
+    targets = MarginalTable(make_schema([2, 3]), ([1, 1], [1, 2, 3]))
+    half = np.full(4, 0.5)
+    assert target_codes(targets, 4, [half, half]).codes.tolist() == [[0, 1]] * 4
+    for uniforms, message in (
+        ([half], "1 columns of uniforms for 2 variables"),
+        ([], "0 columns of uniforms for 2 variables"),
+        ([half, half, half], "more than 2 columns"),
+        ([half, np.full(3, 0.5)], r"column 1: expected 4 uniforms, got shape \(3,\)"),
+        ([half, np.full((4, 1), 0.5)], r"got shape \(4, 1\)"),
+        ([0.5, half], r"column 0: expected 4 uniforms, got shape \(\)"),
+    ):
+        with pytest.raises(SynthesisError, match=message):
+            target_codes(targets, 4, iter(uniforms))
+
+
 def test_pseudo_inverse_hand_cases():
     counts = [1, 1, 2, 1]  # steps 0.2 0.4 0.8 1.0
     u = [0.2, 0.2000001, 0.79, 0.8, 1.0, 1e-12]
@@ -86,6 +119,55 @@ def test_pseudo_inverse_hand_cases():
     for bad in (0.0, -0.1, 1.0000001, np.nan):
         with pytest.raises(SynthesisError, match=r"must lie in \(0,1\]"):
             pseudo_inverse_many(counts, np.array([0.5, bad]))
+    for bad in ("x", [0.5, "x"], [0.5, [0.5]], None, 1j):
+        with pytest.raises(SynthesisError, match=r"must lie in \(0,1\]"):
+            pseudo_inverse_many(counts, bad)
+
+
+@st.composite
+def sparse_counts(draw):
+    """1 to 300 counts, about half of them zero, so zero runs open, close
+    and interrupt the list; positive counts from 1 to 10**6 put cuts close
+    together as well as far apart."""
+    m = draw(st.integers(1, 300))
+    counts = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(1, 10**6)), min_size=m, max_size=m
+        )
+    )
+    if not any(counts):
+        counts[draw(st.integers(0, m - 1))] = 1
+    return np.array(counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(counts=sparse_counts(), extra=st.lists(st.floats(1e-300, 1.0), max_size=20))
+def test_pseudo_inverse_equals_searchsorted_exactly(counts, extra):
+    """The halving count of cuts below u is searchsorted(F, u, "left"),
+    on every cut, both float neighbours of every cut and 1.0."""
+    cum = ecdf(counts)
+    cuts = cum[:-1]
+    u = np.concatenate(
+        [cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0), [1.0], extra]
+    )
+    u = u[(u > 0.0) & (u <= 1.0)]
+    got = pseudo_inverse_many(counts, u)
+    want = np.searchsorted(cum, u, side="left")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert (counts[got] > 0).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 17, 300])
+def test_pseudo_inverse_keeps_the_shape_of_u(m):
+    counts = np.arange(1, m + 1)
+    cum = ecdf(counts)
+    for u in (0.5, np.asarray(1.0), [], np.empty((0, 3)), np.full((2, 3), 0.4)):
+        got = pseudo_inverse_many(counts, u)
+        want = np.searchsorted(cum, np.asarray(u, dtype=np.float64), side="left")
+        assert type(got) is type(want) and got.dtype == want.dtype
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None)

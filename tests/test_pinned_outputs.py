@@ -19,7 +19,11 @@ import numpy as np
 import pytest
 
 from copulasynth import (
+    MarginalTable,
+    MicroTable,
+    Schema,
     SynthesisConfig,
+    VariableSpec,
     evaluate,
     generate_table,
     load_micro_csv,
@@ -84,6 +88,12 @@ PERMUTATION_VALUES = (
 # sha256 of the bn_copula codes at d=20 (see test_bn_copula_d20_codes_are_pinned).
 D20_DIGEST = "88e36435f34870dee45775e9a952f3e57b20659c24d43d9441d1d15c146e14dd"
 
+# sha256 of the codes at a 300-category variable (see test_large_m_codes_are_pinned).
+LARGE_M_DIGESTS = {
+    "independent_copula": "344df51f1c73503f515c686dbed20703a534611404a88f04a51617059fb7a58f",
+    "bn_copula": "07e90eb555cd853f272da8564fcca6159aa239408d373d006db352f2f6383321",
+}
+
 
 def config(method, **overrides):
     fields = {
@@ -140,3 +150,43 @@ def test_bn_copula_d20_codes_are_pinned():
     synthetic, _ = generate_table(source, marginals_of(target), cfg, 0)
     codes = np.ascontiguousarray(synthetic.codes)
     assert hashlib.sha256(codes.tobytes()).hexdigest() == D20_DIGEST, NUMPY
+
+
+def large_m_tables():
+    """A 3,000-row source over a 300-category variable and three small ones,
+    with targets that hold zero counts first, last and in runs.
+
+    The source shows 225 of the 300 categories, so its ranks run past 128,
+    and the target's pseudo-inverse searches 299 cuts.
+    """
+    schema = Schema(
+        tuple(
+            VariableSpec(f"v{i}", tuple(str(j) for j in range(m)))
+            for i, m in enumerate((300, 3, 7, 2))
+        )
+    )
+    rng = np.random.default_rng(22)
+    n = 3_000
+    v0 = rng.integers(0, 300, n) ** 2 // 300  # skewed low, gaps at the top
+    v1 = (v0 // 100 + rng.integers(0, 2, n)) % 3
+    v2 = rng.integers(0, 7, n)
+    v3 = (v2 > 3) ^ (rng.random(n) < 0.1)
+    source = MicroTable(schema, np.column_stack([v0, v1, v2, v3]))
+    wide = rng.integers(0, 50, 300)
+    wide[:3] = wide[100:140] = wide[297:] = 0
+    counts = (wide, [0, 40, 60], [5, 0, 0, 9, 3, 0, 4], [7, 3])
+    return source, MarginalTable(schema, counts)
+
+
+@pytest.mark.parametrize("method", sorted(LARGE_M_DIGESTS))
+def test_large_m_codes_are_pinned(method):
+    """The fixture and d=20 pins have at most 25 categories a variable; this
+    one runs the copula exit over 300, with zero-count target categories."""
+    source, targets = large_m_tables()
+    cfg = SynthesisConfig(
+        source_data="unused", schema="unused", method=method,
+        output_size=20_000, seed=0,
+    )
+    synthetic, _ = generate_table(source, targets, cfg, 0)
+    codes = np.ascontiguousarray(synthetic.codes)
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == LARGE_M_DIGESTS[method], NUMPY
