@@ -250,6 +250,11 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     # Column-major, so each node reads its parents as contiguous columns;
     # topological order fills every parent before its children read it.
     codes = np.empty((n, bn.schema.d), dtype=code_dtype(bn.schema), order="F")
+    # Buffers of n allocated once for every node's search, as in
+    # copula.pseudo_inverse_many: the row positions, the cuts read at them,
+    # and which cuts lie below u; inc reuses the cuts' buffer.
+    pos, below, hit = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
+    inc = below.view(np.intp)
     for node in bn.dag.topological_order():
         theta = bn.cpts[node]
         q, m = theta.shape
@@ -265,9 +270,18 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         cum[j < positive.argmax(axis=1)[:, None]] = -np.inf
         cum[j >= m - 1 - positive[:, ::-1].argmax(axis=1)[:, None]] = np.inf
         # Keys come in their range's narrowest dtype: widen before * width.
-        shares, pos = cum.ravel(), np.multiply(config, width, dtype=np.intp)
+        shares = cum.ravel()
+        np.multiply(config, width, out=pos, dtype=np.intp)
         u = rng.random(n)
         while step := step >> 1:
-            pos += (shares.take(pos + (step - 1)) < u) * step
-        codes[:, node] = pos & (width - 1)  # < m: the narrowing store cannot wrap
+            # pos + step - 1 < shares.size: 'clip' clips nothing and skips
+            # the buffered 'raise' mode.
+            shares[step - 1 :].take(pos, out=below, mode="clip")
+            np.less(below, u, out=hit)
+            pos += np.multiply(hit, step, out=inc)
+        pos &= width - 1
+        codes[:, node] = pos  # < m: the narrowing store cannot wrap
+    # MicroTable copies the codes: free the search's n-length arrays first,
+    # so that they do not add to the call's peak memory.
+    del u, pos, below, hit, inc
     return MicroTable(bn.schema, codes)

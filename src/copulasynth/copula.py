@@ -93,9 +93,14 @@ def pseudo_inverse_many(counts, u) -> np.ndarray:
     """
     cum = ecdf(counts)
     try:
-        arr = np.asarray(u, dtype=np.float64)
+        arr = np.asarray(u)
     except (TypeError, ValueError):
         raise SynthesisError("u values must lie in (0,1]") from None
+    # Only real numbers are cast: a complex u would lose its imaginary part,
+    # a string would be parsed, and a bool would count as 0 or 1.
+    if arr.dtype.kind not in "iuf":
+        raise SynthesisError("u values must lie in (0,1]")
+    arr = arr.astype(np.float64, copy=False)
     if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise SynthesisError("u values must lie in (0,1]")
     width = max(2, 1 << (len(cum) - 1).bit_length())

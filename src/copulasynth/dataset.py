@@ -20,12 +20,15 @@ widens them first, as ``bayesnet.sample`` does before ``config * width``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -36,14 +39,34 @@ from .errors import SynthesisError
 VALID_KINDS = ("ordinal", "categorical")
 # Counts and totals up to 2**53 keep every ECDF partial sum exact in float64.
 MAX_COUNT = 2**53
-# Rows per block of the microdata CSV reader and writer. The reader holds
-# about this many times d label strings at once. The writer holds the
-# block's fixed-width byte records, at most _CSV_BLOCK_BYTES of them, so a
-# schema with a very wide label writes fewer rows per block. Both bounds
-# keep a block's memory small, and blocks are still large enough that the
-# per-block numpy calls and the one write cost little next to the bytes.
+# Rows per block of the microdata CSV writer and of the reader's csv.reader
+# path. That path holds about this many times d label strings at once. The
+# writer holds the block's fixed-width byte records, at most
+# _CSV_BLOCK_BYTES of them, so a schema with a very wide label writes fewer
+# rows per block. Both bounds keep a block's memory small, and blocks are
+# still large enough that the per-block numpy calls and the one write cost
+# little next to the bytes.
 _CSV_BLOCK_ROWS = 1 << 12
 _CSV_BLOCK_BYTES = 1 << 18
+# The writer pads a field text of at most this many bytes; a wider one is
+# written apart, so one long label does not widen every row of its column.
+_CSV_PAD_BYTES = 256
+# The byte reader decodes whole lines of about _CSV_READ_BYTES at a time.
+# Its per-block int64 arrays, 8 bytes per field, then stay below glibc's
+# default 128 KiB mmap threshold, so blocks reuse freed heap memory. At
+# 256 KiB each block mapped fresh pages: about 3,000 page faults per 10k x
+# 20 file, and a traced 39 ms instead of 21 ms to read generate_d20's two.
+_CSV_READ_BYTES = 1 << 14
+# The byte reader packs a field of up to _KEY_BYTES bytes and its length
+# into one uint64 key (see _label_table); _FIELD_MASKS[w] keeps the top w
+# bytes of a word, where a field of w bytes ends.
+_KEY_BYTES = 7
+_FIELD_MASKS = np.array(
+    [((1 << 8 * w) - 1) << 8 * (8 - w) for w in range(_KEY_BYTES + 1)], dtype=np.uint64
+)
+# Fibonacci hashing: the top bits of key * (2**64 / golden ratio), mod 2**64,
+# pick a key's first slot.
+_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 # Combination keys may range over this many values per counted row before
 # they are re-ranked densely, so a bincount over them stays a few words per
 # row however many categories the columns have.
@@ -322,11 +345,218 @@ def load_micro_csv(path, schema: Schema) -> MicroTable:
     """Read a microdata CSV (header + one record per person) into codes.
 
     The header must name a superset of the schema variables; extra
-    columns are ignored. Rows are read in blocks of ``_CSV_BLOCK_ROWS``,
-    and each block is decoded column by column through the variables'
-    label dicts, so at most one block of label strings is alive at a time.
-    The first fault in file order is reported: a short row by its physical
+    columns are ignored, and a name given twice means its first column.
+    A regular file is decoded straight from its bytes, in blocks of whole
+    lines of about ``_CSV_READ_BYTES``: one ``np.flatnonzero`` finds a
+    block's ``,`` and ``\\n`` bytes, each schema field of up to
+    ``_KEY_BYTES`` bytes becomes one uint64 key, and one hash-table lookup
+    of the whole block maps the keys to codes (see ``_label_table``).
+    ``\\n`` and ``\\r\\n`` line ends, a leading byte-order mark and a
+    last line with no newline are read as ``csv.reader`` reads them.
+
+    The byte decoder gives the file up wherever ``csv.reader`` might read
+    it otherwise or refuse it, and the ``csv.reader`` path
+    (``_load_micro_rows``) then reads the whole file again: on a ``"``, a
+    NUL, a ``\\r`` not followed by ``\\n``, a blank line, a row of
+    another field count than the header's, a schema field wider than a key
+    or that is no label of its variable, a line longer than
+    ``csv.field_size_limit()`` bytes, bytes that are not UTF-8, and a file
+    that is not regular, such as a pipe. So every fault is reported by the
+    ``csv.reader`` path, as it always was: a short row by its physical
     line, an unknown label by variable, row number and the offending token.
+    """
+    table = _load_micro_bytes(path, schema)
+    return _load_micro_rows(path, schema) if table is None else table
+
+
+def _label_table(schema: Schema, dtype):
+    """One open-addressing hash table of every variable's label keys.
+
+    A field of w <= _KEY_BYTES bytes has as key the little-endian uint64 of
+    the 8 bytes that end with the field, with the bytes before the field
+    cleared and w in the lowest byte, which lies before the field. So ""
+    and a label of NUL bytes get different keys.
+
+    Variable i owns the run of slots from offsets[i]. A key's first slot in
+    it is ``(key * _HASH_MULTIPLIER mod 2**64) >> shifts[i]``, and a key
+    whose slot is taken lies in the next free one, fewer than ``probes``
+    slots on. Each run has ``probes - 1`` spare slots at its end, so a
+    search never leaves its variable's run. Free slots hold 2**64 - 1,
+    whose length byte no field has. Labels wider than a key are left out:
+    no field they could match is decoded.
+
+    Returns the slots' keys and codes, the offsets and shifts as (d, 1)
+    columns, and probes.
+    """
+    runs, offsets, shifts, probes = [], [], [], 1
+    for var in schema.variables:
+        fit = [
+            (int.from_bytes(raw.rjust(8, b"\0"), "little") | len(raw), code)
+            for code, raw in enumerate(label.encode() for label in var.labels)
+            if len(raw) <= _KEY_BYTES
+        ]
+        # From over 2 to at most 32 slots per key: the first size at which
+        # no key is moved, else the largest.
+        low = (2 * len(fit)).bit_length()
+        for bits in range(low, low + 4):
+            run, moved = {}, 0
+            for key, code in fit:
+                first = slot = (key * _HASH_MULTIPLIER % 2**64) >> (64 - bits)
+                while slot in run:
+                    slot += 1
+                run[slot] = key, code
+                moved = max(moved, slot - first)
+            if not moved:
+                break
+        probes = max(probes, moved + 1)
+        runs.append((bits, run))
+    keys, codes = [], []
+    for bits, run in runs:
+        offsets.append(len(keys))
+        shifts.append(64 - bits)
+        for slot in range((1 << bits) + probes - 1):
+            key, code = run.get(slot, (2**64 - 1, 0))
+            keys.append(key)
+            codes.append(code)
+    column = (len(offsets), 1)
+    return (
+        np.array(keys, dtype=np.uint64),
+        np.array(codes, dtype=dtype),
+        np.array(offsets, dtype=np.uint64).reshape(column),
+        np.array(shifts, dtype=np.uint64).reshape(column),
+        probes,
+    )
+
+
+def _line_blocks(fh):
+    """The file's bytes in blocks of whole lines, each about _CSV_READ_BYTES.
+
+    A last line without a newline is given one.
+    """
+    tail = b""
+    while chunk := fh.read(_CSV_READ_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield tail + chunk[:cut]
+            tail = chunk[cut:]
+        else:
+            tail += chunk
+    if tail:
+        yield tail + b"\n"
+
+
+def _load_micro_bytes(path, schema: Schema):
+    """The table of a regular microdata file, or None if the bytes are not plain.
+
+    See load_micro_csv for what the byte decoder refuses.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except OSError:
+        return None
+    dtype = code_dtype(schema)
+    table = _label_table(schema, dtype)
+    with open(path, "rb") as fh:
+        blocks = _line_blocks(fh)
+        first = next(blocks, b"").removeprefix(codecs.BOM_UTF8)
+        head, _, rest = first.partition(b"\n")
+        head = head.removesuffix(b"\r")
+        if (
+            not head
+            or len(head) > csv.field_size_limit()
+            or any(c in head for c in (b'"', b"\0", b"\r"))
+        ):
+            return None
+        try:
+            header = head.decode().split(",")
+        except UnicodeDecodeError:
+            return None
+        if not all(var.name in header for var in schema.variables):
+            return None
+        col_of = [header.index(var.name) for var in schema.variables]
+        parts = []
+        for block in chain([rest], blocks):
+            codes = _decode_block(block, len(header), col_of, table, dtype)
+            if codes is None:
+                return None
+            parts.append(codes)
+    return MicroTable(schema, np.concatenate(parts, axis=1).T)
+
+
+def _decode_block(block: bytes, n_fields: int, col_of, table, dtype):
+    """A block of whole lines as (d, rows) codes, or None if it is not plain."""
+    if b'"' in block or b"\0" in block:
+        return None
+    try:
+        block.decode()
+    except UnicodeDecodeError:
+        return None
+    if not block:
+        return np.empty((len(col_of), 0), dtype=dtype)
+    # Eight pad bytes, so the 8-byte word that ends with any field lies in buf.
+    buf = bytes(8) + block
+    padded = np.frombuffer(buf, dtype=np.uint8)
+    text = padded[8:]
+    newline = text == 10
+    seps = np.flatnonzero(newline | (text == 44))
+    rows = np.count_nonzero(newline)
+    if seps.size != rows * n_fields:
+        return None
+    # Each row's last separator is a newline and there are no others, so
+    # every row holds exactly n_fields fields.
+    seps = seps.reshape(rows, n_fields)
+    line_ends = seps[:, -1]
+    if not newline[line_ends].all():
+        return None
+    crlf = padded[line_ends + 7] == 13  # the byte before each newline
+    if np.count_nonzero(text == 13) != np.count_nonzero(crlf):
+        return None  # a lone "\r", which csv reads as a line end
+    lengths = np.diff(line_ends, prepend=-1) - 1 - crlf
+    # A line of at most the limit's bytes has no field of more characters.
+    if lengths.max() > csv.field_size_limit():
+        return None
+    if n_fields == 1 and lengths.min() == 0:
+        return None  # a blank line, which csv reads as a row of no fields
+    # Each variable's field ends, and the separators before its fields.
+    ends = seps.T[col_of]
+    starts = seps.T[[k - 1 for k in col_of]]
+    for k, end, start in zip(col_of, ends, starts):
+        if k == 0:  # the previous line's newline
+            start[1:] = start[:-1]
+            start[0] = -1
+        if k == n_fields - 1:
+            end -= crlf
+    widths = ends - starts
+    widths -= 1
+    if widths.max() > _KEY_BYTES:
+        return None
+    # words[i] is the 8 bytes of buf that end just before text[i].
+    words = np.ndarray((len(block),), dtype="<u8", buffer=buf, strides=(1,))
+    keys = words[ends]
+    keys &= _FIELD_MASKS.take(widths)
+    keys |= widths.view(np.uint64)
+    table_keys, table_codes, offsets, shifts, probes = table
+    slots = keys * np.uint64(_HASH_MULTIPLIER)
+    slots >>= shifts
+    slots += offsets
+    slots = slots.view(np.int64)
+    for _ in range(probes):
+        found = table_keys.take(slots) == keys
+        if found.all():
+            return table_codes.take(slots)
+        slots += ~found
+    return None  # a field that is no label of its variable
+
+
+def _load_micro_rows(path, schema: Schema) -> MicroTable:
+    """The csv.reader path of load_micro_csv, for any file the bytes refuse.
+
+    Rows are read in blocks of ``_CSV_BLOCK_ROWS``, and each block is
+    decoded column by column through the variables' label dicts, so at
+    most one block of label strings is alive at a time. The first fault in
+    file order is reported: a short row by its physical line, an unknown
+    label by variable, row number and the offending token.
     """
     variables = schema.variables
     dtype = code_dtype(schema)
@@ -420,25 +650,34 @@ def write_micro_csv(table: MicroTable, path) -> None:
     before the file is opened; a label it refuses (NUL on Python 3.10) is a
     SynthesisError naming the variable and the label. Each text carries its
     separator, ``,`` or ``\\r\\n`` for the last column, and is encoded to
-    UTF-8 and padded with 0xFF bytes to its column's widest text. A block
-    of rows is one array of fixed-width records, one field per column,
-    filled by one ``take`` of each column's padded texts by the block's
-    codes. One compress drops the block's 0xFF bytes, and the rest is
-    written as it is. UTF-8 never holds the byte 0xFF, so the compress
-    removes the padding and nothing else. The bytes are the ``csv``
-    module's: minimal quoting and ``\\r\\n`` line ends, UTF-8.
+    UTF-8 and padded with 0xFF bytes to its column's widest text of at most
+    ``_CSV_PAD_BYTES``. A wider text is written apart: its padded text is
+    the byte 0xFE. A block of rows is one array of fixed-width records, one
+    field per column, filled by one ``take`` of each column's padded texts
+    by the block's codes. One compress drops the block's 0xFF bytes. If the
+    block holds a wide text, its output is split at the 0xFE bytes and
+    joined again with the wide texts in file order. UTF-8 never holds the
+    bytes 0xFE and 0xFF, so this removes the padding and the marks and
+    nothing else. The bytes are the ``csv`` module's: minimal quoting and
+    ``\\r\\n`` line ends, UTF-8.
 
     A block holds at most ``_CSV_BLOCK_ROWS`` rows, and its records take at
     most ``_CSV_BLOCK_BYTES`` (256 KiB) unless one record alone is larger.
     While a block is written, its records, the compress's byte mask, its
-    8-byte positions and its output take at most 11 times that. The padded
-    texts take m times the widest text's bytes per column.
+    8-byte positions and its output take at most 11 times that, plus twice
+    the wide texts it writes. The padded texts take at most m times
+    ``_CSV_PAD_BYTES`` per column.
     """
     d = table.schema.d
     header = _csv_row(table.schema.names, "variable names").encode()
-    texts = []
-    for var, sep in zip(table.schema.variables, [","] * (d - 1) + ["\r\n"]):
+    texts, wide = [], []
+    seps = [","] * (d - 1) + ["\r\n"]
+    for i, (var, sep) in enumerate(zip(table.schema.variables, seps)):
         fields = [(_field_text(var, label, d) + sep).encode() for label in var.labels]
+        apart = [len(field) > _CSV_PAD_BYTES for field in fields]
+        if any(apart):
+            wide.append((i, fields, np.array(apart)))
+            fields = [b"\xfe" if far else field for field, far in zip(fields, apart)]
         width = max(map(len, fields))
         padded = b"".join(field.ljust(width, b"\xff") for field in fields)
         texts.append(np.frombuffer(padded, dtype=f"V{width}"))
@@ -453,7 +692,27 @@ def write_micro_csv(table: MicroTable, path) -> None:
             for i, text in enumerate(texts):
                 records[f"f{i}"] = text.take(table.column(i)[start:stop])
             raw = records.view(np.uint8)
-            fh.write(raw.compress(raw != 0xFF))
+            out = raw.compress(raw != 0xFF)
+            if wide:
+                out = _join_wide(out, table.codes[start:stop], wide)
+            fh.write(out)
+
+
+def _join_wide(out, codes, wide):
+    """A block's output with its 0xFE marks replaced by their wide texts.
+
+    ``codes`` are the block's rows, and ``wide`` holds (column, field
+    texts, which texts are wide) for each column with a wide text.
+    """
+    at = np.stack([far.take(codes[:, i]) for i, _, far in wide], axis=1)
+    rows, cols = np.nonzero(at)  # row by row, then column by column: file order
+    if not rows.size:
+        return out
+    fields = [
+        wide[j][1][codes[r, wide[j][0]]] for r, j in zip(rows.tolist(), cols.tolist())
+    ]
+    pieces = out.tobytes().split(b"\xfe")
+    return b"".join(chain.from_iterable(zip(pieces, fields + [b""])))
 
 
 def load_marginals_csv(path, schema: Schema) -> MarginalTable:

@@ -122,6 +122,21 @@ def test_pseudo_inverse_hand_cases():
     for bad in ("x", [0.5, "x"], [0.5, [0.5]], None, 1j):
         with pytest.raises(SynthesisError, match=r"must lie in \(0,1\]"):
             pseudo_inverse_many(counts, bad)
+    # Only integer and float u are cast: a complex u is refused even with a
+    # zero imaginary part, a string is not parsed, a bool is not 0 or 1.
+    non_real = (
+        np.array([0.5 + 0.3j]),
+        np.array([0.5 + 0j]),
+        np.array(["0.7"]),
+        [True],
+        np.array([True]),
+        np.array([0.5], dtype=object),
+    )
+    for bad in non_real:
+        with pytest.raises(SynthesisError, match=r"must lie in \(0,1\]"):
+            pseudo_inverse_many(counts, bad)
+    assert pseudo_inverse_many(counts, [1]).tolist() == [3]
+    assert pseudo_inverse_many(counts, np.float32([0.5])).tolist() == [2]
 
 
 @st.composite

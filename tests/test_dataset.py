@@ -1,7 +1,10 @@
 """Schema, table, and CSV ingestion behavior."""
 
 import csv
+import io
 import math
+import os
+import threading
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -29,10 +32,15 @@ from copulasynth import (
     write_micro_csv,
     write_schema,
 )
+from copulasynth import dataset
 from copulasynth.bayesnet import BayesNet, Dag
 from copulasynth.dataset import (
     _CSV_BLOCK_BYTES,
     _CSV_BLOCK_ROWS,
+    _CSV_READ_BYTES,
+    _label_table,
+    _load_micro_bytes,
+    _load_micro_rows,
     code_dtype,
     combo_keys,
     extend_keys,
@@ -511,24 +519,37 @@ def test_write_micro_csv_matches_csv_writer_on_any_labels(tmp_path_factory, tabl
     assert (back.codes == table.codes).all()
 
 
-def test_write_micro_csv_memory_is_bounded_by_block_bytes(tmp_path):
-    """A 64 KiB label makes each record that wide, so a block holds few
-    rows; the peak stays within the docstring's bound of 11 blocks of
-    records plus the padded texts, and the bytes still match the oracle."""
+def test_write_micro_csv_memory_is_bounded_by_block_bytes(tmp_path, monkeypatch):
+    """A 64 KiB label used in 4 of 20k rows is written apart: its column's
+    records stay 2 bytes wide, so the rows go out in full blocks of
+    _CSV_BLOCK_ROWS, one write each. The peak stays within the docstring's
+    bound of 11 blocks of records plus the texts, and the bytes still match
+    the oracle."""
     wide = "w" * (1 << 16)
     schema = Schema((VariableSpec("wide", ("a", wide)), VariableSpec("x", ("0", "1"))))
     codes = np.zeros((20_000, 2), dtype=np.uint8)
     codes[::5000, 0] = 1
     codes[1::2, 1] = 1
     table = MicroTable(schema, codes)
+    writes = []
+
+    class CountingFile(io.FileIO):
+        def write(self, data):
+            writes.append(len(data))
+            return super().write(data)
+
+    monkeypatch.setattr(dataset, "open", CountingFile, raising=False)
     tracemalloc.start()
     try:
         write_micro_csv(table, tmp_path / "new.csv")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Each padded text is as wide as the widest field: 2 * (len(wide) + 1).
+    monkeypatch.undo()
+    # Each padded text is at most as wide as the widest field: 2 * (len(wide) + 1).
     assert peak < 11 * _CSV_BLOCK_BYTES + 2 * (len(wide) + 1)
+    # The header, then one write per block of _CSV_BLOCK_ROWS rows.
+    assert len(writes) == 1 + math.ceil(len(codes) / _CSV_BLOCK_ROWS)
     write_rows_oracle(table, tmp_path / "oracle.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
@@ -591,6 +612,205 @@ def test_load_micro_csv_names_faults_across_blocks(tmp_path):
     path.write_text("a,b\nx,0\nx," + "9" * 200_000 + "\n")
     with pytest.raises(SynthesisError, match=r"rows\.csv: field larger than field"):
         load_micro_csv(path, schema)
+
+
+def read_outcome(read, path, schema):
+    """A reader's codes, or the message of the SynthesisError it raised."""
+    try:
+        return read(path, schema).codes.tolist()
+    except SynthesisError as exc:
+        return str(exc)
+
+
+@st.composite
+def micro_files(draw):
+    """A table's CSV bytes with LF or CRLF line ends, with or without a final
+    newline, maybe with an extra column, and maybe with one field replaced
+    by a LABEL draw, which may be no label of its variable."""
+    table = draw(st.one_of(small_tables(max_n=12), labelled_tables()))
+    labels = [v.labels for v in table.schema.variables]
+    rows = [list(table.schema.names)] + [
+        [labels[i][c] for i, c in enumerate(row)] for row in table.codes.tolist()
+    ]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, table.schema.d))
+        for r, row in enumerate(rows):
+            row.insert(at, draw(LABEL) if r else "extra")
+    if len(rows) > 1 and draw(st.booleans()):
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(LABEL)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=eol).writerows(rows)
+    text = buf.getvalue()
+    if draw(st.booleans()):
+        text = text[: -len(eol)]
+    return table.schema, text.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(micro_files())
+def test_byte_reader_matches_csv_reader(tmp_path_factory, case):
+    """Where the byte decoder reads a file, its codes are the csv.reader
+    path's; load_micro_csv gives that path's codes or message either way."""
+    schema, blob = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(blob)
+    want = read_outcome(_load_micro_rows, path, schema)
+    fast = _load_micro_bytes(path, schema)
+    if fast is not None:
+        assert fast.codes.tolist() == want
+    assert read_outcome(load_micro_csv, path, schema) == want
+
+
+AB = Schema(
+    (VariableSpec("a", ("x", "y", "é", "𝄞")), VariableSpec("b", ("0", "1", "")))
+)
+ONE = Schema((VariableSpec("a", ("x", "y")),))
+ONE_EMPTY = Schema((VariableSpec("a", ("x", "")),))
+DIGITS = Schema((VariableSpec("a", ("0", "1")), VariableSpec("b", ("0", "1", ""))))
+# A quoted field whose quotes are a label's text: csv reads x.
+QUOTED = Schema((VariableSpec("a", ("x", '"x"')), VariableSpec("b", ("0", "1"))))
+# A key holds a field of up to 7 bytes.
+SEVEN = Schema((VariableSpec("a", ("abcdefg", "y")), VariableSpec("b", ("0", "1"))))
+EIGHT = Schema((VariableSpec("a", ("abcdefgh", "y")), VariableSpec("b", ("0", "1"))))
+# These 1,000 labels leave some keys past their first slot, so lookups
+# probe on.
+SQUARES = tuple(str(i * i) for i in range(1000))
+MANY = Schema((VariableSpec("a", SQUARES), VariableSpec("b", ("0", "1"))))
+LIMIT = csv.field_size_limit()
+HALF = b"z" * (LIMIT // 2)  # two fit a field, not a line
+
+# Files the byte decoder reads itself, as csv.reader reads them.
+PLAIN = {
+    "LF": (AB, b"a,b\nx,0\ny,1\n"),
+    "CRLF": (AB, b"a,b\r\nx,0\r\ny,1\r\n"),
+    "mixed line ends": (AB, b"a,b\r\nx,0\ny,1\r\n"),
+    "no final newline": (AB, b"a,b\nx,0\ny,1"),
+    "no final CRLF": (AB, b"a,b\r\nx,0\r\ny,1"),
+    "CR ending the last line": (AB, b"a,b\nx,0\ny,1\r"),
+    "BOM": (AB, b"\xef\xbb\xbfa,b\r\nx,0\r\n"),
+    "header only": (AB, b"a,b\n"),
+    "header only, CRLF": (AB, b"a,b\r\n"),
+    "header only, no newline": (AB, b"a,b"),
+    "BOM and header only": (AB, b"\xef\xbb\xbfa,b"),
+    "extra columns": (AB, b"junk,b,more,a\n1,0,,y\n2,1,z,x\n"),
+    "duplicate header names": (AB, b"a,b,a,b\nx,0,y,1\ny,1,x,0\n"),
+    "empty label": (AB, b"a,b\nx,\ny,1\n"),
+    "multibyte labels": (AB, "a,b\né,0\n𝄞,1\n".encode()),
+    "one column": (ONE, b"a\r\nx\r\ny\r\n"),
+    "seven-byte label": (SEVEN, b"a,b\nabcdefg,0\ny,1\n"),
+    "many labels": (MANY, ("a,b\n" + ",1\n".join(SQUARES[::-1]) + ",0\n").encode()),
+    "a field of the limit": (AB, b"a,b,c\nx,0," + b"z" * (LIMIT - 4) + b"\n"),
+}
+
+# Files the byte decoder gives up, so the csv.reader path reads them.
+REFUSED = {
+    "blank line": (AB, b"a,b\nx,0\n\ny,1\n"),
+    "blank line at the end": (AB, b"a,b\nx,0\n\n"),
+    "blank CRLF line at the end": (AB, b"a,b\r\nx,0\r\n\r\n"),
+    "blank line, one column": (ONE, b"a\nx\n\ny\n"),
+    "blank line, one column with an empty label": (ONE_EMPTY, b"a\nx\n\nx\n"),
+    "too many fields, then a blank line": (DIGITS, b"a,b\n0,1,1\n\n"),
+    "lone CR": (AB, b"a,b\nx,0\ry,1\n"),
+    "CR in the header": (AB, b"a,b\rx,0\n"),
+    "NUL": (AB, b"a,b,c\nx,0,\x00\n"),
+    "NUL in a label field": (AB, b"a,b\nx\x00,0\n"),
+    "invalid UTF-8 in an ignored column": (AB, b"a,b,c\nx,0,\xff\n"),
+    "invalid UTF-8 in the header": (AB, b"a,b,\xff\nx,0,1\n"),
+    "field over the limit": (AB, b"a,b,c\nx,0," + b"z" * (LIMIT + 1) + b"\n"),
+    "header field over the limit": (AB, b"a,b," + b"z" * (LIMIT + 1) + b"\nx,0,1\n"),
+    "line over the limit": (AB, b"a,b,c,d\nx,0," + HALF + b"," + HALF + b"\n"),
+    "too many fields": (AB, b"a,b\nx,0,9\n"),
+    "too few fields": (AB, b"a,b\nx,0\ny\n"),
+    "quoted field": (AB, b'a,b\n"x",0\n'),
+    "quotes that are a label's text": (QUOTED, b'a,b\n"x",0\n'),
+    "quoted header": (AB, b'"a",b\nx,0\n'),
+    "quoted newline": (AB, b'a,b\n"x\ny",0\n'),
+    "field wider than a key": (EIGHT, b"a,b\nabcdefgh,0\ny,1\n"),
+    "unknown label": (AB, b"a,b\nx,0\nq,1\n"),
+    "unknown wide label": (AB, b"a,b\nx,0\n" + b"q" * 9 + b",1\n"),
+    "unknown label among many": (
+        MANY,
+        b"a,b\n" + b"".join(b"%d,1\n" % i for i in range(20)),
+    ),
+    "missing column": (AB, b"a,c\nx,0\n"),
+    "blank header": (AB, b"\na,b\nx,0\n"),
+    "empty file": (AB, b""),
+    "BOM only": (AB, b"\xef\xbb\xbf"),
+}
+
+
+def test_label_table_runs_hold_every_probe():
+    """MANY needs probes, and each variable's run has room for all of them
+    past its hashed slots, so a search never reaches the next variable's."""
+    keys, _, offsets, shifts, probes = _label_table(MANY, code_dtype(MANY))
+    assert probes > 1
+    ends = [*offsets.ravel()[1:].tolist(), keys.size]
+    runs = zip(offsets.ravel().tolist(), shifts.ravel().tolist(), ends)
+    for offset, shift, end in runs:
+        assert end - offset == 2 ** (64 - shift) + probes - 1
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_byte_reader_reads_plain_files(tmp_path, name):
+    schema, blob = PLAIN[name]
+    path = tmp_path / "t.csv"
+    path.write_bytes(blob)
+    fast = _load_micro_bytes(path, schema)
+    assert fast is not None
+    assert fast.codes.tolist() == read_outcome(_load_micro_rows, path, schema)
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_byte_reader_gives_up_where_csv_decides(tmp_path, name):
+    """Each refusal reaches the csv.reader path, whose codes or message
+    load_micro_csv gives: NUL, for one, is an error on Python 3.10 and a
+    character on 3.11 and later."""
+    schema, blob = REFUSED[name]
+    path = tmp_path / "t.csv"
+    path.write_bytes(blob)
+    assert _load_micro_bytes(path, schema) is None
+    assert read_outcome(load_micro_csv, path, schema) == read_outcome(
+        _load_micro_rows, path, schema
+    )
+
+
+def test_byte_reader_crosses_blocks(tmp_path):
+    """Lines that cross _CSV_READ_BYTES, and one line longer than a block,
+    read as csv.reader reads them."""
+    table = random_table([3, 4, 2], 3 * _CSV_READ_BYTES // 6 + 5, seed=8)
+    path = tmp_path / "t.csv"
+    write_micro_csv(table, path)
+    blob = path.read_bytes()
+    long_field = b"z" * (2 * _CSV_READ_BYTES)
+    lines = blob.split(b"\r\n")
+    lines[0] += b",note"
+    lines[1:-1] = [
+        line + b"," + (long_field if i == 7 else b"")
+        for i, line in enumerate(lines[1:-1])
+    ]
+    for eol in (b"\r\n", b"\n"):
+        path.write_bytes(eol.join(lines))
+        fast = _load_micro_bytes(path, table.schema)
+        assert fast is not None
+        assert (fast.codes == table.codes).all()
+
+
+def test_byte_reader_leaves_pipes_to_csv(tmp_path):
+    """A pipe cannot be read twice, so it goes straight to the csv.reader path."""
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    assert _load_micro_bytes(path, AB) is None
+
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(b"a,b\nx,0\ny,1\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    assert load_micro_csv(path, AB).codes.tolist() == [[0, 0], [1, 1]]
+    writer.join()
 
 
 def test_marginals_csv_roundtrip(tmp_path):
