@@ -3,8 +3,8 @@
 SRMSE compares relative combination frequencies between a reference and a
 synthetic table over variable subsets: srmse_by_size counts blocks of
 variables once, cuts every subset's table out of them by axis sums in one
-walk over all projection sizes, and srmse scores each subset from its two
-count arrays. Zeros and precision/recall work on distinct combinations
+walk over all projection sizes, and squares each block's differences in
+one pass, from which srmse scores each subset. Zeros and precision/recall work on distinct combinations
 after projecting out excluded variables (high-card ordinal variables by
 default, which otherwise flood the zero counts): distinct_combos turns the
 tables into aligned masks of the combinations each holds, and
@@ -29,26 +29,21 @@ from .errors import SynthesisError
 
 # A block table holds at most one cell per this many counted rows (reference
 # plus synthetic), so the axis sums that cut subsets out of it stay cheap
-# next to the bincount that fills it.
+# next to the bincount that fills it; each cell holds both tables' counts.
 _ROWS_PER_BLOCK_CELL = 16
 
 # evaluate scores SRMSE projections of sizes 1..min(MAX_PROJECTION, d).
 MAX_PROJECTION = 5
 
 
-def srmse(ref_counts, syn_counts, n_ref: int, n_syn: int, m_product: int) -> float:
-    """sqrt(M * sum((pi - pihat)^2)) of one subset, from both tables' counts over it.
+def srmse(squares, m_product: int) -> float:
+    """sqrt(M * sum(squares)) of one subset, M the product of its cardinalities.
 
-    M is the product of the subset's schema cardinalities. The count
-    arrays list the subset's combinations in lexicographic order, either
-    as a dense table over the subset's axes or over order-preserving keys;
-    combinations seen in neither table contribute zero and are skipped, so
-    the squares are summed over the others in the same order either way.
+    ``squares`` are the (pi - pihat)^2 of the combinations seen in either
+    table, in lexicographic order: a slice of srmse_by_size's contiguous
+    per-block array, which np.add.reduce sums exactly as a fresh copy.
     """
-    seen = (ref_counts + syn_counts) > 0
-    p = ref_counts[seen] / n_ref
-    q = syn_counts[seen] / n_syn
-    return math.sqrt(m_product * float(((p - q) ** 2).sum()))
+    return math.sqrt(m_product * float(np.add.reduce(squares)))
 
 
 def _cover(dims, top: int, budget: int, dense_limit: int):
@@ -109,21 +104,29 @@ def _shared_prefix(a, b) -> int:
 def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     """Arithmetic mean of srmse over all variable subsets of each size.
 
-    One walk serves every size. The subsets of the largest size are
-    counted in blocks of columns (see _cover): both tables are keyed over
-    a block, reusing the key prefix it shares with the previous block, and
-    one bincount per table gives the block's dense table, from which each
-    subset takes its own by axis sums. Each smaller subset S takes its
-    table from S plus the smallest column not in S by a one-axis sum,
-    depth first, so one block and one path of tables are alive at a time.
-    A subset whose product passes dataset.KEY_RANGE_PER_ROW per row is counted
-    over re-ranked keys instead, and its children are counted on their
-    own. Every dense table lists its cells in lexicographic order, like
-    the keys, so the scores do not depend on the route; the mean runs over
-    them in itertools.combinations order.
+    One walk serves every size. The rows of both tables are keyed as one
+    array. The subsets of the largest size are counted in blocks of
+    columns (see _cover): a block's keys reuse the prefix it shares with
+    the previous block, and one bincount of them with the table as the
+    last digit gives a dense (cells..., 2) table, from which each subset
+    takes its own by axis sums. Each smaller subset S takes its table from
+    S plus the smallest column not in S by a one-axis sum, depth first. A
+    subset whose product passes dataset.KEY_RANGE_PER_ROW per row is
+    counted over re-ranked keys, and its children on their own. Tables
+    list cells in lexicographic order, like keys, so scores do not depend
+    on the route. One pass per block turns its scored tables into squared
+    differences, and srmse sums each subset's slice; one block, one path
+    and the block's scored tables are alive at a time. The mean runs over
+    the scores in itertools.combinations order.
     """
-    d, sizes = ref.schema.d, tuple(sizes)
+    d = ref.schema.d
+    try:
+        sizes = tuple(sizes)
+    except TypeError:
+        raise SynthesisError(f"projection sizes {sizes!r} are not a sequence") from None
     for n in sizes:
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+            raise SynthesisError(f"projection size {n!r} is not an integer")
         if not 1 <= n <= d:
             raise SynthesisError(f"projection size {n} outside 1..{d}")
     if ref.schema != syn.schema:
@@ -132,48 +135,68 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
         raise SynthesisError("cannot compare an empty table")
     if not sizes:
         return {}
-    dims = ref.schema.dims
-    rows = ref.n_rows + syn.n_rows
+    sizes, dims = tuple(map(int, sizes)), ref.schema.dims
+    n_ref, n_syn, low = ref.n_rows, syn.n_rows, min(sizes)
+    rows = n_ref + n_syn
     dense_limit = dataset.KEY_RANGE_PER_ROW * rows
+    column = np.empty(rows, ref.codes.dtype)  # one column of both tables
+    which = np.repeat(np.array([0, 1], np.uint8), (n_ref, n_syn))  # the table digit
     scores: dict[tuple[int, ...], float] = {}
+    scored = []  # (subset, M, table) of the block's scored subsets
+
+    def extended(keys, span, c):
+        np.concatenate((ref.column(c), syn.column(c)), out=column)
+        (keys,), span = dataset.extend_keys([keys], span, [column], dims[c])
+        return keys, span
 
     def counted(keys, span, subset):
-        """Both tables' counts, stacked: a dense table unless keys were re-ranked."""
-        counts = np.stack([np.bincount(k, minlength=span) for k in keys])
-        if math.prod(dims[c] for c in subset) > dense_limit:
-            return counts
-        return counts.reshape((2,) + tuple(dims[c] for c in subset))
+        """Both tables' counts, (cells..., 2): dense unless the keys were re-ranked."""
+        (keys,), _ = dataset.extend_keys([keys], span, [which], 2, budget=2 * span)
+        cells = tuple(dims[c] for c in subset)
+        shape = (span,) if math.prod(cells) > dense_limit else cells
+        return np.bincount(keys, minlength=2 * span).reshape(shape + (2,))
 
-    def walk(subset, counts):
-        m_product = math.prod(dims[c] for c in subset)
+    def walk(subset, counts, m_product):
         if len(subset) in sizes:
-            scores[subset] = srmse(
-                counts[0], counts[1], ref.n_rows, syn.n_rows, m_product
-            )
-        if len(subset) == min(sizes):
+            scored.append((subset, m_product, counts))
+        if len(subset) == low:
             return
         # The children of S are S minus one of its leading columns 0..k-1.
         for i in range(len(subset)):
             if subset[i] != i:
                 break
-            child = subset[:i] + subset[i + 1 :]
+            child, m = subset[:i] + subset[i + 1 :], m_product // dims[i]
             if m_product > dense_limit:
-                keys, span = dataset.combo_keys((ref.codes, syn.codes), dims, child)
-                walk(child, counted(keys, span, child))
+                keys, span = prefixes[0]
+                for c in child:
+                    keys, span = extended(keys, span, c)
+                walk(child, counted(keys, span, child), m)
             else:
-                walk(child, counts.sum(axis=i + 1))
+                walk(child, np.add.reduce(counts, axis=i), m)
+
+    def score_block():
+        counts = np.concatenate([t for *_, t in scored], axis=None)
+        ref_counts, syn_counts = counts[0::2], counts[1::2]
+        seen = ref_counts + syn_counts > 0
+        squares = ((ref_counts / n_ref - syn_counts / n_syn) ** 2)[seen]
+        # Integer counts of each table's seen cells: reduceat is exact here.
+        starts = itertools.accumulate([t.size // 2 for *_, t in scored[:-1]], initial=0)
+        held = np.add.reduceat(seen, list(starts), dtype=np.intp).tolist()
+        start = 0
+        for (subset, m_product, _), k in zip(scored, held):
+            scores[subset] = srmse(squares[start : start + k], m_product)
+            start += k
+        scored.clear()
 
     plan = _cover(dims, max(sizes), rows // _ROWS_PER_BLOCK_CELL, dense_limit)
     # prefixes[k]: the keys and range over the block's first k columns, kept
     # only as far as the next block shares them.
-    prefixes = [dataset.combo_keys((ref.codes, syn.codes), dims, ())]
+    prefixes = [(np.zeros(rows, np.uint8), 1)]
     for b, (block, inner) in enumerate(plan):
         keep = _shared_prefix(block, plan[b + 1][0]) if b + 1 < len(plan) else 0
         keys, span = prefixes[-1]
         for k in range(len(prefixes) - 1, len(block)):
-            c = block[k]
-            columns = (ref.column(c), syn.column(c))
-            keys, span = dataset.extend_keys(keys, span, columns, dims[c])
+            keys, span = extended(keys, span, block[k])
             if k < keep:
                 prefixes.append((keys, span))
         del prefixes[keep + 1 :]
@@ -181,13 +204,14 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
         for subset in inner:
             # One axis at a time, leading axes first: numpy sums a leading
             # axis over long runs, but many axes at once over short ones.
-            table, axis = counts, 1
+            table, axis = counts, 0
             for c in block:
                 if c in subset:
                     axis += 1
                 else:
-                    table = table.sum(axis=axis)
-            walk(subset, table)
+                    table = np.add.reduce(table, axis=axis)
+            walk(subset, table, math.prod(dims[c] for c in subset))
+        score_block()
     return {
         n: float(np.mean([scores[s] for s in itertools.combinations(range(d), n)]))
         for n in sizes

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulasynth import MicroTable, SynthesisError, evaluate, metrics, srmse_projected
-from copulasynth.dataset import combo_keys
+from copulasynth.dataset import KEY_RANGE_PER_ROW, combo_keys
 from copulasynth.metrics import (
     EvaluationReport,
     default_exclusion,
@@ -139,17 +139,20 @@ def test_srmse_projected_aggregates_by_mean():
     assert srmse_projected(two, two_syn, 2) == subset_srmse(two, two_syn, [0, 1])
 
 
+def srmse_by_key(ref, syn, subset):
+    """SRMSE of one subset, counted on its own keys."""
+    keys, span = combo_keys((ref.codes, syn.codes), ref.schema.dims, subset)
+    a, b = (np.bincount(k, minlength=span) for k in keys)
+    seen = (a + b) > 0
+    p, q = a[seen] / ref.n_rows, b[seen] / syn.n_rows
+    m_product = math.prod(ref.schema.dims[c] for c in subset)
+    return math.sqrt(m_product * float(((p - q) ** 2).sum()))
+
+
 def srmse_by_keys(ref, syn, n):
     """Mean SRMSE over the size-n subsets, each counted on its own keys."""
-    scores = []
-    for subset in itertools.combinations(range(ref.schema.d), n):
-        keys, span = combo_keys((ref.codes, syn.codes), ref.schema.dims, subset)
-        a, b = (np.bincount(k, minlength=span) for k in keys)
-        seen = (a + b) > 0
-        p, q = a[seen] / ref.n_rows, b[seen] / syn.n_rows
-        m_product = math.prod(ref.schema.dims[c] for c in subset)
-        scores.append(math.sqrt(m_product * float(((p - q) ** 2).sum())))
-    return float(np.mean(scores))
+    subsets = itertools.combinations(range(ref.schema.d), n)
+    return float(np.mean([srmse_by_key(ref, syn, s) for s in subsets]))
 
 
 @st.composite
@@ -188,7 +191,7 @@ def test_srmse_by_size_matches_per_subset_keys(case):
     # One srmse call per subset of each requested size, and none for the
     # sizes the walk only passes through.
     dims = ref.schema.dims
-    assert Counter(call.args[4] for call in scored.call_args_list) == Counter(
+    assert Counter(call.args[1] for call in scored.call_args_list) == Counter(
         math.prod(dims[c] for c in subset)
         for n in sizes
         for subset in itertools.combinations(range(len(dims)), n)
@@ -200,6 +203,84 @@ def test_srmse_by_size_rejects_bad_sizes():
     with pytest.raises(SynthesisError, match="outside 1..2"):
         metrics.srmse_by_size(ref, syn, (1, 3))
     assert metrics.srmse_by_size(ref, syn, ()) == {}
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ([2.5], "2.5 is not an integer"),
+        ([2.0], "2.0 is not an integer"),
+        (["2"], "'2' is not an integer"),
+        ([None], "None is not an integer"),
+        ([True], "True is not an integer"),
+        ([np.True_], "is not an integer"),
+        (3, "not a sequence"),
+    ],
+)
+def test_srmse_by_size_rejects_non_integer_sizes(sizes, message):
+    ref, syn = random_table([2, 3], 10, seed=1), random_table([2, 3], 12, seed=2)
+    with pytest.raises(SynthesisError, match=message):
+        metrics.srmse_by_size(ref, syn, sizes)
+
+
+def test_srmse_by_size_returns_plain_int_keys():
+    ref, syn = random_table([2, 3], 10, seed=1), random_table([2, 3], 12, seed=2)
+    got = metrics.srmse_by_size(ref, syn, [np.int64(2), np.uint8(1)])
+    assert [type(n) for n in got] == [int, int]
+    assert got == metrics.srmse_by_size(ref, syn, [2, 1])
+
+
+def test_srmse_by_size_shared_blocks_at_bench_shape():
+    """d=14 over a few thousand rows, where _cover builds blocks wider than
+    the largest subsets, as it does for evaluate on the benchmark's tables."""
+    dims = [(2, 3, 4)[i % 3] for i in range(14)]
+    schema = make_schema(dims)
+    rng = np.random.default_rng(11)
+    ref, syn = (
+        MicroTable(schema, np.column_stack(
+            [(rng.random(n) ** 3.0 * m).astype(np.int64) for m in dims]
+        ))
+        for n in (3000, 2500)
+    )
+    rows = ref.n_rows + syn.n_rows
+    plan = metrics._cover(
+        dims, 5, rows // metrics._ROWS_PER_BLOCK_CELL, KEY_RANGE_PER_ROW * rows
+    )
+    assert max(len(block) for block, _ in plan) >= 6
+    scores, srmse = [], metrics.srmse
+
+    def scored(squares, m_product):
+        scores.append(srmse(squares, m_product))
+        return scores[-1]
+
+    reversed_syn = MicroTable(schema, syn.codes[::-1])
+    with mock.patch.object(metrics, "srmse", scored):
+        got = metrics.srmse_by_size(ref, syn, range(1, 6))
+        forward = scores[:]
+        assert metrics.srmse_by_size(ref, reversed_syn, range(1, 6)) == got
+    for n in range(1, 6):
+        assert got[n] == srmse_by_keys(ref, syn, n), n
+    # Means can hide a last-bit difference: compare every subset's score.
+    assert sorted(forward) == sorted(
+        srmse_by_key(ref, syn, s)
+        for n in range(1, 6)
+        for s in itertools.combinations(range(14), n)
+    )
+    assert scores[len(forward) :] == forward
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 300), st.integers(0, 2**31 - 1))
+def test_reduce_over_a_slice_sums_as_a_copy(length, offset, seed):
+    """srmse sums a slice of a larger contiguous float64 array; the batched
+    scores are bit-identical only if that adds the terms as a fresh copy's
+    sum does."""
+    values = np.random.default_rng(seed).random(offset + length + 7) ** 2
+    part = values[offset : offset + length]
+    assert float(np.add.reduce(part)) == float(part.copy().sum()), (
+        f"numpy {np.__version__} sums a {length}-element slice at offset "
+        f"{offset} differently from a copy of it"
+    )
 
 
 def test_default_exclusion_targets_wide_ordinals():
