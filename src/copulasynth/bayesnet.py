@@ -8,19 +8,31 @@ logarithms throughout.
 
 from __future__ import annotations
 
-import functools
 import heapq
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MicroTable, Schema, code_dtype, combo_keys, extend_keys
+from .dataset import (
+    KEY_RANGE_PER_ROW,
+    MicroTable,
+    Schema,
+    code_dtype,
+    combo_keys,
+    extend_keys,
+    is_integer,
+)
 from .errors import SynthesisError
 
 # learn_structure keeps the best of this many seeded orderings.
 N_RESTARTS = 10
+# _family_scores scores about this many family cells per pass, so the pass's
+# int64 work arrays stay below glibc's default 128 KiB mmap threshold and
+# each pass reuses freed heap memory.
+_CHUNK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -109,44 +121,169 @@ def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
 
     Penalty = (ln N / 2) * q * (m - 1) where q is the number of parent
     configurations (the full product of parent cardinalities) and m the
-    node's cardinality. Higher is better. Both count vectors come from one
-    bincount of the family keys unless the family step was re-ranked.
+    node's cardinality. Higher is better. A one-family call of the scorer
+    that learn_structure runs on whole rounds of families.
     """
-    n = data.n_rows
-    if n == 0:
+    if data.n_rows == 0:
         raise SynthesisError("cannot score an empty table")
     d = data.schema.d
+    if not is_integer(node):
+        raise SynthesisError(f"node {node!r} is not an integer")
     if not 0 <= node < d:
         raise SynthesisError(f"node {node} out of range 0..{d - 1}")
-    parents = tuple(sorted(int(p) for p in parents))
+    try:
+        parents = tuple(parents)
+    except TypeError:
+        raise SynthesisError(f"parents {parents!r} are not a sequence") from None
+    for p in parents:
+        if not is_integer(p):
+            raise SynthesisError(f"parent index {p!r} is not an integer")
+    parents = tuple(sorted(map(int, parents)))
+    if len(set(parents)) != len(parents):
+        raise SynthesisError(f"node {node} lists a parent twice")
     if node in parents:
         raise SynthesisError(f"node {node} cannot be its own parent")
     if any(not 0 <= p < d for p in parents):
         raise SynthesisError("parent index out of range")
+    return _family_scores(data, [(int(node), parents)])[0]
+
+
+def _family_scores(data: MicroTable, families) -> list[float]:
+    """MDL scores of (node, sorted parents) families, in the given order.
+
+    Families are grouped by column set, their parents plus node, and each
+    set is counted once (see _set_tables). A family reads its (parents...,
+    node) counts from its set's table with the node's axis moved last; a
+    set too large for a dense table is counted per family over combo_keys'
+    re-ranked keys. Either way a family's observed counts come in
+    lexicographic order, so its float sums add the same terms in the same
+    order whichever route or chunk it takes.
+    """
     dims = data.schema.dims
-    m = dims[node]
-    q = math.prod(dims[p] for p in parents)
+    half_log_n = 0.5 * math.log(data.n_rows)
+    by_set: dict[tuple[int, ...], list[int]] = {}
+    for i, (node, parents) in enumerate(families):
+        by_set.setdefault(tuple(sorted((*parents, node))), []).append(i)
+    scores = [0.0] * len(families)
+    chunk: list[tuple] = []  # (family index, dense pair counts, m, penalty)
+    cells = 0
+    for cols, table in _set_tables(data, sorted(by_set)):
+        for i in by_set[cols]:
+            node, parents = families[i]
+            m = dims[node]
+            penalty = half_log_n * math.prod(dims[p] for p in parents) * (m - 1)
+            if table is None:
+                pair, config = _reranked_counts(data, node, parents)
+                sizes = [pair.size], [config.size]
+                (scores[i],) = _mdl_scores(pair, config, *sizes, [penalty])
+                continue
+            if chunk and cells + table.size > _CHUNK_CELLS:
+                _score_chunk(chunk, scores)
+                chunk, cells = [], 0
+            axes = list(range(table.ndim))
+            axes.append(axes.pop(cols.index(node)))
+            chunk.append((i, table.transpose(axes).ravel(), m, penalty))
+            cells += table.size
+    if chunk:
+        _score_chunk(chunk, scores)
+    return scores
+
+
+def _set_tables(data: MicroTable, sets):
+    """Yield each sorted column set with its dense count table, in the given order.
+
+    A table has one axis per column. Its keys never pass extend_keys'
+    budget, so they are never re-ranked and index the full grid; a set
+    whose grid would pass the budget is yielded with None. Given sets in
+    sorted order, each one extends the key prefix it shares with the last
+    set counted.
+    """
+    n, dims = data.n_rows, data.schema.dims
+    last: tuple[int, ...] = ()
+    prefix_keys = [([np.zeros(n, dtype=np.uint8)], 1)]  # over last[:0], last[:1], ...
+    for cols in sets:
+        shape = [dims[c] for c in cols]
+        if math.prod(shape) > KEY_RANGE_PER_ROW * n:
+            yield cols, None
+            continue
+        shared = 0
+        while shared < min(len(cols), len(last)) and cols[shared] == last[shared]:
+            shared += 1
+        del prefix_keys[shared + 1 :]
+        for c in cols[shared:]:
+            keys, span = prefix_keys[-1]
+            prefix_keys.append(extend_keys(keys, span, [data.column(c)], dims[c]))
+        last = cols
+        (key,), span = prefix_keys[-1]
+        yield cols, np.bincount(key, minlength=span).reshape(shape)
+
+
+def _reranked_counts(data: MicroTable, node: int, parents):
+    """A family's observed pair and parent-configuration counts over re-ranked keys.
+
+    Re-ranking keeps the keys' order, so both come in lexicographic order.
+    """
+    dims = data.schema.dims
     (config_key,), span = combo_keys((data.codes,), dims, parents)
-    (pair_key,), pair_span = extend_keys([config_key], span, [data.column(node)], m)
-    # Rows per observed combination, in lexicographic order whatever the
-    # key range, so the float sums below always add in the same order.
-    pair = np.bincount(pair_key, minlength=pair_span)
-    dense = pair_span == span * m  # not re-ranked: a config's m counts are adjacent
-    config = pair.reshape(span, m).sum(axis=1) if dense else np.bincount(config_key)
-    pair_counts, config_counts = (c[c > 0] for c in (pair, config))
-    loglik = float(
-        np.sum(pair_counts * np.log(pair_counts))
-        - np.sum(config_counts * np.log(config_counts))
+    (pair_key,), _ = extend_keys([config_key], span, [data.column(node)], dims[node])
+    pair, config = np.bincount(pair_key), np.bincount(config_key)
+    return pair[pair > 0], config[config > 0]
+
+
+def _score_chunk(chunk, scores):
+    """Score a chunk of families from their dense (parents..., node) counts.
+
+    Every run of m cells of a family's counts is one parent configuration,
+    so one integer reduceat gives all the configuration counts.
+    """
+    ids, pairs, ms, penalties = zip(*chunk)
+    sizes = np.array([p.size for p in pairs])
+    configs = sizes // ms
+    pair = np.concatenate(pairs)
+    config = np.add.reduceat(pair, _starts(np.repeat(ms, configs)))
+    pair_seen, config_seen = pair > 0, config > 0
+    pair_sizes = np.add.reduceat(pair_seen, _starts(sizes), dtype=np.intp)
+    config_sizes = np.add.reduceat(config_seen, _starts(configs), dtype=np.intp)
+    chunk_scores = _mdl_scores(
+        pair[pair_seen],
+        config[config_seen],
+        pair_sizes.tolist(),
+        config_sizes.tolist(),
+        penalties,
     )
-    penalty = 0.5 * math.log(n) * q * (m - 1)
-    return loglik - penalty
+    for i, score in zip(ids, chunk_scores):
+        scores[i] = score
+
+
+def _starts(sizes):
+    """Where each of consecutive runs of these sizes starts."""
+    return np.cumsum(sizes) - sizes
+
+
+def _mdl_scores(pair, config, pair_sizes, config_sizes, penalties) -> list[float]:
+    """Family scores from observed counts, family after family in each array.
+
+    One n * ln(n) pass covers all the counts. Each float sum is one
+    np.add.reduce over a family's contiguous slice, which adds exactly as
+    a sum over a copy of that slice would.
+    """
+    counts = np.concatenate((pair, config))
+    terms = counts * np.log(counts)
+    ends = list(itertools.accumulate(pair_sizes + config_sizes, initial=0))
+    k = len(penalties)
+    return [
+        float(
+            np.add.reduce(terms[ends[f] : ends[f + 1]])
+            - np.add.reduce(terms[ends[k + f] : ends[k + f + 1]])
+        )
+        - penalty
+        for f, penalty in enumerate(penalties)
+    ]
 
 
 def network_score(data: MicroTable, dag: Dag) -> float:
     """Total MDL score: sum of family scores (decomposable)."""
-    return sum(
-        family_score_mdl(data, node, ps) for node, ps in enumerate(dag.parents)
-    )
+    return sum(_family_scores(data, list(enumerate(dag.parents))))
 
 
 def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Dag:
@@ -154,50 +291,65 @@ def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Da
 
     Each restart draws a variable ordering from the seeded stream; each
     node then greedily accumulates parents from its predecessors while the
-    family score strictly improves, up to max_parents. The best-scoring
-    network over all restarts wins. Candidate parents are tried in
-    increasing index order, so ties resolve to the lowest index; the first
-    restart reaching the best total is kept. Deterministic per seed.
+    family score strictly improves, up to max_parents. A node's choices
+    depend only on its restart's ordering, so all restarts and nodes run in
+    lockstep rounds, one per parent count: a round scores every trial
+    family that no earlier round scored in one _family_scores call, and
+    each node then takes its best trial. Candidate parents are tried in
+    increasing index order and one is taken only if it strictly beats the
+    current score, so ties resolve to the lowest index. Each restart's
+    total adds its family scores in ordering position order; the best total
+    wins, and the first restart reaching it is kept. Deterministic per seed.
     """
     if data.n_rows == 0:
         raise SynthesisError("cannot learn structure from an empty table")
-    if max_parents < 0:
-        raise SynthesisError("max_parents must be >= 0")
+    for name, value in (("max_parents", max_parents), ("seed", seed)):
+        if not is_integer(value) or value < 0:
+            raise SynthesisError(f"{name} must be an integer >= 0, got {value!r}")
     d = data.schema.d
-    scored = functools.cache(functools.partial(family_score_mdl, data))
     rng = np.random.default_rng(seed)
-    best_parents: tuple[tuple[int, ...], ...] | None = None
-    best_total = -math.inf
-    for _ in range(N_RESTARTS):
-        order = rng.permutation(d)
-        parents_by_node: list[tuple[int, ...]] = [()] * d
+    orders = [rng.permutation(d).tolist() for _ in range(N_RESTARTS)]
+    scores: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    def score_new(families):
+        new = [f for f in dict.fromkeys(families) if f not in scores]
+        scores.update(zip(new, _family_scores(data, new)))
+
+    def trials(r, node, cands):
+        current = parents[r][node]
+        return [tuple(sorted((*current, c))) for c in cands if c not in current]
+
+    score_new((node, ()) for node in range(d))
+    parents = [[()] * d for _ in orders]
+    # (restart, node, candidate parents) of every node still adding parents
+    growing = [
+        (r, node, sorted(order[:pos]))
+        for r, order in enumerate(orders)
+        for pos, node in enumerate(order)
+    ]
+    for _ in range(max_parents):
+        score_new(
+            (node, t) for r, node, cands in growing for t in trials(r, node, cands)
+        )
+        kept = []
+        for r, node, cands in growing:
+            chosen, chosen_score = None, scores[node, parents[r][node]]
+            for t in trials(r, node, cands):
+                if scores[node, t] > chosen_score:
+                    chosen, chosen_score = t, scores[node, t]
+            if chosen is not None:
+                parents[r][node] = chosen
+                kept.append((r, node, cands))
+        growing = kept
+    best_parents, best_total = None, -math.inf
+    for r, order in enumerate(orders):
         total = 0.0
-        for pos in range(d):
-            node = int(order[pos])
-            predecessors = sorted(int(v) for v in order[:pos])
-            current: tuple[int, ...] = ()
-            current_score = scored(node, current)
-            while len(current) < max_parents:
-                chosen = None
-                chosen_score = current_score
-                for cand in predecessors:
-                    if cand in current:
-                        continue
-                    trial = tuple(sorted(current + (cand,)))
-                    s = scored(node, trial)
-                    if s > chosen_score:
-                        chosen, chosen_score = cand, s
-                if chosen is None:
-                    break
-                current = tuple(sorted(current + (chosen,)))
-                current_score = chosen_score
-            parents_by_node[node] = current
-            total += current_score
+        for node in order:
+            total += scores[node, parents[r][node]]
         if total > best_total:
-            best_total = total
-            best_parents = tuple(parents_by_node)
+            best_parents, best_total = parents[r], total
     assert best_parents is not None
-    return Dag(parents=best_parents)
+    return Dag(parents=tuple(best_parents))
 
 
 def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:

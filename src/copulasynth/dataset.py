@@ -165,6 +165,11 @@ def integer_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def code_dtype(schema: Schema) -> np.dtype:
     """The smallest unsigned dtype that holds every code of the schema."""
     return np.min_scalar_type(max(schema.dims) - 1)

@@ -125,7 +125,7 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     except TypeError:
         raise SynthesisError(f"projection sizes {sizes!r} are not a sequence") from None
     for n in sizes:
-        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+        if not dataset.is_integer(n):
             raise SynthesisError(f"projection size {n!r} is not an integer")
         if not 1 <= n <= d:
             raise SynthesisError(f"projection size {n} outside 1..{d}")

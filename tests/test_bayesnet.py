@@ -1,10 +1,12 @@
 """MDL scoring, structure search, parameter fitting, and sampling."""
 
+import functools
 import hashlib
 import itertools
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from copulasynth import (
     learn_structure,
     sample_bayesnet,
 )
+from copulasynth import bayesnet
 from copulasynth.bayesnet import (
+    N_RESTARTS,
     BayesNet,
     Dag,
     family_score_mdl,
@@ -156,6 +160,113 @@ def test_greedy_score_bounded_by_exhaustive_optimum():
         empty = network_score(table, Dag(parents=((), (), ())))
         greedy = network_score(table, learn_structure(table, seed=seed))
         assert empty - 1e-9 <= greedy <= best + 1e-9
+
+
+def sequential_greedy(data, max_parents, seed):
+    """The former search, kept as an oracle: one restart after another, and
+    in each one node after another, every family scored by its own
+    family_score_mdl call."""
+    d = data.schema.d
+    scored = functools.cache(functools.partial(family_score_mdl, data))
+    rng = np.random.default_rng(seed)
+    best_parents = None
+    best_total = -math.inf
+    for _ in range(N_RESTARTS):
+        order = rng.permutation(d)
+        parents_by_node = [()] * d
+        total = 0.0
+        for pos in range(d):
+            node = int(order[pos])
+            predecessors = sorted(int(v) for v in order[:pos])
+            current = ()
+            current_score = scored(node, current)
+            while len(current) < max_parents:
+                chosen = None
+                chosen_score = current_score
+                for cand in predecessors:
+                    if cand in current:
+                        continue
+                    trial = tuple(sorted(current + (cand,)))
+                    s = scored(node, trial)
+                    if s > chosen_score:
+                        chosen, chosen_score = cand, s
+                if chosen is None:
+                    break
+                current = tuple(sorted(current + (chosen,)))
+                current_score = chosen_score
+            parents_by_node[node] = current
+            total += current_score
+        if total > best_total:
+            best_total = total
+            best_parents = tuple(parents_by_node)
+    return Dag(parents=best_parents)
+
+
+@st.composite
+def dependent_tables(draw):
+    """Columns that each copy an earlier column (mod m) in a share of rows.
+
+    Copies give the search parents to add, and exact copies give ties. With
+    up to 12 categories and at most 300 rows, a family of three columns can
+    pass the key budget and be counted over re-ranked keys.
+    """
+    d = draw(st.integers(1, 6))
+    dims = [draw(st.integers(2, 12)) for _ in range(d)]
+    n = draw(st.integers(1, 300))
+    share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    codes = np.empty((n, d), dtype=np.int64)
+    for j, m in enumerate(dims):
+        codes[:, j] = rng.integers(0, m, n)
+        if j:
+            copied = codes[:, rng.integers(0, j)] % m
+            codes[:, j] = np.where(rng.random(n) < share, copied, codes[:, j])
+    return MicroTable(make_schema(dims), codes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dependent_tables(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_learn_structure_matches_sequential_greedy(table, max_parents, seed):
+    expected = sequential_greedy(table, max_parents, seed)
+    assert learn_structure(table, max_parents, seed) == expected
+
+
+def counter_score(rows, dims, node, parents):
+    """A family's MDL score from Counter tallies of its rows, in sorted order."""
+    pair = Counter(tuple(r[p] for p in parents) + (r[node],) for r in rows)
+    config = Counter(tuple(r[p] for p in parents) for r in rows)
+    pair_counts = np.array([pair[k] for k in sorted(pair)])
+    config_counts = np.array([config[k] for k in sorted(config)])
+    loglik = float(
+        np.sum(pair_counts * np.log(pair_counts))
+        - np.sum(config_counts * np.log(config_counts))
+    )
+    q = math.prod(dims[p] for p in parents)
+    return loglik - 0.5 * math.log(len(rows)) * q * (dims[node] - 1)
+
+
+def test_batched_scores_equal_per_family_scores_across_chunks():
+    # 500 rows give a key budget of 2,000 cells: the 1,728-cell set of the
+    # three 12-category columns is one dense table whose four-family chunk
+    # fills up mid-set, and any set with a fourth of them is re-ranked.
+    dims = [12, 12, 12, 4, 3, 2]
+    table = random_table(dims, 500, seed=8)
+    families = [
+        (node, parents)
+        for node in range(len(dims))
+        for k in range(4)
+        for parents in itertools.combinations(
+            [p for p in range(len(dims)) if p != node], k
+        )
+    ]
+    np.random.default_rng(0).shuffle(families)
+    with mock.patch.object(
+        bayesnet, "_score_chunk", wraps=bayesnet._score_chunk
+    ) as score_chunk:
+        scores = bayesnet._family_scores(table, families)
+    assert score_chunk.call_count >= 3
+    rows = table.codes.tolist()
+    assert scores == [counter_score(rows, dims, node, ps) for node, ps in families]
 
 
 def test_fit_parameters_hand_case():

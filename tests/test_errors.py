@@ -65,9 +65,57 @@ CASES = {
         lambda _: family_score_mdl(TABLE, 0, (5,)),
         "parent index out of range",
     ),
+    "score_parent_twice": (
+        lambda _: family_score_mdl(TABLE, 0, (1, 1)),
+        "node 0 lists a parent twice",
+    ),
+    "score_parent_float": (
+        lambda _: family_score_mdl(TABLE, 0, (1.5,)),
+        "parent index 1.5 is not an integer",
+    ),
+    "score_parents_string": (
+        lambda _: family_score_mdl(TABLE, 0, "1"),
+        "parent index '1' is not an integer",
+    ),
+    "score_parents_none": (
+        lambda _: family_score_mdl(TABLE, 0, None),
+        "parents None are not a sequence",
+    ),
+    "score_node_float": (
+        lambda _: family_score_mdl(TABLE, 0.0),
+        "node 0.0 is not an integer",
+    ),
+    "score_node_bool": (
+        lambda _: family_score_mdl(TABLE, True),
+        "node True is not an integer",
+    ),
     "structure_empty": (
         lambda _: learn_structure(EMPTY),
         "cannot learn structure from an empty table",
+    ),
+    "structure_seed_negative": (
+        lambda _: learn_structure(TABLE, seed=-1),
+        "seed must be an integer >= 0, got -1",
+    ),
+    "structure_seed_float": (
+        lambda _: learn_structure(TABLE, seed=1.5),
+        "seed must be an integer >= 0, got 1.5",
+    ),
+    "structure_seed_string": (
+        lambda _: learn_structure(TABLE, seed="x"),
+        "seed must be an integer >= 0, got 'x'",
+    ),
+    "structure_max_parents_none": (
+        lambda _: learn_structure(TABLE, max_parents=None),
+        "max_parents must be an integer >= 0, got None",
+    ),
+    "structure_max_parents_float": (
+        lambda _: learn_structure(TABLE, max_parents=1.5),
+        "max_parents must be an integer >= 0, got 1.5",
+    ),
+    "structure_max_parents_bool": (
+        lambda _: learn_structure(TABLE, max_parents=True),
+        "max_parents must be an integer >= 0, got True",
     ),
     "fit_empty": (
         lambda _: fit_parameters(EMPTY, Dag(((), ()))),
