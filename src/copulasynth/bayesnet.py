@@ -22,8 +22,9 @@ from .dataset import (
     Schema,
     code_dtype,
     combo_keys,
-    extend_keys,
+    count_below,
     is_integer,
+    set_keys,
 )
 from .errors import SynthesisError
 
@@ -42,19 +43,9 @@ class Dag:
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        normalized = []
         d = len(self.parents)
-        for node, ps in enumerate(self.parents):
-            ps = tuple(sorted(int(p) for p in ps))
-            if len(set(ps)) != len(ps):
-                raise SynthesisError(f"node {node} lists a parent twice")
-            for p in ps:
-                if not 0 <= p < d:
-                    raise SynthesisError(f"parent {p} of node {node} out of range")
-                if p == node:
-                    raise SynthesisError(f"node {node} cannot be its own parent")
-            normalized.append(ps)
-        object.__setattr__(self, "parents", tuple(normalized))
+        checked = (_checked_parents(i, ps, d) for i, ps in enumerate(self.parents))
+        object.__setattr__(self, "parents", tuple(checked))
         self.topological_order()  # raises on cycles
 
     @property
@@ -131,6 +122,11 @@ def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
         raise SynthesisError(f"node {node!r} is not an integer")
     if not 0 <= node < d:
         raise SynthesisError(f"node {node} out of range 0..{d - 1}")
+    return _family_scores(data, [(int(node), _checked_parents(node, parents, d))])[0]
+
+
+def _checked_parents(node: int, parents, d: int) -> tuple[int, ...]:
+    """A node's parents as sorted integer indices in 0..d-1, none twice or itself."""
     try:
         parents = tuple(parents)
     except TypeError:
@@ -141,11 +137,12 @@ def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
     parents = tuple(sorted(map(int, parents)))
     if len(set(parents)) != len(parents):
         raise SynthesisError(f"node {node} lists a parent twice")
-    if node in parents:
-        raise SynthesisError(f"node {node} cannot be its own parent")
-    if any(not 0 <= p < d for p in parents):
-        raise SynthesisError("parent index out of range")
-    return _family_scores(data, [(int(node), parents)])[0]
+    for p in parents:
+        if not 0 <= p < d:
+            raise SynthesisError(f"parent {p} of node {node} out of range")
+        if p == node:
+            raise SynthesisError(f"node {node} cannot be its own parent")
+    return parents
 
 
 def _family_scores(data: MicroTable, families) -> list[float]:
@@ -190,32 +187,21 @@ def _family_scores(data: MicroTable, families) -> list[float]:
 
 
 def _set_tables(data: MicroTable, sets):
-    """Yield each sorted column set with its dense count table, in the given order.
+    """Yield each sorted column set with its dense count table, one axis per column.
 
-    A table has one axis per column. Its keys never pass extend_keys'
-    budget, so they are never re-ranked and index the full grid; a set
-    whose grid would pass the budget is yielded with None. Given sets in
-    sorted order, each one extends the key prefix it shares with the last
-    set counted.
+    A set whose grid would pass extend_keys' budget comes first, with None;
+    the others follow in order, keyed by one set_keys walk, never re-ranked.
     """
     n, dims = data.n_rows, data.schema.dims
-    last: tuple[int, ...] = ()
-    prefix_keys = [([np.zeros(n, dtype=np.uint8)], 1)]  # over last[:0], last[:1], ...
+    shapes = {}
     for cols in sets:
         shape = [dims[c] for c in cols]
         if math.prod(shape) > KEY_RANGE_PER_ROW * n:
             yield cols, None
-            continue
-        shared = 0
-        while shared < min(len(cols), len(last)) and cols[shared] == last[shared]:
-            shared += 1
-        del prefix_keys[shared + 1 :]
-        for c in cols[shared:]:
-            keys, span = prefix_keys[-1]
-            prefix_keys.append(extend_keys(keys, span, [data.column(c)], dims[c]))
-        last = cols
-        (key,), span = prefix_keys[-1]
-        yield cols, np.bincount(key, minlength=span).reshape(shape)
+        else:
+            shapes[cols] = shape
+    for cols, keys, span in set_keys(shapes, dims, data.column, n):
+        yield cols, np.bincount(keys, minlength=span).reshape(shapes[cols])
 
 
 def _reranked_counts(data: MicroTable, node: int, parents):
@@ -223,10 +209,9 @@ def _reranked_counts(data: MicroTable, node: int, parents):
 
     Re-ranking keeps the keys' order, so both come in lexicographic order.
     """
-    dims = data.schema.dims
-    (config_key,), span = combo_keys((data.codes,), dims, parents)
-    (pair_key,), _ = extend_keys([config_key], span, [data.column(node)], dims[node])
-    pair, config = np.bincount(pair_key), np.bincount(config_key)
+    dims, family = data.schema.dims, [parents, (*parents, node)]
+    (_, config, _), (_, pair, _) = set_keys(family, dims, data.column, data.n_rows)
+    pair, config = np.bincount(pair), np.bincount(config)
     return pair[pair > 0], config[config > 0]
 
 
@@ -392,9 +377,9 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     """Ancestral sampling in topological order, vectorized over rows.
 
     Each node draws one rng.random(n). A row's code is the count of its CPT
-    row's first m - 1 cumulative shares below its uniform: O(log m) branchless
-    halvings of the row, padded with inf to a power of two, in O(n) memory.
-    A category whose share is 0 is never drawn.
+    row's first m - 1 cumulative shares below its uniform (count_below),
+    each row padded with inf to a power of two. A category whose share is 0
+    is never drawn.
     """
     if n < 0:
         raise SynthesisError("sample size must be >= 0")
@@ -402,17 +387,12 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     # Column-major, so each node reads its parents as contiguous columns;
     # topological order fills every parent before its children read it.
     codes = np.empty((n, bn.schema.d), dtype=code_dtype(bn.schema), order="F")
-    # Buffers of n allocated once for every node's search, as in
-    # copula.pseudo_inverse_many: the row positions, the cuts read at them,
-    # and which cuts lie below u; inc reuses the cuts' buffer.
-    pos, below, hit = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
-    inc = below.view(np.intp)
     for node in bn.dag.topological_order():
         theta = bn.cpts[node]
         q, m = theta.shape
         # A budget of the CPT's row count keeps the keys unranked: row indices.
         (config,), _ = combo_keys((codes,), dims, bn.dag.parents[node], budget=q)
-        width = step = 1 << (m - 1).bit_length()
+        width = 1 << (m - 1).bit_length()
         cum = np.full((q, width), np.inf)
         np.cumsum(theta[:, :-1], axis=1, out=cum[:, : m - 1])
         # A zero share at either end of a row stays unreachable even when u is
@@ -421,19 +401,6 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         positive, j = theta > 0, np.arange(width)
         cum[j < positive.argmax(axis=1)[:, None]] = -np.inf
         cum[j >= m - 1 - positive[:, ::-1].argmax(axis=1)[:, None]] = np.inf
-        # Keys come in their range's narrowest dtype: widen before * width.
-        shares = cum.ravel()
-        np.multiply(config, width, out=pos, dtype=np.intp)
-        u = rng.random(n)
-        while step := step >> 1:
-            # pos + step - 1 < shares.size: 'clip' clips nothing and skips
-            # the buffered 'raise' mode.
-            shares[step - 1 :].take(pos, out=below, mode="clip")
-            np.less(below, u, out=hit)
-            pos += np.multiply(hit, step, out=inc)
-        pos &= width - 1
-        codes[:, node] = pos  # < m: the narrowing store cannot wrap
-    # MicroTable copies the codes: free the search's n-length arrays first,
-    # so that they do not add to the call's peak memory.
-    del u, pos, below, hit, inc
+        # < m: the narrowing store cannot wrap.
+        codes[:, node] = count_below(cum.ravel(), width, rng.random(n), config)
     return MicroTable(bn.schema, codes)

@@ -144,7 +144,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SynthesisError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Escape what str.splitlines splits on, as repr does: one error line.
+        breaks = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        message = str(exc).translate({ord(c): repr(c)[1:-1] for c in breaks})
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

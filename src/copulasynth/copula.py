@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import MarginalTable, MicroTable, Schema, VariableSpec, code_dtype
-from .dataset import integer_array, marginals_of
+from .dataset import count_below, integer_array, marginals_of
 from .errors import SynthesisError
 
 
@@ -86,10 +86,9 @@ def pseudo_inverse_many(counts, u) -> np.ndarray:
     """For each u, the smallest code whose cumulative probability reaches u.
 
     That code is the count of the ECDF's first m - 1 values below u, found
-    by the sampler's search (``bayesnet.sample``): O(log m) branchless
-    halvings of those cuts, padded with inf to a power of two, into buffers
-    of u's shape allocated once. A zero-count code repeats its predecessor's
-    F, so it is never the smallest code reaching any u > 0.
+    by ``dataset.count_below`` on one row of those cuts, padded with inf to
+    a power of two. A zero-count code repeats its predecessor's F, so it is
+    never the smallest code reaching any u > 0.
     """
     cum = ecdf(counts)
     try:
@@ -103,22 +102,10 @@ def pseudo_inverse_many(counts, u) -> np.ndarray:
     arr = arr.astype(np.float64, copy=False)
     if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise SynthesisError("u values must lie in (0,1]")
-    width = max(2, 1 << (len(cum) - 1).bit_length())
+    width = 1 << (len(cum) - 1).bit_length()
     cuts = np.full(width, np.inf)
     cuts[: len(cum) - 1] = cum[:-1]
-    step = width >> 1
-    # The first halving reads one cut; out= keeps hit an array for a 0-d u.
-    hit = np.less(cuts[step - 1], arr, out=np.empty(arr.shape, bool))
-    pos = np.multiply(hit, step, dtype=np.intp)
-    below = np.empty(arr.shape)
-    inc = below.view(np.intp)  # below's buffer, free again once hit is set
-    while step := step >> 1:
-        # pos + step - 1 < width - 1: 'clip' clips nothing and skips the
-        # buffered 'raise' mode.
-        cuts[step - 1 :].take(pos, out=below, mode="clip")
-        np.less(below, arr, out=hit)
-        pos += np.multiply(hit, step, out=inc)
-    return pos
+    return count_below(cuts, width, arr)
 
 
 def target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:

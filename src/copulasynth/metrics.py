@@ -4,12 +4,12 @@ SRMSE compares relative combination frequencies between a reference and a
 synthetic table over variable subsets: srmse_by_size counts blocks of
 variables once, cuts every subset's table out of them by axis sums in one
 walk over all projection sizes, and squares each block's differences in
-one pass, from which srmse scores each subset. Zeros and precision/recall work on distinct combinations
-after projecting out excluded variables (high-card ordinal variables by
-default, which otherwise flood the zero counts): distinct_combos turns the
-tables into aligned masks of the combinations each holds, and
-sampled_zeros, structural_zeros and precision_recall_f1 are arithmetic on
-those masks.
+one pass, from which srmse scores each subset. Zeros and precision/recall
+work on distinct combinations after projecting out excluded variables
+(high-card ordinal variables by default, which otherwise flood the zero
+counts): distinct_combos turns the tables into aligned masks of the
+combinations each holds, and sampled_zeros, structural_zeros and
+precision_recall_f1 are arithmetic on those masks.
 """
 
 from __future__ import annotations
@@ -96,28 +96,23 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
     return sorted(plan)  # in column order, neighbours share long key prefixes
 
 
-def _shared_prefix(a, b) -> int:
-    differ = (k for k, (x, y) in enumerate(zip(a, b)) if x != y)
-    return next(differ, min(len(a), len(b)))
-
-
 def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     """Arithmetic mean of srmse over all variable subsets of each size.
 
     One walk serves every size. The rows of both tables are keyed as one
-    array. The subsets of the largest size are counted in blocks of
-    columns (see _cover): a block's keys reuse the prefix it shares with
-    the previous block, and one bincount of them with the table as the
-    last digit gives a dense (cells..., 2) table, from which each subset
-    takes its own by axis sums. Each smaller subset S takes its table from
-    S plus the smallest column not in S by a one-axis sum, depth first. A
-    subset whose product passes dataset.KEY_RANGE_PER_ROW per row is
-    counted over re-ranked keys, and its children on their own. Tables
-    list cells in lexicographic order, like keys, so scores do not depend
-    on the route. One pass per block turns its scored tables into squared
-    differences, and srmse sums each subset's slice; one block, one path
-    and the block's scored tables are alive at a time. The mean runs over
-    the scores in itertools.combinations order.
+    array. The subsets of the largest size are counted in blocks of columns
+    (see _cover), keyed by one dataset.set_keys walk, and one bincount of a
+    block's keys with the table as the last digit gives a dense
+    (cells..., 2) table, from which each subset takes its own by axis sums.
+    Each smaller subset S takes its table from S plus the smallest column
+    not in S by a one-axis sum, depth first. A subset whose product passes
+    dataset.KEY_RANGE_PER_ROW per row is counted over re-ranked keys, and
+    its children on their own. Tables list cells in lexicographic order,
+    like keys, so scores do not depend on the route. One pass per block
+    turns its scored tables into squared differences, and srmse sums each
+    subset's slice; one block, one path and the block's scored tables are
+    alive at a time. The mean runs over the scores in itertools.combinations
+    order.
     """
     d = ref.schema.d
     try:
@@ -144,10 +139,8 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     scores: dict[tuple[int, ...], float] = {}
     scored = []  # (subset, M, table) of the block's scored subsets
 
-    def extended(keys, span, c):
-        np.concatenate((ref.column(c), syn.column(c)), out=column)
-        (keys,), span = dataset.extend_keys([keys], span, [column], dims[c])
-        return keys, span
+    def both(c):  # column c of both tables, in the one shared buffer
+        return np.concatenate((ref.column(c), syn.column(c)), out=column)
 
     def counted(keys, span, subset):
         """Both tables' counts, (cells..., 2): dense unless the keys were re-ranked."""
@@ -167,9 +160,7 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
                 break
             child, m = subset[:i] + subset[i + 1 :], m_product // dims[i]
             if m_product > dense_limit:
-                keys, span = prefixes[0]
-                for c in child:
-                    keys, span = extended(keys, span, c)
+                ((_, keys, span),) = dataset.set_keys([child], dims, both, rows)
                 walk(child, counted(keys, span, child), m)
             else:
                 walk(child, np.add.reduce(counts, axis=i), m)
@@ -189,17 +180,8 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
         scored.clear()
 
     plan = _cover(dims, max(sizes), rows // _ROWS_PER_BLOCK_CELL, dense_limit)
-    # prefixes[k]: the keys and range over the block's first k columns, kept
-    # only as far as the next block shares them.
-    prefixes = [(np.zeros(rows, np.uint8), 1)]
-    for b, (block, inner) in enumerate(plan):
-        keep = _shared_prefix(block, plan[b + 1][0]) if b + 1 < len(plan) else 0
-        keys, span = prefixes[-1]
-        for k in range(len(prefixes) - 1, len(block)):
-            keys, span = extended(keys, span, block[k])
-            if k < keep:
-                prefixes.append((keys, span))
-        del prefixes[keep + 1 :]
+    blocks = dataset.set_keys([block for block, _ in plan], dims, both, rows)
+    for (block, keys, span), (_, inner) in zip(blocks, plan):
         counts = counted(keys, span, block)
         for subset in inner:
             # One axis at a time, leading axes first: numpy sums a leading
@@ -235,7 +217,7 @@ def kept_indices(schema: Schema, exclude) -> tuple[int, ...]:
     exclude = default_exclusion(schema) if exclude is None else tuple(exclude)
     for name in exclude:
         if name not in schema.names:
-            raise SynthesisError(f"unknown excluded variable '{name}'")
+            raise SynthesisError(f"unknown excluded variable {name!r}")
     kept = tuple(i for i, v in enumerate(schema.variables) if v.name not in exclude)
     if not kept:
         raise SynthesisError("empty projection: every variable is excluded")

@@ -402,6 +402,28 @@ def test_synth_fuzzed_config_and_inputs_exit_zero_or_one(
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("name", ["\n", "a\rb", "\u2028"])
+def test_synth_excluded_line_break_is_one_error_line(workspace, capsys, name):
+    """An unknown excluded name holding a line break is quoted by repr."""
+    cfg = write_config(workspace, exclude_variables=[name])
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unknown excluded variable {name!r}\n"
+    assert len(err.splitlines()) == 1
+
+
+def test_synth_empty_source_named_with_newline_is_one_error_line(workspace, capsys):
+    """A path in a message keeps to one line: main escapes its newline."""
+    source = workspace / "empty\nsource.csv"
+    source.write_bytes(b"")
+    cfg = write_config(workspace, source_data=str(source))
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    message = f"{source}: empty file, header row required".replace("\n", "\\n")
+    assert err == f"error: {message}\n"
+    assert len(err.splitlines()) == 1
+
+
 def test_synth_short_source_row_exits_one(workspace, capsys):
     with open(workspace / "source.csv", "a") as handle:
         handle.write("0,1\n")

@@ -312,6 +312,51 @@ def test_combo_keys_property(case, budget):
         assert not ranks.any()
 
 
+CUTS = [-1.0, 0.0, 0.25, 1.0, 2.5]  # few values, so that rows repeat cuts
+
+
+@st.composite
+def cut_rows(draw):
+    """(width, rows of ascending cuts): a leading -inf run, then finite cuts
+    with repeats, then inf padding through at least the last cut."""
+    width = 1 << draw(st.integers(0, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):  # 5 rows of 64: keys * width > 255
+        lead = draw(st.integers(0, width - 1))
+        finite = draw(st.lists(st.sampled_from(CUTS), max_size=width - 1 - lead))
+        pad = width - lead - len(finite)
+        rows.append([-np.inf] * lead + sorted(finite) + [np.inf] * pad)
+    return width, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_rows())
+def test_count_below_equals_searchsorted_per_row(case):
+    """Every row's count of cuts below u is searchsorted(row, u, "left"),
+    for u on and next to every cut of every row, over more than two blocks
+    of the search, and for a 0-d u."""
+    width, cuts = case
+    on = np.unique(cuts)
+    u = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
+    k = 2 * dataset._SEARCH_BLOCK // u.size + 1
+    rows = np.repeat(np.arange(len(cuts), dtype=np.uint8), u.size)
+    tiled = np.tile(u, k * len(cuts))
+    got = dataset.count_below(cuts.ravel(), width, tiled, np.tile(rows, k))
+    want = np.concatenate([np.searchsorted(row, u, side="left") for row in cuts])
+    assert got.dtype == want.dtype and np.array_equal(got, np.tile(want, k))
+    want = np.searchsorted(cuts[0], u, side="left")
+    got = dataset.count_below(cuts[0], width, np.tile(u, k).reshape(k, -1))
+    assert got.shape == (k, u.size) and np.array_equal(got, np.tile(want, (k, 1)))
+    for r, row in enumerate(cuts):
+        x = np.asarray(u[r % u.size])
+        want = np.searchsorted(row, x, side="left")
+        for got in (
+            dataset.count_below(cuts.ravel(), width, x, np.uint8(r)),
+            dataset.count_below(row, width, x),
+        ):
+            assert type(got) is type(want) and got == want
+
+
 def test_marginal_table_validation():
     schema = make_schema([2, 2])
     with pytest.raises(SynthesisError):

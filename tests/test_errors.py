@@ -57,13 +57,25 @@ CASES = {
         lambda _: BayesNet(TABLE.schema, Dag(((),)), (np.full((1, 2), 0.5),)),
         "DAG, CPTs, and schema disagree on node count",
     ),
+    "dag_parent_float": (
+        lambda _: Dag(((), (0.7,))),
+        "parent index 0.7 is not an integer",
+    ),
+    "dag_parent_string": (
+        lambda _: Dag(((), ("0",))),
+        "parent index '0' is not an integer",
+    ),
+    "dag_parent_bool": (
+        lambda _: Dag(((), (True,))),
+        "parent index True is not an integer",
+    ),
     "score_empty": (
         lambda _: family_score_mdl(EMPTY, 0),
         "cannot score an empty table",
     ),
     "score_parent_range": (
         lambda _: family_score_mdl(TABLE, 0, (5,)),
-        "parent index out of range",
+        "parent 5 of node 0 out of range",
     ),
     "score_parent_twice": (
         lambda _: family_score_mdl(TABLE, 0, (1, 1)),
