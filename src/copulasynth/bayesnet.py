@@ -21,8 +21,8 @@ from .dataset import (
     MicroTable,
     Schema,
     code_dtype,
-    combo_keys,
     count_below,
+    is_finite_real,
     is_integer,
     set_keys,
 )
@@ -151,7 +151,7 @@ def _family_scores(data: MicroTable, families) -> list[float]:
     Families are grouped by column set, their parents plus node, and each
     set is counted once (see _set_tables). A family reads its (parents...,
     node) counts from its set's table with the node's axis moved last; a
-    set too large for a dense table is counted per family over combo_keys'
+    set too large for a dense table is counted per family over set_keys'
     re-ranked keys. Either way a family's observed counts come in
     lexicographic order, so its float sums add the same terms in the same
     order whichever route or chunk it takes.
@@ -189,7 +189,7 @@ def _family_scores(data: MicroTable, families) -> list[float]:
 def _set_tables(data: MicroTable, sets):
     """Yield each sorted column set with its dense count table, one axis per column.
 
-    A set whose grid would pass extend_keys' budget comes first, with None;
+    A set whose grid would pass set_keys' budget comes first, with None;
     the others follow in order, keyed by one set_keys walk, never re-ranked.
     """
     n, dims = data.n_rows, data.schema.dims
@@ -280,11 +280,12 @@ def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Da
     depend only on its restart's ordering, so all restarts and nodes run in
     lockstep rounds, one per parent count: a round scores every trial
     family that no earlier round scored in one _family_scores call, and
-    each node then takes its best trial. Candidate parents are tried in
-    increasing index order and one is taken only if it strictly beats the
-    current score, so ties resolve to the lowest index. Each restart's
-    total adds its family scores in ordering position order; the best total
-    wins, and the first restart reaching it is kept. Deterministic per seed.
+    each node then takes its best trial; the rounds stop once no node
+    grows. Candidate parents are tried in increasing index order and one
+    is taken only if it strictly beats the current score, so ties resolve
+    to the lowest index. Each restart's total adds its family scores in
+    ordering position order; the best total wins, and the first restart
+    reaching it is kept. Deterministic per seed.
     """
     if data.n_rows == 0:
         raise SynthesisError("cannot learn structure from an empty table")
@@ -313,6 +314,8 @@ def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Da
         for pos, node in enumerate(order)
     ]
     for _ in range(max_parents):
+        if not growing:  # every node has stopped: later rounds would be empty
+            break
         score_new(
             (node, t) for r, node, cands in growing for t in trials(r, node, cands)
         )
@@ -346,6 +349,8 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
     """
     if data.n_rows == 0:
         raise SynthesisError("cannot fit parameters on an empty table")
+    if not is_finite_real(alpha):
+        raise SynthesisError(f"alpha must be a finite number, got {alpha!r}")
     if alpha < 0:
         raise SynthesisError("alpha must be >= 0")
     if dag.d != data.schema.d:
@@ -357,7 +362,8 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
         m = dims[node]
         q = math.prod(dims[p] for p in ps)
         # The CPT holds all q * m cells, so the keys are counted unranked.
-        (key,), _ = combo_keys((data.codes,), dims, ps + (node,), budget=q * m)
+        family = [(*ps, node)]
+        ((_, key, _),) = set_keys(family, dims, data.column, data.n_rows, q * m)
         counts = np.bincount(key, minlength=q * m).reshape(q, m).astype(np.float64)
         denom = counts.sum(axis=1) + alpha * m
         unseen = denom == 0  # only when alpha = 0
@@ -381,6 +387,8 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     each row padded with inf to a power of two. A category whose share is 0
     is never drawn.
     """
+    if not is_integer(n):
+        raise SynthesisError(f"sample size {n!r} is not an integer")
     if n < 0:
         raise SynthesisError("sample size must be >= 0")
     dims = bn.schema.dims
@@ -391,7 +399,8 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         theta = bn.cpts[node]
         q, m = theta.shape
         # A budget of the CPT's row count keeps the keys unranked: row indices.
-        (config,), _ = combo_keys((codes,), dims, bn.dag.parents[node], budget=q)
+        parents = [bn.dag.parents[node]]
+        ((_, config, _),) = set_keys(parents, dims, lambda c: codes[:, c], n, q)
         width = 1 << (m - 1).bit_length()
         cum = np.full((q, width), np.inf)
         np.cumsum(theta[:, :-1], axis=1, out=cum[:, : m - 1])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import MarginalTable, MicroTable, Schema, VariableSpec, code_dtype
-from .dataset import count_below, integer_array, marginals_of
+from .dataset import count_below, integer_array, is_integer, marginals_of
 from .errors import SynthesisError
 
 
@@ -115,6 +115,8 @@ def target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
     only one column of floats needs to be alive at a time. Any other count
     of columns, or a column of another length, is a SynthesisError.
     """
+    if not is_integer(n) or n < 0:
+        raise SynthesisError(f"row count must be an integer >= 0, got {n!r}")
     schema = targets.schema
     codes = np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
     given = 0

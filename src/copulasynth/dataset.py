@@ -8,14 +8,14 @@ are stored in the smallest unsigned dtype that holds ``max(dims) - 1``
 uint8 and wraps, so arithmetic on codes names its result dtype.
 
 The module also owns the one key encoding of a table's rows, shared by
-the metrics, the BN and the IPF seed: ``combo_keys`` and ``extend_keys``
-build mixed-radix keys and re-rank them once their range passes
-``KEY_RANGE_PER_ROW`` per row. Keys over a range of ``span`` values are
-stored in the narrowest of uint8, uint16 and uint32 that holds
-``span - 1``, or in int64 once ``span - 1`` reaches 2**32. Each
-multiply-add names that dtype for the new range, which holds every new
-key, so it cannot wrap. A consumer that does its own arithmetic on keys
-widens them first, as ``count_below`` does before ``rows * width``.
+the metrics, the BN and the IPF seed: ``set_keys`` builds mixed-radix keys
+and re-ranks them once their range passes ``KEY_RANGE_PER_ROW`` per row.
+Keys over a range of ``span`` values are stored in the narrowest of
+uint8, uint16 and uint32 that holds ``span - 1``, or in int64 once
+``span - 1`` reaches 2**32. Each multiply-add names that dtype for the
+new range, which holds every new key, so it cannot wrap. A consumer that
+does its own arithmetic on keys widens them first, as ``count_below``
+does before ``rows * width``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import codecs
 import csv
 import io
 import json
+import math
+import numbers
 import os
 import stat
 from contextlib import contextmanager
@@ -173,6 +175,16 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_finite_real(value) -> bool:
+    """Whether value is a real number a float holds finitely; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def code_dtype(schema: Schema) -> np.dtype:
     """The smallest unsigned dtype that holds every code of the schema."""
     return np.min_scalar_type(max(schema.dims) - 1)
@@ -184,60 +196,42 @@ def _key_dtype(span) -> np.dtype:
     return np.min_scalar_type(span - 1) if span <= 2**32 else np.dtype(np.int64)
 
 
-def extend_keys(keys, span, columns, m, budget=None):
-    """Append one column of m categories to each key array's mixed-radix key.
+def _extend_keys(keys, span, column, m, budget):
+    """Append one column of m categories to the keys' mixed-radix key.
 
-    Keys lie in 0..span-1 and compare across the arrays; columns hold
-    unsigned codes. When the new range would pass the budget, which
-    defaults to KEY_RANGE_PER_ROW per key, the keys are re-ranked jointly
-    by np.unique. The re-rank keeps their order and brings the range down
-    to the number of distinct keys, at most one per key, so a range never
-    exceeds max(budget, number of keys) * m. The new keys are stored in
-    _key_dtype of the exact new range, not of this bound.
+    Keys lie in 0..span-1 and the column holds unsigned codes. When the new
+    range passes the budget, np.unique re-ranks the keys: that keeps their
+    order and brings the range down to the number of distinct keys.
     """
-    if budget is None:
-        budget = KEY_RANGE_PER_ROW * sum(k.size for k in keys)
     dtype = _key_dtype(span * m)
     if span == 1:  # every key is 0, and m itself may not fit (uint8 and 256)
-        keys = [c.astype(dtype) for c in columns]
+        keys = column.astype(dtype)
     else:
-        keys = [
-            np.add(np.multiply(k, m, dtype=dtype), c, dtype=dtype)
-            for k, c in zip(keys, columns)
-        ]
+        keys = np.add(np.multiply(keys, m, dtype=dtype), column, dtype=dtype)
     span *= m
     if span > budget:
-        uniq, rank = np.unique(np.concatenate(keys), return_inverse=True)
+        uniq, keys = np.unique(keys, return_inverse=True)
         span = uniq.size
-        rank = rank.astype(_key_dtype(span))
-        keys = np.split(rank, np.cumsum([k.size for k in keys[:-1]]))
+        keys = keys.astype(_key_dtype(span))
     return keys, span
 
 
-def combo_keys(arrays, dims, columns, budget=None):
-    """Each (N, d) code array's row keys over the columns, first most significant.
-
-    ``dims`` are the category counts of the d columns. Returns one key
-    array per code array, in _key_dtype of the range, and the range. Keys
-    compare across the arrays, and ascending keys follow the lexicographic
-    order of the combinations. The range stays within the budget (see
-    extend_keys); keys that are never re-ranked equal
-    np.ravel_multi_index's.
-    """
-    keys, span = [np.zeros(len(a), dtype=_key_dtype(1)) for a in arrays], 1
-    for c in columns:
-        keys, span = extend_keys(keys, span, [a[:, c] for a in arrays], dims[c], budget)
-    return keys, span
-
-
-def set_keys(sets, dims, column, n):
+def set_keys(sets, dims, column, n, budget=None):
     """Yield (cols, keys, span) for each tuple of columns, in the given order.
 
-    ``keys`` are the n rows' extend_keys keys over cols, ``column(c)``
-    giving column c's n codes. A set extends only the key prefix it shares
-    with the set before it, and keeps only the prefixes the next set shares:
-    sets in sorted order share long prefixes.
+    ``keys`` are the n rows' mixed-radix keys over cols, first column most
+    significant, ``column(c)`` giving column c's n codes. They lie in
+    0..span-1, in _key_dtype of the range, and ascend in the lexicographic
+    order of the combinations. Once a column takes the range past the
+    budget (default KEY_RANGE_PER_ROW per row), np.unique re-ranks the
+    keys; keys never re-ranked equal np.ravel_multi_index's. Tables keyed
+    end to end, one column function over all their rows, share keys. A
+    set extends only the key prefix it shares with the set before it, and
+    keeps only the prefixes the next set shares: sets in sorted order
+    share long prefixes.
     """
+    if budget is None:
+        budget = KEY_RANGE_PER_ROW * n
     prefixes = [(np.zeros(n, dtype=_key_dtype(1)), 1)]  # over cols[:0], cols[:1], ...
     for cols, after in pairwise([*sets, ()]):
         keep = 0
@@ -247,7 +241,7 @@ def set_keys(sets, dims, column, n):
             keep += 1
         keys, span = prefixes[-1]
         for c in cols[len(prefixes) - 1 :]:
-            (keys,), span = extend_keys([keys], span, [column(c)], dims[c])
+            keys, span = _extend_keys(keys, span, column(c), dims[c], budget)
             if len(prefixes) <= keep:
                 prefixes.append((keys, span))
         del prefixes[keep + 1 :]
@@ -296,7 +290,7 @@ class MicroTable:
     truncated) and is range-checked as given, before it is narrowed, so an
     out-of-range or negative code is rejected and never wraps. Narrow
     unsigned arithmetic wraps, so arithmetic on the codes names a result
-    dtype wide enough for it, as extend_keys does with _key_dtype.
+    dtype wide enough for it, as set_keys does with _key_dtype.
     """
 
     schema: Schema

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MarginalTable, MicroTable, Schema, combo_keys
+from .dataset import MarginalTable, MicroTable, Schema, set_keys
+from .dataset import is_finite_real, is_integer
 from .errors import SynthesisError
 
 
@@ -65,8 +66,8 @@ def build_seed(table: MicroTable) -> ContingencyTable:
     """Cross-tabulate the sample: its distinct rows and how often each occurs."""
     if table.n_rows == 0:
         raise SynthesisError("cannot build a seed table from an empty sample")
-    schema = table.schema
-    (key,), _ = combo_keys((table.codes,), schema.dims, range(schema.d))
+    schema, n = table.schema, table.n_rows
+    ((_, key, _),) = set_keys([range(schema.d)], schema.dims, table.column, n)
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     cells = MicroTable(schema, table.codes[first])
     return ContingencyTable(cells, counts.astype(np.float64))
@@ -86,8 +87,12 @@ def fit(
     categories without seed support is reported as unreachable and keeps
     the deviation floor above zero; fitting still runs its course.
     """
+    if not is_finite_real(tol):
+        raise SynthesisError(f"tol must be a finite number, got {tol!r}")
     if tol <= 0:
         raise SynthesisError("tol must be positive")
+    if not is_integer(max_iter):
+        raise SynthesisError(f"max_iter {max_iter!r} is not an integer")
     if max_iter < 1:
         raise SynthesisError("max_iter must be >= 1")
     if targets.schema is not seed.schema and targets.schema != seed.schema:
@@ -148,6 +153,8 @@ def fit(
 
 def allocate(fitted: ContingencyTable, n: int, rng) -> MicroTable:
     """Draw n rows i.i.d. from cells with probability proportional to value."""
+    if not is_integer(n):
+        raise SynthesisError(f"allocation size {n!r} is not an integer")
     if n < 0:
         raise SynthesisError("allocation size must be >= 0")
     total = fitted.total

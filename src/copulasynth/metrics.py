@@ -96,23 +96,34 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
     return sorted(plan)  # in column order, neighbours share long key prefixes
 
 
+def _stacked(tables):
+    """A column function giving column c of the tables end to end.
+
+    Every call fills the one shared buffer, which set_keys reads before it
+    asks for the next column.
+    """
+    codes = [t.codes for t in tables]
+    buffer = np.empty(sum(map(len, codes)), np.result_type(*codes))
+    return lambda c: np.concatenate([a[:, c] for a in codes], out=buffer)
+
+
 def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     """Arithmetic mean of srmse over all variable subsets of each size.
 
     One walk serves every size. The rows of both tables are keyed as one
     array. The subsets of the largest size are counted in blocks of columns
-    (see _cover), keyed by one dataset.set_keys walk, and one bincount of a
-    block's keys with the table as the last digit gives a dense
-    (cells..., 2) table, from which each subset takes its own by axis sums.
-    Each smaller subset S takes its table from S plus the smallest column
-    not in S by a one-axis sum, depth first. A subset whose product passes
-    dataset.KEY_RANGE_PER_ROW per row is counted over re-ranked keys, and
-    its children on their own. Tables list cells in lexicographic order,
-    like keys, so scores do not depend on the route. One pass per block
-    turns its scored tables into squared differences, and srmse sums each
-    subset's slice; one block, one path and the block's scored tables are
-    alive at a time. The mean runs over the scores in itertools.combinations
-    order.
+    (see _cover), keyed by one dataset.set_keys walk; the bincounts of a
+    block's reference and synthetic keys, stacked on a last axis, give a
+    dense (cells..., 2) table, from which each subset takes its own by axis
+    sums. Each smaller subset S takes its table from S plus the smallest
+    column not in S by a one-axis sum, depth first. A subset whose product
+    passes dataset.KEY_RANGE_PER_ROW per row is counted over re-ranked keys,
+    and its children on their own. Tables list cells in lexicographic
+    order, like keys, so scores do not depend on the route. One pass per
+    block turns its scored tables into squared differences, and srmse sums
+    each subset's slice; one block, one path and the block's scored tables
+    are alive at a time. The mean runs over the scores in
+    itertools.combinations order.
     """
     d = ref.schema.d
     try:
@@ -134,20 +145,16 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     n_ref, n_syn, low = ref.n_rows, syn.n_rows, min(sizes)
     rows = n_ref + n_syn
     dense_limit = dataset.KEY_RANGE_PER_ROW * rows
-    column = np.empty(rows, ref.codes.dtype)  # one column of both tables
-    which = np.repeat(np.array([0, 1], np.uint8), (n_ref, n_syn))  # the table digit
+    both = _stacked((ref, syn))
     scores: dict[tuple[int, ...], float] = {}
     scored = []  # (subset, M, table) of the block's scored subsets
 
-    def both(c):  # column c of both tables, in the one shared buffer
-        return np.concatenate((ref.column(c), syn.column(c)), out=column)
-
     def counted(keys, span, subset):
         """Both tables' counts, (cells..., 2): dense unless the keys were re-ranked."""
-        (keys,), _ = dataset.extend_keys([keys], span, [which], 2, budget=2 * span)
         cells = tuple(dims[c] for c in subset)
         shape = (span,) if math.prod(cells) > dense_limit else cells
-        return np.bincount(keys, minlength=2 * span).reshape(shape + (2,))
+        tables = [np.bincount(k, minlength=span) for k in (keys[:n_ref], keys[n_ref:])]
+        return np.stack(tables, axis=-1).reshape(shape + (2,))
 
     def walk(subset, counts, m_product):
         if len(subset) in sizes:
@@ -214,7 +221,12 @@ def default_exclusion(schema: Schema) -> tuple[str, ...]:
 
 def kept_indices(schema: Schema, exclude) -> tuple[int, ...]:
     """The columns left after the exclusion list (None: default_exclusion)."""
-    exclude = default_exclusion(schema) if exclude is None else tuple(exclude)
+    if isinstance(exclude, str):  # would exclude its characters
+        raise SynthesisError(f"excluded variables {exclude!r} are a string, not a list")
+    try:
+        exclude = default_exclusion(schema) if exclude is None else tuple(exclude)
+    except TypeError:
+        raise SynthesisError(f"excluded variables {exclude!r} are not a list") from None
     for name in exclude:
         if name not in schema.names:
             raise SynthesisError(f"unknown excluded variable {name!r}")
@@ -232,8 +244,9 @@ def distinct_combos(tables, kept) -> list[np.ndarray]:
     once (the population may be the source) is keyed once.
     """
     distinct = list({id(t): t for t in tables}.values())
-    codes = [t.codes for t in distinct]
-    keys, span = dataset.combo_keys(codes, distinct[0].schema.dims, kept)
+    dims, rows = distinct[0].schema.dims, [t.n_rows for t in distinct]
+    ((_, keys, span),) = dataset.set_keys([kept], dims, _stacked(distinct), sum(rows))
+    keys = np.split(keys, np.cumsum(rows[:-1]))
     seen = {id(t): np.bincount(k, minlength=span) > 0 for t, k in zip(distinct, keys)}
     return [seen[id(t)] for t in tables]
 

@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import numbers
 import os
 import shlex
@@ -35,6 +34,8 @@ from .dataset import (
     VariableSpec,
     _csv_row,
     code_dtype,
+    is_finite_real,
+    is_integer,
     load_marginals_csv,
     load_micro_csv,
     load_schema,
@@ -114,11 +115,7 @@ class SynthesisConfig:
                 raise SynthesisError(f"{name} must be an integer, got {value!r}")
         for name in ("alpha", "tol"):
             value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)
-            ):
+            if not is_finite_real(value):
                 raise SynthesisError(f"{name} must be a finite number, got {value!r}")
         if self.seed < 0:
             raise SynthesisError("seed must be >= 0")
@@ -231,6 +228,8 @@ def generate_table(
     """Generate one synthetic table; returns it with any generation warnings."""
     if source.schema != targets.schema:
         raise SynthesisError("source and target marginals use different schemas")
+    if not is_integer(seed) or seed < 0:
+        raise SynthesisError(f"seed must be an integer >= 0, got {seed!r}")
     n = config.output_size
     if n * source.schema.d * 8 > np.iinfo(np.intp).max:
         raise SynthesisError(f"output_size {n} exceeds an addressable table")
@@ -430,6 +429,14 @@ def make_transfer_benchmark(
     normals. Even-index variables are categorical, odd-index ordinal;
     cardinalities cycle 2,3,4.
     """
+    counts = {"seed": seed, "d": d, "n_source": n_source, "n_target": n_target}
+    for name, value in counts.items():
+        if not is_integer(value):
+            raise SynthesisError(f"benchmark {name} must be an integer, got {value!r}")
+    if not is_finite_real(marginal_skew):
+        raise SynthesisError(
+            f"marginal_skew must be a finite number, got {marginal_skew!r}"
+        )
     if seed < 0:
         raise SynthesisError("benchmark seed must be >= 0")
     if d < 2:

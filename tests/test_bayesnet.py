@@ -122,6 +122,20 @@ def test_learn_structure_constraints_and_determinism():
         learn_structure(table, max_parents=-1, seed=0)
 
 
+def test_learn_structure_stops_once_no_node_grows():
+    """A max_parents far past d - 1 gives the d - 1 search's DAG, and no round
+    is scored after every node has stopped adding parents."""
+    table = chain_table(21)
+    expected = learn_structure(table, max_parents=table.schema.d - 1, seed=5)
+    assert dag_edges(expected)
+    scores = bayesnet._family_scores
+    with mock.patch.object(bayesnet, "_family_scores", wraps=scores) as scored:
+        assert learn_structure(table, max_parents=10**6, seed=5) == expected
+    # The parentless families, then at most one round per parent count and
+    # the round in which no node grows.
+    assert scored.call_count <= 1 + table.schema.d
+
+
 def test_learn_structure_empty_for_independent_pair():
     rng = np.random.default_rng(7)
     codes = np.column_stack([rng.integers(0, 2, 4000), rng.integers(0, 2, 4000)])

@@ -42,8 +42,7 @@ from copulasynth.dataset import (
     _load_micro_bytes,
     _load_micro_rows,
     code_dtype,
-    combo_keys,
-    extend_keys,
+    set_keys,
 )
 from copulasynth.ipf import ContingencyTable
 from copulasynth.pipeline import rank_recode
@@ -196,14 +195,23 @@ def lexicographic_ranks(*tables):
     return [rank[row] for row in rows]
 
 
+def end_to_end_keys(tables, dims, columns, budget=None):
+    """Each table's set_keys keys over the columns, the tables keyed end to end."""
+    codes = np.concatenate([t.codes for t in tables])
+    ((_, keys, span),) = set_keys(
+        [columns], dims, lambda c: codes[:, c], len(codes), budget
+    )
+    return np.split(keys, np.cumsum([t.n_rows for t in tables[:-1]])), span
+
+
 @pytest.mark.parametrize("columns", [(0, 1, 2, 3), (2, 0), (3,), ()])
 def test_combo_keys_without_rerank_equal_ravel_multi_index(columns):
-    """With a budget of the full product nothing is re-ranked, so the keys are
-    the mixed-radix indices that BN sampling and CPT fitting index with."""
+    """With a budget of the full product set_keys re-ranks nothing, so the keys
+    are the mixed-radix indices that BN sampling and CPT fitting index with."""
     table = random_table([3, 5, 2, 7], 200, seed=4)
     dims = [table.schema.dims[c] for c in columns]
-    (key,), span = combo_keys(
-        (table.codes,), table.schema.dims, columns, budget=math.prod(dims)
+    ((_, key, span),) = set_keys(
+        [columns], table.schema.dims, table.column, table.n_rows, math.prod(dims)
     )
     assert key.dtype == np.uint8  # every range here is at most 3 * 5 * 2 * 7
     assert span == math.prod(dims)
@@ -213,12 +221,13 @@ def test_combo_keys_without_rerank_equal_ravel_multi_index(columns):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_combo_keys_after_rerank_align_and_keep_lexicographic_order(seed):
-    """Re-ranked keys still compare across both arrays like the rows do."""
+    """Re-ranked keys of two tables keyed end to end still compare across
+    both tables like the rows do."""
     dims = [4, 6, 5, 3]
     a = random_table(dims, 30, seed=seed)
     b = random_table(dims, 20, seed=seed + 100)
     budget = 2 * (a.n_rows + b.n_rows)  # 100, passed at the third column
-    keys, span = combo_keys((a.codes, b.codes), dims, range(4), budget=budget)
+    keys, span = end_to_end_keys((a, b), dims, range(4), budget)
     assert span < math.prod(dims)  # at least one re-rank happened
     assert span <= budget * dims[-1]
     assert all(k.dtype == np.uint8 for k in keys)  # re-ranked keys narrow too
@@ -237,7 +246,9 @@ def test_combo_keys_on_uint8_codes_do_not_wrap():
     pool[150:, :7] = pool[:150, :7]
     table = MicroTable(make_schema([256] * 8), pool[rng.integers(0, 300, 500)])
     assert table.codes.dtype == np.uint8
-    (key,), span = combo_keys((table.codes,), table.schema.dims, range(8))
+    ((_, key, span),) = set_keys(
+        [range(8)], table.schema.dims, table.column, table.n_rows
+    )
     budget = 4 * table.n_rows  # the default, KEY_RANGE_PER_ROW per key
     assert np.unique(key).size == np.unique(table.codes, axis=0).shape[0]
     assert 0 <= key.min() and key.max() < span <= budget * 256
@@ -258,11 +269,14 @@ def test_combo_keys_on_uint8_codes_do_not_wrap():
     ],
 )
 def test_extend_keys_stores_the_narrowest_dtype_of_the_range(span, m, dtype):
-    """New keys take the narrowest of uint8/uint16/uint32 that holds
-    span * m - 1, else int64, and equal the int64 mixed-radix key."""
+    """Keys over a column of span categories, then one of m, take the
+    narrowest of uint8/uint16/uint32 that holds span * m - 1, else int64,
+    and equal the int64 mixed-radix key."""
     keys = np.array([0, span // 2, span - 1], dtype=np.min_scalar_type(span - 1))
     column = np.array([m - 1, 0, m - 1], dtype=np.min_scalar_type(m - 1))
-    (key,), new_span = extend_keys([keys], span, [column], m, budget=span * m)
+    ((_, key, new_span),) = set_keys(
+        [(0, 1)], (span, m), [keys, column].__getitem__, 3, budget=span * m
+    )
     assert key.dtype == dtype
     assert new_span == span * m
     expected = keys.astype(np.int64) * m + column.astype(np.int64)
@@ -291,16 +305,15 @@ def test_combo_keys_property(case, budget):
     force re-ranks, joint keys still follow the rows' lexicographic order."""
     tables, columns = case
     dims = tables[0].schema.dims
-    codes = [t.codes for t in tables]
     sub_dims = [dims[c] for c in columns]
-    keys, span = combo_keys(codes, dims, columns, budget=math.prod(sub_dims))
+    keys, span = end_to_end_keys(tables, dims, columns, math.prod(sub_dims))
     assert span == math.prod(sub_dims)
     for key, t in zip(keys, tables):
         expected = (
             np.ravel_multi_index(t.codes[:, columns].T, sub_dims) if columns else 0
         )
         np.testing.assert_array_equal(key, expected)
-    keys, span = combo_keys(codes, dims, columns, budget=budget)
+    keys, span = end_to_end_keys(tables, dims, columns, budget)
     joint = np.concatenate(keys)
     assert joint.max() < span
     _, ranks = np.unique(joint, return_inverse=True)

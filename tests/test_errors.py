@@ -1,6 +1,7 @@
 """Input checks that end in SynthesisError, each with its own message."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from copulasynth import (
     VariableSpec,
     build_seed,
     evaluate,
+    fit_ipf,
     fit_parameters,
     generate_table,
     learn_structure,
@@ -21,6 +23,7 @@ from copulasynth import (
     load_marginals_csv,
     load_micro_csv,
     load_schema,
+    make_transfer_benchmark,
     marginals_of,
     sample_bayesnet,
     srmse_by_size,
@@ -29,8 +32,9 @@ from copulasynth import (
 )
 from copulasynth.bayesnet import BayesNet, Dag, family_score_mdl
 from copulasynth.cli import main
+from copulasynth.copula import target_codes
 from copulasynth.ipf import allocate
-from copulasynth.metrics import marginal_report
+from copulasynth.metrics import kept_indices, marginal_report
 from conftest import random_table
 
 TABLE = random_table([2, 3], 40, seed=1)
@@ -137,6 +141,14 @@ CASES = {
         lambda _: fit_parameters(TABLE, Dag(((), ())), alpha=-0.5),
         "alpha must be >= 0",
     ),
+    "fit_alpha_string": (
+        lambda _: fit_parameters(TABLE, Dag(((), ())), alpha="a"),
+        "alpha must be a finite number, got 'a'",
+    ),
+    "fit_alpha_nan": (
+        lambda _: fit_parameters(TABLE, Dag(((), ())), alpha=float("nan")),
+        "alpha must be a finite number, got nan",
+    ),
     "fit_node_count": (
         lambda _: fit_parameters(TABLE, Dag(((),))),
         "DAG and data disagree on node count",
@@ -146,6 +158,22 @@ CASES = {
             fit_parameters(TABLE, Dag(((), ()))), -1, np.random.default_rng(0)
         ),
         "sample size must be >= 0",
+    ),
+    "sample_size_float": (
+        lambda _: sample_bayesnet(
+            fit_parameters(TABLE, Dag(((), ()))), 2.5, np.random.default_rng(0)
+        ),
+        "sample size 2.5 is not an integer",
+    ),
+    "sample_size_bool": (
+        lambda _: sample_bayesnet(
+            fit_parameters(TABLE, Dag(((), ()))), True, np.random.default_rng(0)
+        ),
+        "sample size True is not an integer",
+    ),
+    "target_codes_negative": (
+        lambda _: target_codes(marginals_of(TABLE), -1, []),
+        "row count must be an integer >= 0, got -1",
     ),
     "micro_csv_empty": (
         lambda tmp: load_micro_csv(written(tmp, ""), TABLE.schema),
@@ -169,6 +197,18 @@ CASES = {
         lambda _: allocate(build_seed(TABLE), -1, np.random.default_rng(0)),
         "allocation size must be >= 0",
     ),
+    "allocate_size_float": (
+        lambda _: allocate(build_seed(TABLE), 2.5, np.random.default_rng(0)),
+        "allocation size 2.5 is not an integer",
+    ),
+    "ipf_max_iter_float": (
+        lambda _: fit_ipf(build_seed(TABLE), marginals_of(TABLE), max_iter=2.5),
+        "max_iter 2.5 is not an integer",
+    ),
+    "ipf_tol_nan": (
+        lambda _: fit_ipf(build_seed(TABLE), marginals_of(TABLE), tol=float("nan")),
+        "tol must be a finite number, got nan",
+    ),
     "srmse_empty": (
         lambda _: srmse_by_size(EMPTY, TABLE, [1]),
         "cannot compare an empty table",
@@ -180,6 +220,18 @@ CASES = {
     "evaluate_schemas": (
         lambda _: evaluate(TABLE, TABLE, OTHER),
         "tables use different schemas",
+    ),
+    "evaluate_exclude_string": (
+        lambda _: evaluate(TABLE, TABLE, TABLE, exclude="v0"),
+        "excluded variables 'v0' are a string, not a list",
+    ),
+    "kept_indices_not_iterable": (
+        lambda _: kept_indices(TABLE.schema, 5),
+        "excluded variables 5 are not a list",
+    ),
+    "config_alpha_past_float_range": (
+        lambda _: dataclasses.replace(CONFIG, alpha=2**1024),
+        f"alpha must be a finite number, got {2**1024!r}",
     ),
     "config_not_object": (
         lambda tmp: load_config(written(tmp, json.dumps([1, 2]))),
@@ -196,6 +248,30 @@ CASES = {
     "generate_schemas": (
         lambda _: generate_table(TABLE, marginals_of(OTHER), CONFIG, 0),
         "source and target marginals use different schemas",
+    ),
+    "generate_seed_negative": (
+        lambda _: generate_table(TABLE, marginals_of(TABLE), CONFIG, -1),
+        "seed must be an integer >= 0, got -1",
+    ),
+    "generate_seed_float": (
+        lambda _: generate_table(TABLE, marginals_of(TABLE), CONFIG, 1.5),
+        "seed must be an integer >= 0, got 1.5",
+    ),
+    "benchmark_seed_float": (
+        lambda _: make_transfer_benchmark(seed=1.5),
+        "benchmark seed must be an integer, got 1.5",
+    ),
+    "benchmark_d_float": (
+        lambda _: make_transfer_benchmark(d=2.5),
+        "benchmark d must be an integer, got 2.5",
+    ),
+    "benchmark_n_source_float": (
+        lambda _: make_transfer_benchmark(n_source=2.5),
+        "benchmark n_source must be an integer, got 2.5",
+    ),
+    "benchmark_skew_string": (
+        lambda _: make_transfer_benchmark(marginal_skew="a"),
+        "marginal_skew must be a finite number, got 'a'",
     ),
 }
 

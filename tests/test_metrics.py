@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulasynth import MicroTable, SynthesisError, evaluate, metrics, srmse_projected
-from copulasynth.dataset import KEY_RANGE_PER_ROW, combo_keys
+from copulasynth.dataset import KEY_RANGE_PER_ROW, set_keys
 from copulasynth.metrics import (
     EvaluationReport,
     default_exclusion,
@@ -140,9 +140,12 @@ def test_srmse_projected_aggregates_by_mean():
 
 
 def srmse_by_key(ref, syn, subset):
-    """SRMSE of one subset, counted on its own keys."""
-    keys, span = combo_keys((ref.codes, syn.codes), ref.schema.dims, subset)
-    a, b = (np.bincount(k, minlength=span) for k in keys)
+    """SRMSE of one subset, counted on its own keys, the tables keyed end to end."""
+    codes = np.concatenate((ref.codes, syn.codes))
+    ((_, keys, span),) = set_keys(
+        [subset], ref.schema.dims, lambda c: codes[:, c], len(codes)
+    )
+    a, b = (np.bincount(k, minlength=span) for k in np.split(keys, [ref.n_rows]))
     seen = (a + b) > 0
     p, q = a[seen] / ref.n_rows, b[seen] / syn.n_rows
     m_product = math.prod(ref.schema.dims[c] for c in subset)
