@@ -20,8 +20,10 @@ from .dataset import (
     KEY_RANGE_PER_ROW,
     MicroTable,
     Schema,
+    as_tuple,
     code_dtype,
     count_below,
+    float_array,
     is_finite_real,
     is_integer,
     set_keys,
@@ -43,8 +45,9 @@ class Dag:
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        d = len(self.parents)
-        checked = (_checked_parents(i, ps, d) for i, ps in enumerate(self.parents))
+        parent_sets = as_tuple(self.parents, "parent sets")
+        d = len(parent_sets)
+        checked = (_checked_parents(i, ps, d) for i, ps in enumerate(parent_sets))
         object.__setattr__(self, "parents", tuple(checked))
         self.topological_order()  # raises on cycles
 
@@ -86,12 +89,13 @@ class BayesNet:
     cpts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.dag.d != self.schema.d or len(self.cpts) != self.schema.d:
+        cpts = as_tuple(self.cpts, "CPTs")
+        if self.dag.d != self.schema.d or len(cpts) != self.schema.d:
             raise SynthesisError("DAG, CPTs, and schema disagree on node count")
         dims = self.schema.dims
         fixed = []
-        for node, cpt in enumerate(self.cpts):
-            arr = np.array(cpt, dtype=np.float64, copy=True)
+        for node, cpt in enumerate(cpts):
+            arr = float_array(cpt, f"CPT of node {node}")
             q = math.prod(dims[p] for p in self.dag.parents[node])
             if arr.shape != (q, dims[node]):
                 raise SynthesisError(
@@ -127,10 +131,7 @@ def family_score_mdl(data: MicroTable, node: int, parents=()) -> float:
 
 def _checked_parents(node: int, parents, d: int) -> tuple[int, ...]:
     """A node's parents as sorted integer indices in 0..d-1, none twice or itself."""
-    try:
-        parents = tuple(parents)
-    except TypeError:
-        raise SynthesisError(f"parents {parents!r} are not a sequence") from None
+    parents = as_tuple(parents, "parents")
     for p in parents:
         if not is_integer(p):
             raise SynthesisError(f"parent index {p!r} is not an integer")
@@ -356,6 +357,10 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
     if dag.d != data.schema.d:
         raise SynthesisError("DAG and data disagree on node count")
     dims = data.schema.dims
+    if not math.isfinite(float(alpha) * max(dims)):  # else alpha * m overflows
+        raise SynthesisError(
+            f"alpha {alpha!r} times {max(dims)} categories is not a finite number"
+        )
     cpts = []
     for node in range(dag.d):
         ps = dag.parents[node]

@@ -3,8 +3,8 @@
 Subcommands: synth (run a configured experiment), evaluate (score an
 existing synthetic table), marginals (tabulate a sample), permute-study
 (label-order robustness), benchmark (write a shared-copula test pair).
-Domain failures exit 1 with a single `error: ...` line on stderr; usage
-mistakes exit 2 via argparse.
+Domain failures exit 1 with a single `error: ...` line on stderr and land
+no file (see write_files); usage mistakes exit 2 via argparse.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .dataset import (
     load_micro_csv,
     load_schema,
     marginals_of,
+    write_files,
     write_marginals_csv,
     write_micro_csv,
     write_schema,
@@ -69,7 +71,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_marginals(args) -> int:
     schema = load_schema(args.schema)
     table = load_micro_csv(args.data, schema)
-    write_marginals_csv(marginals_of(table), args.out)
+    directory, name = os.path.split(args.out)
+    writer = partial(write_marginals_csv, marginals_of(table))
+    write_files(directory or ".", {name: writer})
     print(f"wrote marginals for {table.n_rows} rows to {args.out}")
     return 0
 
@@ -85,13 +89,13 @@ def _cmd_permute_study(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     source, target = make_transfer_benchmark(seed=args.seed, marginal_skew=args.skew)
-    os.makedirs(args.out, exist_ok=True)
-    write_schema(source.schema, os.path.join(args.out, "schema.json"))
-    write_micro_csv(source, os.path.join(args.out, "source.csv"))
-    write_micro_csv(target, os.path.join(args.out, "target.csv"))
-    write_marginals_csv(
-        marginals_of(target), os.path.join(args.out, "target_marginals.csv")
-    )
+    writers = {
+        "schema.json": partial(write_schema, source.schema),
+        "source.csv": partial(write_micro_csv, source),
+        "target.csv": partial(write_micro_csv, target),
+        "target_marginals.csv": partial(write_marginals_csv, marginals_of(target)),
+    }
+    write_files(args.out, writers)
     print(
         f"wrote benchmark pair ({source.n_rows} source rows, "
         f"{target.n_rows} target rows) to {args.out}"

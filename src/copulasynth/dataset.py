@@ -28,6 +28,7 @@ import math
 import numbers
 import os
 import stat
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, pairwise
@@ -92,7 +93,8 @@ class VariableSpec:
     kind: str = "categorical"
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        labels = as_tuple(self.labels, f"variable {self.name!r}: labels")
+        object.__setattr__(self, "labels", tuple(map(str, labels)))
         if not self.labels:
             raise SynthesisError(f"variable {self.name!r}: empty label list")
         if len(set(self.labels)) != len(self.labels):
@@ -131,9 +133,13 @@ class Schema:
     variables: tuple[VariableSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
+        variables = as_tuple(self.variables, "schema variables")
+        object.__setattr__(self, "variables", variables)
         if len(self.variables) < 1:
             raise SynthesisError("schema needs at least one variable")
+        for v in self.variables:
+            if not isinstance(v, VariableSpec):
+                raise SynthesisError(f"schema variable {v!r} is not a VariableSpec")
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise SynthesisError("duplicate variable names in schema")
@@ -162,12 +168,32 @@ class Schema:
             raise SynthesisError(f"unknown variable {name!r}") from None
 
 
+def as_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple; a SynthesisError naming ``what`` if not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise SynthesisError(f"{what} {values!r} are not a sequence") from None
+
+
+def _typed_array(values, what: str, kinds: str, noun: str) -> np.ndarray:
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting, say
+        raise SynthesisError(f"{what} must be a rectangular array of {noun}") from None
+    if arr.dtype.kind not in kinds:
+        raise SynthesisError(f"{what} must be {noun}, got dtype {arr.dtype}")
+    return arr
+
+
 def integer_array(values, what: str) -> np.ndarray:
     """``values`` as an array, rejected unless its dtype is an integer one."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise SynthesisError(f"{what} must be integers, got dtype {arr.dtype}")
-    return arr
+    return _typed_array(values, what, "iu", "integers")
+
+
+def float_array(values, what: str) -> np.ndarray:
+    """``values`` as a new float64 array, rejected unless they are real numbers."""
+    return _typed_array(values, what, "iuf", "numbers").astype(np.float64)
 
 
 def is_integer(value) -> bool:
@@ -332,8 +358,14 @@ class MarginalTable:
     counts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        counts = as_tuple(self.counts, "marginal counts")
+        if len(counts) != self.schema.d:
+            raise SynthesisError(
+                f"expected {self.schema.d} count arrays, one per variable, "
+                f"got {len(counts)}"
+            )
         fixed = []
-        for var, cnt in zip(self.schema.variables, self.counts, strict=True):
+        for var, cnt in zip(self.schema.variables, counts):
             arr = integer_array(cnt, f"variable {var.name!r}: counts")
             if arr.shape != (var.n_categories,):
                 raise SynthesisError(
@@ -834,6 +866,22 @@ def write_marginals_csv(marginals: MarginalTable, path) -> None:
         for var, cnt in zip(marginals.schema.variables, marginals.counts):
             for label, value in zip(var.labels, cnt):
                 writer.writerow([var.name, label, int(value)])
+
+
+def write_files(directory, writers) -> None:
+    """Write each file of ``writers`` (name -> function writing at a path) into
+    ``directory``, all or none: a directory destination is refused first, and
+    the files land by os.replace from one temporary directory, always removed."""
+    os.makedirs(directory, exist_ok=True)
+    paths = {name: os.path.join(directory, name) for name in writers}
+    for path in paths.values():
+        if os.path.isdir(path):
+            raise SynthesisError(f"{path}: is a directory")
+    with tempfile.TemporaryDirectory(dir=directory) as temp:
+        for name, write in writers.items():
+            write(os.path.join(temp, name))
+        for name, path in paths.items():
+            os.replace(os.path.join(temp, name), path)
 
 
 def marginals_of(table: MicroTable) -> MarginalTable:

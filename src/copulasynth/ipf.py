@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import MarginalTable, MicroTable, Schema, set_keys
-from .dataset import is_finite_real, is_integer
+from .dataset import float_array, is_finite_real, is_integer
 from .errors import SynthesisError
 
 
@@ -42,7 +42,7 @@ class ContingencyTable:
     unreachable: tuple[tuple[str, str, float], ...] = field(default=())
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = float_array(self.values, "cell weights")
         if arr.shape != (self.cells.n_rows,):
             raise SynthesisError(
                 f"{arr.shape} weights do not match {self.cells.n_rows} cells"

@@ -15,12 +15,13 @@ import dataclasses
 import io
 import json
 import numbers
-import os
 import shlex
 import statistics
 import subprocess
 import warnings as _warnings
 from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .dataset import (
     load_schema,
     marginals_of,
     open_input,
+    write_files,
     write_micro_csv,
 )
 from .errors import SynthesisError
@@ -310,37 +312,14 @@ def run_experiment(config: SynthesisConfig) -> EvaluationReport:
     report = evaluate(reference, source, syn, population, config.exclude_variables)
     report = dataclasses.replace(report, warnings=warns)
     if config.output_dir is not None:
-        _write_outputs(config.output_dir, syn, report)
+        text = json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
+        writers = {
+            "synthetic.csv": partial(write_micro_csv, syn),
+            "report.json": lambda path: Path(path).write_text(text, "utf-8"),
+            "marginals.csv": partial(write_marginal_csv, report.marginal_series),
+        }
+        write_files(config.output_dir, writers)
     return report
-
-
-def _write_outputs(
-    output_dir: str, syn: MicroTable, report: EvaluationReport
-) -> None:
-    """Write synthetic.csv, report.json and marginals.csv: all three or none.
-
-    Each file is written under a temporary name in ``output_dir`` and moved
-    into place with ``os.replace`` only once all three are written, so a
-    run that fails partway leaves no half-written output and no temporary
-    file, and any earlier run's outputs stay as they were.
-    """
-    os.makedirs(output_dir, exist_ok=True)
-    names = ("synthetic.csv", "report.json", "marginals.csv")
-    final = [os.path.join(output_dir, name) for name in names]
-    # The pid keeps two runs writing into one directory off each other's files.
-    temp = [f"{path}.{os.getpid()}.tmp" for path in final]
-    try:
-        write_micro_csv(syn, temp[0])
-        with open(temp[1], "w", encoding="utf-8") as handle:
-            json.dump(report_to_json(report), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        write_marginal_csv(report.marginal_series, temp[2])
-        for src, dst in zip(temp, final):
-            os.replace(src, dst)
-    finally:
-        for path in temp:
-            if os.path.exists(path):
-                os.remove(path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,6 +344,8 @@ def run_permutation_study(
     """
     if config.method != "bn_copula":
         raise SynthesisError("permutation study requires method=bn_copula")
+    if not is_integer(n_permutations):
+        raise SynthesisError(f"permutation count {n_permutations!r} is not an integer")
     if n_permutations < 1:
         raise SynthesisError("need at least one permutation")
     schema, source, targets, reference, _ = _load_inputs(config)

@@ -22,6 +22,7 @@ from copulasynth import (
     load_marginals_csv,
     load_schema,
 )
+from copulasynth import cli
 from copulasynth.cli import main
 from copulasynth.dataset import (
     marginals_of,
@@ -130,6 +131,7 @@ def test_synth_malformed_config_json(tmp_path, capsys):
         {"output_dir": ""},
         {"target_marginals": ""},
         {"target_flag": True},
+        {"alpha": 1e308},
     ],
 )
 def test_synth_mistyped_config_exits_one(workspace, capsys, override):
@@ -140,6 +142,16 @@ def test_synth_mistyped_config_exits_one(workspace, capsys, override):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert next(iter(override)) in err
     assert not (workspace / "out").exists()
+
+
+def test_synth_refuses_a_directory_destination_and_lands_nothing(workspace, capsys):
+    (workspace / "out" / "report.json").mkdir(parents=True)
+    cfg = write_config(workspace)
+    assert main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {workspace / 'out' / 'report.json'}: is a directory\n"
+    # No synthetic.csv or marginals.csv, and no temporary directory.
+    assert [p.name for p in (workspace / "out").iterdir()] == ["report.json"]
 
 
 def test_synth_empty_population_exits_one(workspace, capsys):
@@ -477,6 +489,35 @@ def test_marginals_subcommand(workspace, capsys):
     assert loaded.counts[0].sum() == 1200
 
 
+def test_marginals_without_a_directory_writes_into_the_working_one(
+    workspace, capsys, monkeypatch
+):
+    monkeypatch.chdir(workspace)
+    args = ["marginals", "--data", "source.csv", "--schema", "schema.json",
+            "--out", "m.csv"]
+    assert main(args) == 0
+    assert "to m.csv" in capsys.readouterr().out
+    loaded = load_marginals_csv("m.csv", load_schema("schema.json"))
+    assert loaded.counts[0].sum() == 1200
+
+
+def half_write(*args):
+    """A writer that leaves half a file at its path, then fails."""
+    Path(args[-1]).write_text("variable,", "utf-8")
+    raise OSError("disk full")
+
+
+def test_marginals_failed_write_lands_no_file(workspace, capsys, monkeypatch):
+    before = sorted(workspace.iterdir())
+    monkeypatch.setattr(cli, "write_marginals_csv", half_write)
+    args = ["marginals", "--data", str(workspace / "source.csv"),
+            "--schema", str(workspace / "schema.json"),
+            "--out", str(workspace / "m.csv")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert sorted(workspace.iterdir()) == before
+
+
 def test_permute_study_prints_table(workspace, capsys):
     cfg = write_config(workspace, output_size=800)
     assert main(["permute-study", "--config", str(cfg), "--n", "2"]) == 0
@@ -501,6 +542,35 @@ def test_benchmark_subcommand(tmp_path, capsys):
     assert "6000 source rows" in capsys.readouterr().out
     schema = load_schema(out / "schema.json")
     assert schema.d == 9
+
+
+BENCHMARK_FILES = ("schema.json", "source.csv", "target.csv", "target_marginals.csv")
+
+
+def test_benchmark_refuses_a_directory_destination_and_lands_nothing(tmp_path, capsys):
+    out = tmp_path / "bench"
+    (out / "target.csv").mkdir(parents=True)
+    assert main(["benchmark", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out / 'target.csv'}: is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["target.csv"]
+
+
+def test_benchmark_failed_write_keeps_the_earlier_files(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--out", str(out), "--seed", "5"]) == 0
+    before = {name: (out / name).read_bytes() for name in BENCHMARK_FILES}
+    writes = []
+
+    def second_write_fails(table, path):
+        writes.append(path)  # the second is target.csv, after source.csv
+        (half_write if len(writes) == 2 else write_micro_csv)(table, path)
+
+    monkeypatch.setattr(cli, "write_micro_csv", second_write_fails)
+    capsys.readouterr()
+    assert main(["benchmark", "--out", str(out), "--seed", "6"]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(BENCHMARK_FILES)
+    assert {name: (out / name).read_bytes() for name in BENCHMARK_FILES} == before
 
 
 def test_benchmark_negative_seed_exits_one(tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from copulasynth import (
+    MarginalTable,
     MicroTable,
     Schema,
     SynthesisConfig,
@@ -33,7 +34,8 @@ from copulasynth import (
 from copulasynth.bayesnet import BayesNet, Dag, family_score_mdl
 from copulasynth.cli import main
 from copulasynth.copula import target_codes
-from copulasynth.ipf import allocate
+from copulasynth.ipf import ContingencyTable, allocate
+from copulasynth.pipeline import run_permutation_study
 from copulasynth.metrics import kept_indices, marginal_report
 from conftest import random_table
 
@@ -43,6 +45,8 @@ OTHER = random_table([2, 3], 40, seed=2, kinds=["categorical", "ordinal"])
 CONFIG = SynthesisConfig(
     source_data="x", schema="x", method="independent", output_size=5, seed=0
 )
+TWO_ROOTS = Dag(((), ()))
+BN_COPULA = dataclasses.replace(CONFIG, method="bn_copula")
 
 # json.load's RecursionError on Python 3.10 to 3.13.
 DEEP_JSON = (
@@ -60,6 +64,26 @@ CASES = {
     "bayesnet_node_count": (
         lambda _: BayesNet(TABLE.schema, Dag(((),)), (np.full((1, 2), 0.5),)),
         "DAG, CPTs, and schema disagree on node count",
+    ),
+    "bayesnet_cpts_not_a_sequence": (
+        lambda _: BayesNet(TABLE.schema, TWO_ROOTS, 5),
+        "CPTs 5 are not a sequence",
+    ),
+    "bayesnet_cpt_ragged": (
+        lambda _: BayesNet(TABLE.schema, TWO_ROOTS, ([[0.5, 0.5], [1]], [[1, 0, 0]])),
+        "CPT of node 0 must be a rectangular array of numbers",
+    ),
+    "bayesnet_cpt_strings": (
+        lambda _: BayesNet(TABLE.schema, TWO_ROOTS, ([["a", "b"]], [[1, 0, 0]])),
+        "CPT of node 0 must be numbers, got dtype <U1",
+    ),
+    "dag_not_a_sequence": (
+        lambda _: Dag(5),
+        "parent sets 5 are not a sequence",
+    ),
+    "dag_none": (
+        lambda _: Dag(None),
+        "parent sets None are not a sequence",
     ),
     "dag_parent_float": (
         lambda _: Dag(((), (0.7,))),
@@ -149,6 +173,10 @@ CASES = {
         lambda _: fit_parameters(TABLE, Dag(((), ())), alpha=float("nan")),
         "alpha must be a finite number, got nan",
     ),
+    "fit_alpha_overflows": (
+        lambda _: fit_parameters(TABLE, Dag(((), ())), alpha=1e308),
+        "alpha 1e+308 times 3 categories is not a finite number",
+    ),
     "fit_node_count": (
         lambda _: fit_parameters(TABLE, Dag(((),))),
         "DAG and data disagree on node count",
@@ -188,6 +216,38 @@ CASES = {
             written(tmp, "variable,label,count\nv0,0,1.5\n"), TABLE.schema
         ),
         "{path}: row 1: count '1.5' is not an integer",
+    ),
+    "schema_not_a_sequence": (
+        lambda _: Schema(5),
+        "schema variables 5 are not a sequence",
+    ),
+    "schema_variable_not_a_spec": (
+        lambda _: Schema(["a"]),
+        "schema variable 'a' is not a VariableSpec",
+    ),
+    "variable_labels_not_a_sequence": (
+        lambda _: VariableSpec("a", 5),
+        "variable 'a': labels 5 are not a sequence",
+    ),
+    "micro_table_ragged": (
+        lambda _: MicroTable(TABLE.schema, [[0, 0], [0]]),
+        "category codes must be a rectangular array of integers",
+    ),
+    "marginal_table_no_counts": (
+        lambda _: MarginalTable(TABLE.schema, ()),
+        "expected 2 count arrays, one per variable, got 0",
+    ),
+    "marginal_table_extra_counts": (
+        lambda _: MarginalTable(TABLE.schema, ([1, 1], [1, 1, 1], [1, 1, 1])),
+        "expected 2 count arrays, one per variable, got 3",
+    ),
+    "marginal_table_not_a_sequence": (
+        lambda _: MarginalTable(TABLE.schema, 5),
+        "marginal counts 5 are not a sequence",
+    ),
+    "contingency_table_strings": (
+        lambda _: ContingencyTable(TABLE, ["a"] * TABLE.n_rows),
+        "cell weights must be numbers, got dtype <U1",
     ),
     "marginals_of_empty": (
         lambda _: marginals_of(EMPTY),
@@ -256,6 +316,18 @@ CASES = {
     "generate_seed_float": (
         lambda _: generate_table(TABLE, marginals_of(TABLE), CONFIG, 1.5),
         "seed must be an integer >= 0, got 1.5",
+    ),
+    "permutation_count_float": (
+        lambda _: run_permutation_study(BN_COPULA, 2.5),
+        "permutation count 2.5 is not an integer",
+    ),
+    "permutation_count_bool": (
+        lambda _: run_permutation_study(BN_COPULA, True),
+        "permutation count True is not an integer",
+    ),
+    "permutation_count_string": (
+        lambda _: run_permutation_study(BN_COPULA, "2"),
+        "permutation count '2' is not an integer",
     ),
     "benchmark_seed_float": (
         lambda _: make_transfer_benchmark(seed=1.5),
