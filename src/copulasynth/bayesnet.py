@@ -21,11 +21,13 @@ from .dataset import (
     MicroTable,
     Schema,
     as_tuple,
+    check_type,
     code_dtype,
     count_below,
     float_array,
     is_finite_real,
     is_integer,
+    row_blocks,
     set_keys,
 )
 from .errors import SynthesisError
@@ -89,6 +91,8 @@ class BayesNet:
     cpts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        check_type(self.schema, Schema, "schema")
+        check_type(self.dag, Dag, "dag")
         cpts = as_tuple(self.cpts, "CPTs")
         if self.dag.d != self.schema.d or len(cpts) != self.schema.d:
             raise SynthesisError("DAG, CPTs, and schema disagree on node count")
@@ -387,10 +391,12 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
 def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     """Ancestral sampling in topological order, vectorized over rows.
 
-    Each node draws one rng.random(n). A row's code is the count of its CPT
-    row's first m - 1 cumulative shares below its uniform (count_below),
-    each row padded with inf to a power of two. A category whose share is 0
-    is never drawn.
+    Each node draws rng.random(k) for each row block of k rows (row_blocks)
+    and searches that block at once, so its uniforms are still in cache;
+    consecutive blocks draw the same doubles as one rng.random(n). A row's
+    code is the count of its CPT row's first m - 1 cumulative shares below
+    its uniform (count_below), each row padded with inf to a power of two.
+    A category whose share is 0 is never drawn.
     """
     if not is_integer(n):
         raise SynthesisError(f"sample size {n!r} is not an integer")
@@ -415,6 +421,9 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         positive, j = theta > 0, np.arange(width)
         cum[j < positive.argmax(axis=1)[:, None]] = -np.inf
         cum[j >= m - 1 - positive[:, ::-1].argmax(axis=1)[:, None]] = np.inf
-        # < m: the narrowing store cannot wrap.
-        codes[:, node] = count_below(cum.ravel(), width, rng.random(n), config)
+        cuts = cum.ravel()
+        for block in row_blocks(n):
+            u = rng.random(block.stop - block.start)
+            # < m: the narrowing store cannot wrap.
+            codes[block, node] = count_below(cuts, width, u, config[block])
     return MicroTable(bn.schema, codes)

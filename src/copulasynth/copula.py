@@ -10,6 +10,12 @@ the source marginal. ``target_codes`` maps each column of uniforms through
 the pseudo-inverse of a marginal (``pseudo_inverse_many``): an external
 generator's uniforms through the source's, onto cells to jitter, and the
 jittered uniforms through the (possibly different) target's.
+
+The exit is blocked: ``codes_by_block`` is the one uniforms -> codes loop.
+It takes a column's uniforms one row block at a time (``row_blocks``) and
+maps each block through the target's pseudo-inverse while it is still in
+cache, so the exit jitters and maps a block, not a whole column.
+``target_codes`` runs its given columns through the same loop.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import MarginalTable, MicroTable, Schema, VariableSpec, code_dtype
-from .dataset import count_below, integer_array, is_integer, marginals_of
+from .dataset import count_below, integer_array, is_integer, marginals_of, row_blocks
 from .errors import SynthesisError
 
 
@@ -91,15 +97,7 @@ def pseudo_inverse_many(counts, u) -> np.ndarray:
     never the smallest code reaching any u > 0.
     """
     cum = ecdf(counts)
-    try:
-        arr = np.asarray(u)
-    except (TypeError, ValueError):
-        raise SynthesisError("u values must lie in (0,1]") from None
-    # Only real numbers are cast: a complex u would lose its imaginary part,
-    # a string would be parsed, and a bool would count as 0 or 1.
-    if arr.dtype.kind not in "iuf":
-        raise SynthesisError("u values must lie in (0,1]")
-    arr = arr.astype(np.float64, copy=False)
+    arr = _real_array(u)
     if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise SynthesisError("u values must lie in (0,1]")
     width = 1 << (len(cum) - 1).bit_length()
@@ -108,33 +106,68 @@ def pseudo_inverse_many(counts, u) -> np.ndarray:
     return count_below(cuts, width, arr)
 
 
+def _real_array(u) -> np.ndarray:
+    """u as a float64 array, refused unless it holds real numbers."""
+    try:
+        arr = np.asarray(u)
+    except (TypeError, ValueError):
+        raise SynthesisError("u values must lie in (0,1]") from None
+    # Only real numbers are cast: a complex u would lose its imaginary part,
+    # a string would be parsed, and a bool would count as 0 or 1.
+    if arr.dtype.kind not in "iuf":
+        raise SynthesisError("u values must lie in (0,1]")
+    return arr.astype(np.float64, copy=False)
+
+
+def codes_by_block(targets: MarginalTable, n: int, columns) -> MicroTable:
+    """n rows of codes: column i's uniforms through target marginal i's pseudo-inverse.
+
+    ``columns`` yields one function per column, in column order; called
+    with a row block (a slice from ``row_blocks(n)``), it gives that
+    block's uniforms. Blocks are asked for in order, so a function may
+    draw from a random stream as it goes.
+    """
+    schema = targets.schema
+    codes = np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
+    for i, uniforms_of in enumerate(columns):
+        for block in row_blocks(n):
+            # The count of cuts below u <= 1 is at most m - 1: the narrowing
+            # store cannot wrap.
+            codes[block, i] = pseudo_inverse_many(targets.counts[i], uniforms_of(block))
+        # Drop this column's function, and any floats it holds, before the
+        # next column's are made: it lowers the peak RSS.
+        del uniforms_of
+    return MicroTable(schema, codes)
+
+
 def target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
     """Map column i's uniforms through target marginal i's pseudo-inverse.
 
     ``uniforms`` yields one length-n array per column, in column order, so
     only one column of floats needs to be alive at a time. Any other count
-    of columns, or a column of another length, is a SynthesisError.
+    of columns, or a column of another length, is a SynthesisError. The
+    columns go through codes_by_block.
     """
     if not is_integer(n) or n < 0:
         raise SynthesisError(f"row count must be an integer >= 0, got {n!r}")
-    schema = targets.schema
-    codes = np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
-    given = 0
-    for i, u in enumerate(uniforms):
-        if i == schema.d:
-            raise SynthesisError(f"more than {schema.d} columns of uniforms")
-        # The count of cuts below u <= 1 is at most m - 1: the narrowing
-        # store cannot wrap.
-        column = pseudo_inverse_many(targets.counts[i], u)
-        if column.shape != (n,):
-            raise SynthesisError(
-                f"column {i}: expected {n} uniforms, got shape {column.shape}"
-            )
-        codes[:, i] = column
-        given = i + 1
-        # Free this column's floats and codes before the next column's are
-        # made: it lowers the peak RSS.
-        del u, column
-    if given < schema.d:
-        raise SynthesisError(f"{given} columns of uniforms for {schema.d} variables")
-    return MicroTable(schema, codes)
+    d = targets.schema.d
+
+    def columns():
+        given = 0
+        for i, u in enumerate(uniforms):
+            if i == d:
+                raise SynthesisError(f"more than {d} columns of uniforms")
+            u = _real_array(u)
+            if u.shape != (n,):
+                # A u outside (0,1] is named before the column's shape.
+                pseudo_inverse_many(targets.counts[i], u)
+                raise SynthesisError(
+                    f"column {i}: expected {n} uniforms, got shape {u.shape}"
+                )
+            yield u.__getitem__
+            given = i + 1
+            del u
+        if given < d:
+            raise SynthesisError(f"{given} columns of uniforms for {d} variables")
+
+    return codes_by_block(targets, n, columns())

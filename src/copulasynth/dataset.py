@@ -74,9 +74,13 @@ _HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 # they are re-ranked densely, so a bincount over them stays a few words per
 # row however many categories the columns have.
 KEY_RANGE_PER_ROW = 4
-# count_below searches u in blocks of this many values: scratch as long as u
-# mapped fresh pages per call, 18.6k faults (not 3.0k) to sample 150k x 20.
-_SEARCH_BLOCK = 1 << 15
+# Every row-wise stage of generation runs over blocks of this many rows
+# (see row_blocks): BN sampling draws and searches a block at a time, the
+# copula exit jitters a block and maps it through the target's
+# pseudo-inverse while it is still in cache, and count_below searches any
+# u in blocks. Scratch as long as u mapped fresh pages per call, 18.6k
+# faults (not 3.0k) to sample 150k x 20.
+ROW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,8 @@ class VariableSpec:
     kind: str = "categorical"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SynthesisError(f"variable name must be a string, got {self.name!r}")
         labels = as_tuple(self.labels, f"variable {self.name!r}: labels")
         object.__setattr__(self, "labels", tuple(map(str, labels)))
         if not self.labels:
@@ -102,7 +108,7 @@ class VariableSpec:
         if self.kind not in VALID_KINDS:
             raise SynthesisError(f"variable {self.name!r}: unknown kind {self.kind!r}")
         # Every output is UTF-8; a lone surrogate (JSON "\ud800") has no encoding.
-        texts = [("name", str(self.name))] + [("label", x) for x in self.labels]
+        texts = [("name", self.name)] + [("label", x) for x in self.labels]
         for what, text in texts:
             try:
                 text.encode("utf-8")
@@ -174,6 +180,12 @@ def as_tuple(values, what: str) -> tuple:
         return tuple(values)
     except TypeError:
         raise SynthesisError(f"{what} {values!r} are not a sequence") from None
+
+
+def check_type(value, cls, what: str) -> None:
+    """A SynthesisError naming ``what`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise SynthesisError(f"{what} must be a {cls.__name__}, got {value!r}")
 
 
 def _typed_array(values, what: str, kinds: str, noun: str) -> np.ndarray:
@@ -274,6 +286,12 @@ def set_keys(sets, dims, column, n, budget=None):
         yield cols, keys, span
 
 
+def row_blocks(n):
+    """Consecutive slices of at most ROW_BLOCK rows that cover rows 0..n-1."""
+    for lo in range(0, n, ROW_BLOCK):
+        yield slice(lo, min(lo + ROW_BLOCK, n))
+
+
 def count_below(cuts, width, u, rows=None):
     """Each u's count of the cuts below it in its row, in O(log width) halvings.
 
@@ -284,10 +302,9 @@ def count_below(cuts, width, u, rows=None):
     """
     counts = np.empty(u.shape, np.intp)
     u, out = u.reshape(-1), counts.reshape(-1)
-    size = min(u.size, _SEARCH_BLOCK)
+    size = min(u.size, ROW_BLOCK)
     hits, cut_buffer = np.empty(size, bool), np.empty(size)
-    for lo in range(0, u.size, _SEARCH_BLOCK):
-        block = slice(lo, lo + _SEARCH_BLOCK)
+    for block in row_blocks(u.size):
         x, pos = u[block], out[block]
         hit, below = hits[: x.size], cut_buffer[: x.size]
         inc = below.view(np.intp)  # below's buffer, free again once hit is set
@@ -323,6 +340,7 @@ class MicroTable:
     codes: np.ndarray
 
     def __post_init__(self):
+        check_type(self.schema, Schema, "schema")
         arr = integer_array(self.codes, "category codes")
         if arr.ndim != 2 or arr.shape[1] != self.schema.d:
             raise SynthesisError(
@@ -358,6 +376,7 @@ class MarginalTable:
     counts: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        check_type(self.schema, Schema, "schema")
         counts = as_tuple(self.counts, "marginal counts")
         if len(counts) != self.schema.d:
             raise SynthesisError(
@@ -745,12 +764,14 @@ def write_micro_csv(table: MicroTable, path) -> None:
     ``_CSV_PAD_BYTES``. A wider text is written apart: its padded text is
     the byte 0xFE. A block of rows is one array of fixed-width records, one
     field per column, filled by one ``take`` of each column's padded texts
-    by the block's codes. One compress drops the block's 0xFF bytes. If the
-    block holds a wide text, its output is split at the 0xFE bytes and
-    joined again with the wide texts in file order. UTF-8 never holds the
-    bytes 0xFE and 0xFF, so this removes the padding and the marks and
-    nothing else. The bytes are the ``csv`` module's: minimal quoting and
-    ``\\r\\n`` line ends, UTF-8.
+    by the block's codes. If any text is padded, that is, some column's
+    texts differ in width, one compress drops the block's 0xFF bytes;
+    when every column's texts are of one width, the records are the
+    output as they stand. If the block holds a wide text, its output is
+    split at the 0xFE bytes and joined again with the wide texts in file
+    order. UTF-8 never holds the bytes 0xFE and 0xFF, so this removes the
+    padding and the marks and nothing else. The bytes are the ``csv``
+    module's: minimal quoting and ``\\r\\n`` line ends, UTF-8.
 
     A block holds at most ``_CSV_BLOCK_ROWS`` rows, and its records take at
     most ``_CSV_BLOCK_BYTES`` (256 KiB) unless one record alone is larger.
@@ -761,7 +782,7 @@ def write_micro_csv(table: MicroTable, path) -> None:
     """
     d = table.schema.d
     header = _csv_row(table.schema.names, "variable names").encode()
-    texts, wide = [], []
+    texts, wide, pads = [], [], False
     seps = [","] * (d - 1) + ["\r\n"]
     for i, (var, sep) in enumerate(zip(table.schema.variables, seps)):
         fields = [(_field_text(var, label, d) + sep).encode() for label in var.labels]
@@ -770,6 +791,7 @@ def write_micro_csv(table: MicroTable, path) -> None:
             wide.append((i, fields, np.array(apart)))
             fields = [b"\xfe" if far else field for field, far in zip(fields, apart)]
         width = max(map(len, fields))
+        pads = pads or min(map(len, fields)) < width
         padded = b"".join(field.ljust(width, b"\xff") for field in fields)
         texts.append(np.frombuffer(padded, dtype=f"V{width}"))
     record = np.dtype([(f"f{i}", text.dtype) for i, text in enumerate(texts)])
@@ -782,8 +804,9 @@ def write_micro_csv(table: MicroTable, path) -> None:
             records = block[: stop - start]
             for i, text in enumerate(texts):
                 records[f"f{i}"] = text.take(table.column(i)[start:stop])
-            raw = records.view(np.uint8)
-            out = raw.compress(raw != 0xFF)
+            out = records.view(np.uint8)
+            if pads:
+                out = out.compress(out != 0xFF)
             if wide:
                 out = _join_wide(out, table.codes[start:stop], wide)
             fh.write(out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import MarginalTable, MicroTable, Schema, set_keys
-from .dataset import float_array, is_finite_real, is_integer
+from .dataset import check_type, float_array, is_finite_real, is_integer
 from .errors import SynthesisError
 
 
@@ -42,6 +42,7 @@ class ContingencyTable:
     unreachable: tuple[tuple[str, str, float], ...] = field(default=())
 
     def __post_init__(self):
+        check_type(self.cells, MicroTable, "cells")
         arr = float_array(self.values, "cell weights")
         if arr.shape != (self.cells.n_rows,):
             raise SynthesisError(

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bayesnet import fit_parameters, learn_structure
 from .bayesnet import sample as bn_sample
-from .copula import ecdf, jitter_cells, rank_recode, target_codes
+from .copula import codes_by_block, ecdf, jitter_cells, rank_recode, target_codes
 from .dataset import (
     MarginalTable,
     MicroTable,
@@ -243,8 +243,12 @@ def generate_table(
             # The independence copula: i.i.d. uniforms in (0, 1] per column.
             marg = targets if copula else marginals_of(source)
             gen_rng = np.random.default_rng(gen_key)
-            draws = (gen_rng.random(n) for _ in range(marg.schema.d))
-            syn = target_codes(marg, n, (np.subtract(1.0, u, out=u) for u in draws))
+
+            def draws(block):
+                u = gen_rng.random(block.stop - block.start)
+                return np.subtract(1.0, u, out=u)
+
+            syn = codes_by_block(marg, n, [draws] * marg.schema.d)
         elif config.method == "ipf":
             fitted = ipf_fit(
                 build_seed(source), targets, tol=config.tol, max_iter=config.max_iter
@@ -266,11 +270,12 @@ def generate_table(
                 syn = cells = bn_sample(bn, n, np.random.default_rng(gen_key))
             if copula:  # the one exit from generated cells to target codes
                 jitter_rng = np.random.default_rng(jitter_key)
-                uniforms = (
-                    jitter_cells(c, cells.column(i), jitter_rng)
-                    for i, c in enumerate(source_marginals.counts)
-                )
-                syn = target_codes(targets, n, uniforms)
+
+                def jittered(i):  # column i's uniforms: its cells, jittered
+                    counts, column = source_marginals.counts[i], cells.column(i)
+                    return lambda block: jitter_cells(counts, column[block], jitter_rng)
+
+                syn = codes_by_block(targets, n, map(jittered, range(targets.schema.d)))
     # record=True caught every warning the filters let through. The package's
     # own UserWarnings are returned; any other meets the caller's filters again.
     own = []

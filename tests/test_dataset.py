@@ -351,7 +351,7 @@ def test_count_below_equals_searchsorted_per_row(case):
     width, cuts = case
     on = np.unique(cuts)
     u = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])
-    k = 2 * dataset._SEARCH_BLOCK // u.size + 1
+    k = 2 * dataset.ROW_BLOCK // u.size + 1
     rows = np.repeat(np.arange(len(cuts), dtype=np.uint8), u.size)
     tiled = np.tile(u, k * len(cuts))
     got = dataset.count_below(cuts.ravel(), width, tiled, np.tile(rows, k))
@@ -537,6 +537,21 @@ def test_write_micro_csv_matches_row_by_row_oracle(tmp_path):
     write_rows_oracle(one, tmp_path / "oracle.csv")
     blob = (tmp_path / "new.csv").read_bytes()
     assert blob == (tmp_path / "oracle.csv").read_bytes() == b'only\r\n""\r\nx\r\n'
+    # No text pads when every column's texts share one width, also when a
+    # column holds only wide texts (each marked by one byte): the records
+    # are written as they stand, with no compress.
+    unpadded = {
+        "equal-width labels": (("x", "y", "z"), ("10", "11")),
+        "wide-only column": ((LONG_LABEL, LONG_LABEL + "!"), ("0", "1")),
+    }
+    for name, (first, second) in unpadded.items():
+        schema = Schema((VariableSpec("a", first), VariableSpec("b", second)))
+        dims = [len(first), len(second)]
+        table = MicroTable(schema, random_table(dims, _CSV_BLOCK_ROWS + 3, seed=7).codes)
+        write_micro_csv(table, tmp_path / "new.csv")
+        write_rows_oracle(table, tmp_path / "oracle.csv")
+        blob = (tmp_path / "new.csv").read_bytes()
+        assert blob == (tmp_path / "oracle.csv").read_bytes(), name
 
 
 # Every character a csv field may need quoted or kept as it is, in 1 to 4

@@ -65,6 +65,30 @@ CASES = {
         lambda _: BayesNet(TABLE.schema, Dag(((),)), (np.full((1, 2), 0.5),)),
         "DAG, CPTs, and schema disagree on node count",
     ),
+    "bayesnet_schema_not_a_schema": (
+        lambda _: BayesNet(5, TWO_ROOTS, ()),
+        "schema must be a Schema, got 5",
+    ),
+    "bayesnet_dag_not_a_dag": (
+        lambda _: BayesNet(TABLE.schema, 5, ()),
+        "dag must be a Dag, got 5",
+    ),
+    "micro_table_schema_not_a_schema": (
+        lambda _: MicroTable(5, [[0]]),
+        "schema must be a Schema, got 5",
+    ),
+    "marginal_table_schema_not_a_schema": (
+        lambda _: MarginalTable(5, ()),
+        "schema must be a Schema, got 5",
+    ),
+    "contingency_table_cells_not_a_table": (
+        lambda _: ContingencyTable(5, [1.0]),
+        "cells must be a MicroTable, got 5",
+    ),
+    "variable_name_not_a_string": (
+        lambda _: VariableSpec(5, ("0", "1")),
+        "variable name must be a string, got 5",
+    ),
     "bayesnet_cpts_not_a_sequence": (
         lambda _: BayesNet(TABLE.schema, TWO_ROOTS, 5),
         "CPTs 5 are not a sequence",

@@ -94,6 +94,11 @@ LARGE_M_DIGESTS = {
     "bn_copula": "07e90eb555cd853f272da8564fcca6159aa239408d373d006db352f2f6383321",
 }
 
+# sha256 of the bn_copula codes over three row blocks (see
+# test_codes_across_row_blocks_are_pinned), taken before generation ran in
+# row blocks.
+ROW_BLOCKS_DIGEST = "6fe46e45b846b6b62ce94be9c922f225d6d0425e714685b6c647490ee4a0af89"
+
 
 def config(method, **overrides):
     fields = {
@@ -190,3 +195,17 @@ def test_large_m_codes_are_pinned(method):
     synthetic, _ = generate_table(source, targets, cfg, 0)
     codes = np.ascontiguousarray(synthetic.codes)
     assert hashlib.sha256(codes.tobytes()).hexdigest() == LARGE_M_DIGESTS[method], NUMPY
+
+
+def test_codes_across_row_blocks_are_pinned():
+    """The other pins generate at most 20,000 rows, within one row block of
+    32,768; 70,001 rows take three, the last one ragged, through sampling,
+    the jitter and both pseudo-inverses."""
+    source, targets = large_m_tables()
+    cfg = SynthesisConfig(
+        source_data="unused", schema="unused", method="bn_copula",
+        output_size=70_001, seed=0,
+    )
+    synthetic, _ = generate_table(source, targets, cfg, 0)
+    codes = np.ascontiguousarray(synthetic.codes)
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == ROW_BLOCKS_DIGEST, NUMPY

@@ -1,0 +1,89 @@
+"""Row-wise generation runs over blocks of dataset.ROW_BLOCK rows.
+
+BN sampling, target_codes and the copula exit draw and map a block at a
+time. Their codes must not depend on the block size, so each is run with
+the block patched to a few rows and compared with one block, at row counts
+on both sides of every block boundary.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from copulasynth import (
+    SynthesisConfig,
+    fit_parameters,
+    generate_table,
+    learn_structure,
+    make_transfer_benchmark,
+    marginals_of,
+    sample_bayesnet,
+)
+from copulasynth import dataset
+from copulasynth.copula import rank_recode, target_codes
+
+GENERATOR = Path(__file__).resolve().parent / "resample_generator.py"
+BLOCKS = (1, 3, 7)
+SOURCE, TARGET = make_transfer_benchmark(seed=3, d=4, n_source=300, n_target=300)
+TARGETS = marginals_of(TARGET)
+
+
+def row_counts(block):
+    """0, 1, and the counts on both sides of the first and second boundary."""
+    return sorted({0, 1, block - 1, block, block + 1, 2 * block + 3})
+
+
+def patched(monkeypatch, block, call):
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "ROW_BLOCK", block)
+        return call()
+
+
+def test_consecutive_random_blocks_equal_one_draw():
+    """The blocked stages rely on numpy's Generator giving the same doubles
+    whether random is drawn whole or in consecutive blocks."""
+    whole = np.random.default_rng(5).random(1000)
+    rng = np.random.default_rng(5)
+    parts = [rng.random(k) for k in (1, 0, 3, 7, 32, 957)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes(), np.__version__
+
+
+def test_row_blocks_cover_the_rows_in_order(monkeypatch):
+    for block in BLOCKS:
+        for n in row_counts(block):
+            slices = patched(monkeypatch, block, lambda: list(dataset.row_blocks(n)))
+            assert [s.stop - s.start for s in slices][:-1] == [block] * (len(slices) - 1)
+            assert [r for s in slices for r in range(n)[s]] == list(range(n))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_sample_codes_do_not_depend_on_the_block(monkeypatch, block):
+    data, _ = rank_recode(SOURCE)
+    bn = fit_parameters(data, learn_structure(data, max_parents=2, seed=1))
+    for n in row_counts(block):
+        draw = lambda: sample_bayesnet(bn, n, np.random.default_rng(n)).codes
+        assert (patched(monkeypatch, block, draw) == draw()).all(), n
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_target_codes_do_not_depend_on_the_block(monkeypatch, block):
+    for n in row_counts(block):
+        uniforms = 1.0 - np.random.default_rng(n).random((TARGETS.schema.d, n))
+        call = lambda: target_codes(TARGETS, n, iter(uniforms)).codes
+        assert (patched(monkeypatch, block, call) == call()).all(), n
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("method", ["bn_copula", "external_copula", "independent_copula"])
+def test_generate_table_codes_do_not_depend_on_the_block(monkeypatch, method, block):
+    for n in row_counts(block):
+        if n == 0:  # output_size must be positive
+            continue
+        cfg = SynthesisConfig(
+            source_data="x", schema="x", method=method, output_size=n, seed=2,
+            external_command=(sys.executable, str(GENERATOR)),
+        )
+        call = lambda: generate_table(SOURCE, TARGETS, cfg, 2)[0].codes
+        assert (patched(monkeypatch, block, call) == call()).all(), n
