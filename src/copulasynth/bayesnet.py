@@ -22,11 +22,11 @@ from .dataset import (
     Schema,
     as_tuple,
     check_type,
-    code_dtype,
     count_below,
     float_array,
     is_finite_real,
     is_integer,
+    new_codes,
     row_blocks,
     set_keys,
 )
@@ -391,27 +391,29 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
 def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     """Ancestral sampling in topological order, vectorized over rows.
 
-    Each node draws rng.random(k) for each row block of k rows (row_blocks)
-    and searches that block at once, so its uniforms are still in cache;
-    consecutive blocks draw the same doubles as one rng.random(n). A row's
-    code is the count of its CPT row's first m - 1 cumulative shares below
-    its uniform (count_below), each row padded with inf to a power of two.
-    A category whose share is 0 is never drawn.
+    Each node keys its parents' codes and draws rng.random(k) for each row
+    block of k rows (row_blocks), and searches that block at once, so its
+    uniforms are still in cache; consecutive blocks draw the same doubles
+    as one rng.random(n). A row's code is the count of its CPT row's first
+    m - 1 cumulative shares below its uniform (count_below), each row
+    padded with inf to a power of two. A category whose share is 0 is
+    never drawn. The codes are filled in one ``new_codes`` array that the
+    returned table keeps: sampling holds one (n, d) table plus a block's
+    scratch.
     """
     if not is_integer(n):
         raise SynthesisError(f"sample size {n!r} is not an integer")
     if n < 0:
         raise SynthesisError("sample size must be >= 0")
+    check_type(rng, np.random.Generator, "rng")
     dims = bn.schema.dims
     # Column-major, so each node reads its parents as contiguous columns;
     # topological order fills every parent before its children read it.
-    codes = np.empty((n, bn.schema.d), dtype=code_dtype(bn.schema), order="F")
+    codes = new_codes(bn.schema, n)
     for node in bn.dag.topological_order():
         theta = bn.cpts[node]
         q, m = theta.shape
-        # A budget of the CPT's row count keeps the keys unranked: row indices.
         parents = [bn.dag.parents[node]]
-        ((_, config, _),) = set_keys(parents, dims, lambda c: codes[:, c], n, q)
         width = 1 << (m - 1).bit_length()
         cum = np.full((q, width), np.inf)
         np.cumsum(theta[:, :-1], axis=1, out=cum[:, : m - 1])
@@ -423,7 +425,11 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
         cum[j >= m - 1 - positive[:, ::-1].argmax(axis=1)[:, None]] = np.inf
         cuts = cum.ravel()
         for block in row_blocks(n):
-            u = rng.random(block.stop - block.start)
+            k = block.stop - block.start
+            # A budget of the CPT's row count keeps the keys unranked: row indices.
+            ((_, config, _),) = set_keys(parents, dims, lambda c: codes[block, c], k, q)
+            u = rng.random(k)
             # < m: the narrowing store cannot wrap.
-            codes[block, node] = count_below(cuts, width, u, config[block])
+            codes[block, node] = count_below(cuts, width, u, config)
+    codes.flags.writeable = False
     return MicroTable(bn.schema, codes)

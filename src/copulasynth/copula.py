@@ -15,15 +15,18 @@ The exit is blocked: ``codes_by_block`` is the one uniforms -> codes loop.
 It takes a column's uniforms one row block at a time (``row_blocks``) and
 maps each block through the target's pseudo-inverse while it is still in
 cache, so the exit jitters and maps a block, not a whole column.
-``target_codes`` runs its given columns through the same loop.
+``target_codes`` runs its given columns through the same loop. The loop
+fills an array it is given, and the copula exit gives it the sampled
+ranks: the target codes are written over them in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import MarginalTable, MicroTable, Schema, VariableSpec, code_dtype
-from .dataset import count_below, integer_array, is_integer, marginals_of, row_blocks
+from .dataset import MarginalTable, MicroTable, Schema, VariableSpec, check_type
+from .dataset import count_below, integer_array, is_integer, marginals_of, new_codes
+from .dataset import row_blocks
 from .errors import SynthesisError
 
 
@@ -38,14 +41,21 @@ def rank_recode(source: MicroTable) -> tuple[MicroTable, MarginalTable]:
         raise SynthesisError("cannot fit an ECDF on an empty table")
     full = marginals_of(source)
     supports = [np.flatnonzero(c) for c in full.counts]
-    ranks = np.empty_like(source.codes)
-    derived = []
-    for i, (var, support) in enumerate(zip(source.schema.variables, supports)):
-        # A rank is below the support's size, at most m: the store cannot wrap.
+    schema = Schema(
+        tuple(
+            VariableSpec(
+                name=var.name,
+                labels=tuple(var.labels[c] for c in support),
+                kind=var.kind,
+            )
+            for var, support in zip(source.schema.variables, supports)
+        )
+    )
+    ranks = new_codes(schema, source.n_rows)
+    for i, support in enumerate(supports):
+        # A rank is below the support's size: code_dtype(schema) holds it.
         ranks[:, i] = np.searchsorted(support, source.column(i))
-        labels = tuple(var.labels[c] for c in support)
-        derived.append(VariableSpec(name=var.name, labels=labels, kind=var.kind))
-    schema = Schema(tuple(derived))
+    ranks.flags.writeable = False
     counts = tuple(c[s] for c, s in zip(full.counts, supports))
     return MicroTable(schema, ranks), MarginalTable(schema, counts)
 
@@ -71,6 +81,7 @@ def jitter_cells(counts, cells, rng) -> np.ndarray:
     Each cell gathers its width from one table of F(x^(k)) - F(x^(k-1)) and
     its top from F; top - r * width is computed in the buffer of the draws r.
     """
+    check_type(rng, np.random.Generator, "rng")
     cum = ecdf(counts)
     if (np.asarray(counts) == 0).any():
         raise SynthesisError("jitter needs the counts of observed cells only")
@@ -119,24 +130,30 @@ def _real_array(u) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def codes_by_block(targets: MarginalTable, n: int, columns) -> MicroTable:
-    """n rows of codes: column i's uniforms through target marginal i's pseudo-inverse.
+def codes_by_block(targets: MarginalTable, columns, codes) -> MicroTable:
+    """Fill ``codes``: column i's uniforms through target marginal i's pseudo-inverse.
 
-    ``columns`` yields one function per column, in column order; called
-    with a row block (a slice from ``row_blocks(n)``), it gives that
-    block's uniforms. Blocks are asked for in order, so a function may
-    draw from a random stream as it goes.
+    ``codes`` is an (n, d) ``new_codes(targets.schema, n)`` array that no
+    one else holds; the returned table keeps it, so the exit holds one
+    table plus a block's scratch. ``columns`` yields one function per
+    column, in column order; called with a row block (a slice from
+    ``row_blocks(n)``), it gives that block's uniforms. Blocks are asked
+    for in order, so a function may draw from a random stream as it goes.
+    A block's uniforms are made before its codes are stored, so a
+    function may read them from its own column of ``codes``: the copula
+    exit writes target codes over the sampled ranks in place.
     """
     schema = targets.schema
-    codes = np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
+    codes.flags.writeable = True
     for i, uniforms_of in enumerate(columns):
-        for block in row_blocks(n):
+        for block in row_blocks(codes.shape[0]):
             # The count of cuts below u <= 1 is at most m - 1: the narrowing
             # store cannot wrap.
             codes[block, i] = pseudo_inverse_many(targets.counts[i], uniforms_of(block))
         # Drop this column's function, and any floats it holds, before the
         # next column's are made: it lowers the peak RSS.
         del uniforms_of
+    codes.flags.writeable = False
     return MicroTable(schema, codes)
 
 
@@ -170,4 +187,4 @@ def target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
         if given < d:
             raise SynthesisError(f"{given} columns of uniforms for {d} variables")
 
-    return codes_by_block(targets, n, columns())
+    return codes_by_block(targets, columns(), new_codes(targets.schema, n))

@@ -228,6 +228,13 @@ def code_dtype(schema: Schema) -> np.dtype:
     return np.min_scalar_type(max(schema.dims) - 1)
 
 
+def new_codes(schema: Schema, n: int) -> np.ndarray:
+    """An unfilled (n, d) array in the table layout: column-major, in
+    ``code_dtype(schema)``. A producer fills it, marks it read-only and
+    hands it to ``MicroTable``, which keeps it without a copy."""
+    return np.empty((n, schema.d), dtype=code_dtype(schema), order="F")
+
+
 def _key_dtype(span) -> np.dtype:
     """The dtype of keys in 0..span-1: the narrowest unsigned one up to
     uint32, else int64, never uint64 (uint64 mixed with int64 gives float64)."""
@@ -328,12 +335,17 @@ def count_below(cuts, width, u, rows=None):
 class MicroTable:
     """Category codes, shape (N, d), stored column-major: column(i) is contiguous.
 
-    The table keeps its own read-only copy in ``code_dtype(schema)``. The
-    input must have an integer dtype (a float or bool is rejected, never
-    truncated) and is range-checked as given, before it is narrowed, so an
-    out-of-range or negative code is rejected and never wraps. Narrow
-    unsigned arithmetic wraps, so arithmetic on the codes names a result
-    dtype wide enough for it, as set_keys does with _key_dtype.
+    The codes are read-only, in ``code_dtype(schema)``. An input that is
+    already so, F-contiguous and owns its memory is kept as it is: every
+    producer fills a ``new_codes`` array, marks it read-only and hands it
+    over, so a generated population is one (N, d) array, never two. Any
+    other input is copied, so a table never shares memory with a writable
+    array that someone else holds. The input must have an integer dtype (a
+    float or bool is rejected, never truncated) and is range-checked as
+    given, before it is narrowed, so an out-of-range or negative code is
+    rejected and never wraps. Narrow unsigned arithmetic wraps, so
+    arithmetic on the codes names a result dtype wide enough for it, as
+    set_keys does with _key_dtype.
     """
 
     schema: Schema
@@ -356,8 +368,11 @@ class MicroTable:
                         f"variable {self.schema.names[i]!r}: code {hi} out of range "
                         f"(m={m})"
                     )
-        arr = np.array(arr, dtype=code_dtype(self.schema), order="F", copy=True)
-        arr.flags.writeable = False
+        flags = arr.flags
+        adoptable = flags.f_contiguous and flags.owndata and not flags.writeable
+        if not adoptable or arr.dtype != code_dtype(self.schema):
+            arr = np.array(arr, dtype=code_dtype(self.schema), order="F", copy=True)
+            arr.flags.writeable = False
         object.__setattr__(self, "codes", arr)
 
     @property
@@ -591,7 +606,10 @@ def _load_micro_bytes(path, schema: Schema):
             if codes is None:
                 return None
             parts.append(codes)
-    return MicroTable(schema, np.concatenate(parts, axis=1).T)
+    codes = new_codes(schema, sum(part.shape[1] for part in parts))
+    np.concatenate(parts, axis=1, out=codes.T)
+    codes.flags.writeable = False
+    return MicroTable(schema, codes)
 
 
 def _decode_block(block: bytes, n_fields: int, col_of, table, dtype):
@@ -725,9 +743,10 @@ def _load_micro_rows(path, schema: Schema) -> MicroTable:
             if len(rows) < _CSV_BLOCK_ROWS:
                 break
     # Every column has at least one part: the last block read may be empty.
-    codes = np.empty((n_rows, schema.d), dtype=dtype, order="F")
+    codes = new_codes(schema, n_rows)
     for i, parts in enumerate(decoded):
         np.concatenate(parts, out=codes[:, i])
+    codes.flags.writeable = False
     return MicroTable(schema, codes)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import MarginalTable, MicroTable, Schema, set_keys
+from .dataset import MarginalTable, MicroTable, Schema, new_codes, row_blocks, set_keys
 from .dataset import check_type, float_array, is_finite_real, is_integer
 from .errors import SynthesisError
 
@@ -153,13 +153,23 @@ def fit(
 
 
 def allocate(fitted: ContingencyTable, n: int, rng) -> MicroTable:
-    """Draw n rows i.i.d. from cells with probability proportional to value."""
+    """Draw n rows i.i.d. from cells with probability proportional to value.
+
+    Rows are drawn a row block at a time (row_blocks), each block's cells
+    copied into one ``new_codes`` array that the returned table keeps;
+    consecutive blocks draw what one rng.choice of all n rows would.
+    """
     if not is_integer(n):
         raise SynthesisError(f"allocation size {n!r} is not an integer")
     if n < 0:
         raise SynthesisError("allocation size must be >= 0")
+    check_type(rng, np.random.Generator, "rng")
     total = fitted.total
     if total <= 0:
         raise SynthesisError("cannot allocate from an all-zero table")
-    idx = rng.choice(fitted.values.size, size=n, p=fitted.values / total)
-    return MicroTable(fitted.schema, fitted.cells.codes[idx])
+    p, cells = fitted.values / total, fitted.cells.codes
+    codes = new_codes(fitted.schema, n)
+    for block in row_blocks(n):
+        codes[block] = cells[rng.choice(p.size, size=block.stop - block.start, p=p)]
+    codes.flags.writeable = False
+    return MicroTable(fitted.schema, codes)

@@ -41,6 +41,7 @@ from .dataset import (
     load_micro_csv,
     load_schema,
     marginals_of,
+    new_codes,
     open_input,
     write_files,
     write_micro_csv,
@@ -248,7 +249,8 @@ def generate_table(
                 u = gen_rng.random(block.stop - block.start)
                 return np.subtract(1.0, u, out=u)
 
-            syn = codes_by_block(marg, n, [draws] * marg.schema.d)
+            columns = [draws] * marg.schema.d
+            syn = codes_by_block(marg, columns, new_codes(marg.schema, n))
         elif config.method == "ipf":
             fitted = ipf_fit(
                 build_seed(source), targets, tol=config.tol, max_iter=config.max_iter
@@ -261,21 +263,31 @@ def generate_table(
                 u = _run_external(
                     config.external_command, data, source_marginals, n, ext_seed
                 )
-                cells = target_codes(source_marginals, n, u.T)  # onto source ranks
+                syn = target_codes(source_marginals, n, u.T)  # onto source ranks
+                del u
             else:
                 dag = learn_structure(
                     data, max_parents=config.max_parents, seed=structure_seed
                 )
                 bn = fit_parameters(data, dag, alpha=config.alpha)
-                syn = cells = bn_sample(bn, n, np.random.default_rng(gen_key))
+                syn = bn_sample(bn, n, np.random.default_rng(gen_key))
             if copula:  # the one exit from generated cells to target codes
                 jitter_rng = np.random.default_rng(jitter_key)
+                # The exit writes the target codes over the cells, so their
+                # table is dropped first. Ranks in a narrower dtype than the
+                # target codes are only read.
+                cells = syn.codes
+                del syn
+                out = cells
+                if cells.dtype != code_dtype(targets.schema):
+                    out = new_codes(targets.schema, n)
 
                 def jittered(i):  # column i's uniforms: its cells, jittered
-                    counts, column = source_marginals.counts[i], cells.column(i)
+                    counts, column = source_marginals.counts[i], cells[:, i]
                     return lambda block: jitter_cells(counts, column[block], jitter_rng)
 
-                syn = codes_by_block(targets, n, map(jittered, range(targets.schema.d)))
+                columns = map(jittered, range(targets.schema.d))
+                syn = codes_by_block(targets, columns, out)
     # record=True caught every warning the filters let through. The package's
     # own UserWarnings are returned; any other meets the caller's filters again.
     own = []
@@ -367,10 +379,11 @@ def run_permutation_study(
     values: dict[int, list[float]] = {n: [] for n in sizes}
 
     def relabeled(table: MicroTable, lookups) -> MicroTable:
-        codes = np.empty_like(table.codes)
+        codes = new_codes(schema, table.n_rows)
         for i, lookup in enumerate(lookups):
             # A lookup is a permutation of 0..m-1: the store cannot wrap.
             codes[:, i] = lookup[table.column(i)]
+        codes.flags.writeable = False
         return MicroTable(schema, codes)
 
     for r in range(n_permutations):
@@ -447,7 +460,7 @@ def make_transfer_benchmark(
 
     def draw(n: int, powered: bool) -> MicroTable:
         latent = rng.standard_normal((n, d)) @ chol.T
-        codes = np.empty((n, d), dtype=code_dtype(schema), order="F")
+        codes = new_codes(schema, n)
         for i in range(d):
             cuts = np.arange(1, dims[i]) / dims[i]
             if powered:
@@ -456,6 +469,7 @@ def make_transfer_benchmark(
             z_cuts = [statistics.NormalDist().inv_cdf(c) for c in cuts]
             # At most len(z_cuts) = m - 1: the narrowing store cannot wrap.
             codes[:, i] = np.searchsorted(z_cuts, latent[:, i], side="left")
+        codes.flags.writeable = False
         return MicroTable(schema, codes)
 
     return draw(n_source, powered=False), draw(n_target, powered=True)

@@ -449,10 +449,11 @@ def test_sample_matches_cumsum_count_oracle(bn, n, seed):
     np.testing.assert_array_equal(table.codes, expected)
 
 
-class FixedUniforms:
-    """An rng stand-in whose random(n) returns the given values."""
+class FixedUniforms(np.random.Generator):
+    """A Generator whose random(n) returns the given values."""
 
     def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
         self.values = np.asarray(values, dtype=np.float64)
 
     def random(self, n):

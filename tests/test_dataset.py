@@ -42,6 +42,7 @@ from copulasynth.dataset import (
     _load_micro_bytes,
     _load_micro_rows,
     code_dtype,
+    new_codes,
     set_keys,
 )
 from copulasynth.ipf import ContingencyTable
@@ -110,6 +111,52 @@ def test_micro_table_copies_and_freezes():
         table.codes[0, 0] = 1
 
 
+def test_micro_table_adopts_only_a_handed_over_array():
+    """A read-only, F-contiguous array that owns its memory and has the
+    schema's code dtype is kept as it is; any other input is copied, so the
+    caller's array can change and the table does not."""
+    schema = make_schema([3, 2])
+    rows = [[0, 1], [2, 0], [1, 1], [0, 0]]
+
+    def handed_over():
+        codes = new_codes(schema, len(rows))
+        codes[:] = rows
+        codes.flags.writeable = False
+        return codes
+
+    kept = handed_over()
+    table = MicroTable(schema, kept)
+    assert table.codes is kept
+    assert not table.codes.flags.writeable
+    with pytest.raises(ValueError):
+        table.codes[0, 0] = 1
+
+    def read_only(codes):
+        codes.flags.writeable = False
+        return codes
+
+    writable = handed_over()
+    writable.flags.writeable = True
+    c_ordered = read_only(np.array(handed_over(), order="C"))
+    wide = read_only(handed_over().astype(np.int64, order="F"))
+    base = handed_over()
+    base.flags.writeable = True
+    view = read_only(base[:])  # F-contiguous, but base holds its memory
+    for given, mutable in [
+        (writable, writable),
+        (c_ordered, c_ordered),
+        (wide, wide),
+        (view, base),
+    ]:
+        table = MicroTable(schema, given)
+        assert not np.shares_memory(table.codes, given)
+        assert table.codes.dtype == code_dtype(schema)
+        assert table.codes.flags.f_contiguous and not table.codes.flags.writeable
+        mutable.flags.writeable = True
+        mutable[0, 0] = 2
+        assert table.codes.tolist() == rows
+
+
 def test_micro_table_stores_codes_column_by_column(tmp_path):
     """Every producer's table reads each variable as one contiguous column."""
     source, target = make_transfer_benchmark(seed=2, d=4, n_source=300, n_target=300)
@@ -132,7 +179,7 @@ def test_micro_table_stores_codes_column_by_column(tmp_path):
         assert not table.codes.flags.writeable
         for i in range(table.schema.d):
             assert table.column(i).flags.c_contiguous
-    # An input already in the table's layout is still copied, not aliased.
+    # A writable input already in the table's layout is copied, not aliased.
     src = np.asfortranarray(np.array([[0, 1], [1, 0]], dtype=np.int64))
     table = MicroTable(make_schema([2, 2]), src)
     src[0, 0] = 1
@@ -147,7 +194,7 @@ def test_micro_table_checks_codes_before_narrowing():
         MicroTable(schema, np.array([[256, 0]], dtype=np.int64))
     with pytest.raises(SynthesisError, match="negative category code"):
         MicroTable(schema, np.array([[-1, 0]], dtype=np.int64))
-    # An input already in the table's dtype and layout is still copied.
+    # A writable input already in the table's dtype and layout is copied.
     src = np.asfortranarray(np.array([[255, 1]], dtype=np.uint8))
     table = MicroTable(schema, src)
     src[0, 0] = 0

@@ -33,7 +33,7 @@ from copulasynth import (
 )
 from copulasynth.bayesnet import BayesNet, Dag, family_score_mdl
 from copulasynth.cli import main
-from copulasynth.copula import target_codes
+from copulasynth.copula import jitter_cells, target_codes
 from copulasynth.ipf import ContingencyTable, allocate
 from copulasynth.pipeline import run_permutation_study
 from copulasynth.metrics import kept_indices, marginal_report
@@ -368,6 +368,22 @@ CASES = {
     "benchmark_skew_string": (
         lambda _: make_transfer_benchmark(marginal_skew="a"),
         "marginal_skew must be a finite number, got 'a'",
+    ),
+    "sample_rng_int": (
+        lambda _: sample_bayesnet(fit_parameters(TABLE, TWO_ROOTS), 10, 5),
+        "rng must be a Generator, got 5",
+    ),
+    "sample_rng_none": (
+        lambda _: sample_bayesnet(fit_parameters(TABLE, TWO_ROOTS), 10, None),
+        "rng must be a Generator, got None",
+    ),
+    "jitter_rng_int": (
+        lambda _: jitter_cells([3, 4], np.array([0, 1]), 5),
+        "rng must be a Generator, got 5",
+    ),
+    "allocate_rng_int": (
+        lambda _: allocate(build_seed(TABLE), 10, 5),
+        "rng must be a Generator, got 5",
     ),
 }
 

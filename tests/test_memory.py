@@ -1,0 +1,78 @@
+"""Generation holds one (n, d) table plus a row block's scratch.
+
+Every producer fills the array its MicroTable keeps, and the copula exit
+writes target codes over the sampled ranks, so the memory that
+generate_table traces beyond its output's codes must not grow with the row
+count. The gate reads tracemalloc, not the clock.
+"""
+
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+
+from copulasynth import SynthesisConfig, generate_table, make_transfer_benchmark
+from copulasynth import dataset, marginals_of, pipeline
+
+GENERATOR = Path(__file__).resolve().parent / "resample_generator.py"
+METHODS = (
+    "bn", "bn_copula", "independent", "independent_copula", "ipf", "external_copula"
+)
+
+
+def traced_extra(source, targets, method, n):
+    """Traced peak bytes of generate_table beyond its output's codes.
+
+    external_copula's generator sends all n rows of uniforms as text, and
+    _run_external parses them whole; for that method tracing starts once
+    they are parsed.
+    """
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method=method, output_size=n, seed=3,
+        external_command=(sys.executable, str(GENERATOR)),
+    )
+    run_external = pipeline._run_external
+
+    def parse_then_trace(*args):
+        values = run_external(*args)
+        tracemalloc.start()
+        return values
+
+    with pytest.MonkeyPatch.context() as m:
+        if method == "external_copula":
+            m.setattr(pipeline, "_run_external", parse_then_trace)
+        else:
+            tracemalloc.start()
+        try:
+            syn, _ = generate_table(source, targets, cfg, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak - syn.codes.nbytes, syn.codes.nbytes
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_generation_memory_does_not_grow_with_rows(monkeypatch, method):
+    """Tripling n adds two tables of output and less than a tenth of that
+    in anything else; a second copy of the table would add all of it. The
+    row block is cut to 1,024 rows, so its scratch is smaller than a table
+    and cannot hide a copy."""
+    monkeypatch.setattr(dataset, "ROW_BLOCK", 1 << 10)
+    source, target = make_transfer_benchmark(seed=5, d=4, n_source=500, n_target=500)
+    targets = marginals_of(target)
+    traced_extra(source, targets, method, 100)  # one-time allocations
+    extra, table = traced_extra(source, targets, method, 20_000)
+    extra3, table3 = traced_extra(source, targets, method, 60_000)
+    assert table3 == 3 * table
+    assert extra3 - extra < 0.1 * (table3 - table), (extra, extra3, table)
+
+
+def test_bn_copula_holds_one_table_and_block_scratch():
+    """At d=20 and 100,000 rows the table is 2 MB. Beside it sampling and
+    the exit hold a row block's scratch, about four float64 arrays of
+    ROW_BLOCK values, 1 MB: 1.5 tables in all."""
+    source, target = make_transfer_benchmark(seed=1, d=20, n_source=2000, n_target=2000)
+    targets = marginals_of(target)
+    extra, table = traced_extra(source, targets, "bn_copula", 100_000)
+    assert (table + extra) / table < 1.6, (extra, table)

@@ -1,9 +1,10 @@
 """Row-wise generation runs over blocks of dataset.ROW_BLOCK rows.
 
 BN sampling, target_codes and the copula exit draw and map a block at a
-time. Their codes must not depend on the block size, so each is run with
-the block patched to a few rows and compared with one block, at row counts
-on both sides of every block boundary.
+time, and the exit writes target codes over the sampled ranks in place.
+Their codes must not depend on the block size, so each is run with the
+block patched to a few rows and compared with one block, at row counts on
+both sides of every block boundary.
 """
 
 import sys
@@ -23,6 +24,7 @@ from copulasynth import (
 )
 from copulasynth import dataset
 from copulasynth.copula import rank_recode, target_codes
+from test_pinned_outputs import large_m_tables
 
 GENERATOR = Path(__file__).resolve().parent / "resample_generator.py"
 BLOCKS = (1, 3, 7)
@@ -87,3 +89,20 @@ def test_generate_table_codes_do_not_depend_on_the_block(monkeypatch, method, bl
         )
         call = lambda: generate_table(SOURCE, TARGETS, cfg, 2)[0].codes
         assert (patched(monkeypatch, block, call) == call()).all(), n
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("method", ["bn_copula", "external_copula"])
+def test_exit_over_narrow_ranks_does_not_depend_on_the_block(monkeypatch, method, block):
+    """The source shows 225 of 300 categories, so its ranks are uint8 and
+    the target codes uint16: the exit reads the ranks and writes the codes
+    apart. Where the dtypes agree (the tests above) it writes over them."""
+    source, targets = large_m_tables()
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method=method, output_size=50, seed=2,
+        external_command=(sys.executable, str(GENERATOR)),
+    )
+    call = lambda: generate_table(source, targets, cfg, 2)[0].codes
+    codes = call()
+    assert codes.dtype == np.uint16 and codes[:, 0].max() > 255
+    assert (patched(monkeypatch, block, call) == codes).all()
