@@ -6,16 +6,15 @@ share of the per-category counts; the dependence is modelled there. Out:
 ``jitter_cells`` places a generated cell k uniformly inside its probability
 interval (F(x^(k-1)), F(x^(k))], the continuous relaxation of the step
 ECDF, so the uniforms are exactly uniform on (0,1] whenever cells follow
-the source marginal. ``target_codes`` maps each column of uniforms through
-the pseudo-inverse of a marginal (``pseudo_inverse_many``): an external
-generator's uniforms through the source's, onto cells to jitter, and the
-jittered uniforms through the (possibly different) target's.
+the source marginal. ``codes_by_block`` maps each column of uniforms
+through the pseudo-inverse of a marginal (``pseudo_inverse_many``): an
+external generator's uniforms through the source's, onto cells to jitter,
+and the jittered uniforms through the (possibly different) target's.
 
 The exit is blocked: ``codes_by_block`` is the one uniforms -> codes loop.
 It takes a column's uniforms one row block at a time (``row_blocks``) and
 maps each block through the target's pseudo-inverse while it is still in
-cache, so the exit jitters and maps a block, not a whole column.
-``target_codes`` runs its given columns through the same loop. The loop
+cache, so the exit jitters and maps a block, not a whole column. The loop
 fills an array it is given, and the copula exit gives it the sampled
 ranks: the target codes are written over them in place.
 """
@@ -25,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import MarginalTable, MicroTable, Schema, VariableSpec, check_type
-from .dataset import count_below, integer_array, is_integer, marginals_of, new_codes
+from .dataset import count_below, integer_array, marginals_of, new_codes
 from .dataset import row_blocks
 from .errors import SynthesisError
 
@@ -156,35 +155,3 @@ def codes_by_block(targets: MarginalTable, columns, codes) -> MicroTable:
     codes.flags.writeable = False
     return MicroTable(schema, codes)
 
-
-def target_codes(targets: MarginalTable, n: int, uniforms) -> MicroTable:
-    """Map column i's uniforms through target marginal i's pseudo-inverse.
-
-    ``uniforms`` yields one length-n array per column, in column order, so
-    only one column of floats needs to be alive at a time. Any other count
-    of columns, or a column of another length, is a SynthesisError. The
-    columns go through codes_by_block.
-    """
-    if not is_integer(n) or n < 0:
-        raise SynthesisError(f"row count must be an integer >= 0, got {n!r}")
-    d = targets.schema.d
-
-    def columns():
-        given = 0
-        for i, u in enumerate(uniforms):
-            if i == d:
-                raise SynthesisError(f"more than {d} columns of uniforms")
-            u = _real_array(u)
-            if u.shape != (n,):
-                # A u outside (0,1] is named before the column's shape.
-                pseudo_inverse_many(targets.counts[i], u)
-                raise SynthesisError(
-                    f"column {i}: expected {n} uniforms, got shape {u.shape}"
-                )
-            yield u.__getitem__
-            given = i + 1
-            del u
-        if given < d:
-            raise SynthesisError(f"{given} columns of uniforms for {d} variables")
-
-    return codes_by_block(targets, columns(), new_codes(targets.schema, n))

@@ -126,10 +126,7 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     itertools.combinations order.
     """
     d = ref.schema.d
-    try:
-        sizes = tuple(sizes)
-    except TypeError:
-        raise SynthesisError(f"projection sizes {sizes!r} are not a sequence") from None
+    sizes = dataset.as_tuple(sizes, "projection sizes")
     for n in sizes:
         if not dataset.is_integer(n):
             raise SynthesisError(f"projection size {n!r} is not an integer")

@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import io
 import json
-import numbers
 import shlex
 import statistics
 import subprocess
@@ -27,7 +26,7 @@ import numpy as np
 
 from .bayesnet import fit_parameters, learn_structure
 from .bayesnet import sample as bn_sample
-from .copula import codes_by_block, ecdf, jitter_cells, rank_recode, target_codes
+from .copula import codes_by_block, ecdf, jitter_cells, rank_recode
 from .dataset import (
     MarginalTable,
     MicroTable,
@@ -114,7 +113,7 @@ class SynthesisConfig:
         # JSON gives bools for true/false; they are ints to Python, not counts.
         for name in ("output_size", "seed", "max_parents", "max_iter"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise SynthesisError(f"{name} must be an integer, got {value!r}")
         for name in ("alpha", "tol"):
             value = getattr(self, name)
@@ -263,7 +262,11 @@ def generate_table(
                 u = _run_external(
                     config.external_command, data, source_marginals, n, ext_seed
                 )
-                syn = target_codes(source_marginals, n, u.T)  # onto source ranks
+                syn = codes_by_block(  # onto source ranks
+                    source_marginals,
+                    [column.__getitem__ for column in u.T],
+                    new_codes(data.schema, n),
+                )
                 del u
             else:
                 dag = learn_structure(

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from copulasynth import MarginalTable, MicroTable, SynthesisError, marginals_of
 from copulasynth import copula, pipeline
-from copulasynth.copula import ecdf, jitter_cells, pseudo_inverse_many, target_codes
+from copulasynth.copula import codes_by_block, ecdf, jitter_cells, pseudo_inverse_many
+from copulasynth.dataset import new_codes
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, small_tables
 
@@ -96,20 +97,11 @@ def test_jitter_cells_is_top_minus_draw_times_width(counts, dtype, seed):
     assert got.tobytes() == (hi - r * (hi - lo)).tobytes()
 
 
-def test_target_codes_takes_one_length_n_column_per_variable():
+def test_codes_by_block_maps_each_column_through_its_marginal():
     targets = MarginalTable(make_schema([2, 3]), ([1, 1], [1, 2, 3]))
     half = np.full(4, 0.5)
-    assert target_codes(targets, 4, [half, half]).codes.tolist() == [[0, 1]] * 4
-    for uniforms, message in (
-        ([half], "1 columns of uniforms for 2 variables"),
-        ([], "0 columns of uniforms for 2 variables"),
-        ([half, half, half], "more than 2 columns"),
-        ([half, np.full(3, 0.5)], r"column 1: expected 4 uniforms, got shape \(3,\)"),
-        ([half, np.full((4, 1), 0.5)], r"got shape \(4, 1\)"),
-        ([0.5, half], r"column 0: expected 4 uniforms, got shape \(\)"),
-    ):
-        with pytest.raises(SynthesisError, match=message):
-            target_codes(targets, 4, iter(uniforms))
+    got = codes_by_block(targets, [half.__getitem__] * 2, new_codes(targets.schema, 4))
+    assert got.codes.tolist() == [[0, 1]] * 4
 
 
 def test_pseudo_inverse_hand_cases():
@@ -225,4 +217,4 @@ def test_roundtrip_is_exact(table):
 def test_pipeline_runs_the_copula_modules_transform():
     """The pipeline holds no copy of the transform; its names are copula's."""
     assert pipeline.rank_recode is copula.rank_recode
-    assert pipeline.target_codes is copula.target_codes
+    assert pipeline.codes_by_block is copula.codes_by_block

@@ -33,7 +33,7 @@ from copulasynth import (
 )
 from copulasynth.bayesnet import BayesNet, Dag, family_score_mdl
 from copulasynth.cli import main
-from copulasynth.copula import jitter_cells, target_codes
+from copulasynth.copula import jitter_cells
 from copulasynth.ipf import ContingencyTable, allocate
 from copulasynth.pipeline import run_permutation_study
 from copulasynth.metrics import kept_indices, marginal_report
@@ -222,10 +222,6 @@ CASES = {
             fit_parameters(TABLE, Dag(((), ()))), True, np.random.default_rng(0)
         ),
         "sample size True is not an integer",
-    ),
-    "target_codes_negative": (
-        lambda _: target_codes(marginals_of(TABLE), -1, []),
-        "row count must be an integer >= 0, got -1",
     ),
     "micro_csv_empty": (
         lambda tmp: load_micro_csv(written(tmp, ""), TABLE.schema),

@@ -76,3 +76,51 @@ def test_only_the_top_layers_import_metrics():
         if "metrics" in imported_modules(p.read_text("utf-8"))
     }
     assert importers <= METRICS_IMPORTERS
+
+
+# Public functions that no package module uses, each with what keeps it. A
+# call from its own module counts: evaluate is what calls srmse, for one.
+UNCALLED_PUBLIC = {
+    "srmse_projected": "perfbench/worker.py and perfbench/tracer.py call it",
+    "family_score_mdl": "perfbench/tracer.py wraps it",
+    "network_score": "ROADMAP item 1a gives it report.json",
+}
+
+
+def public_functions(source: str) -> set[str]:
+    """The module-level functions a module defines without a leading underscore."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def used_names(source: str) -> set[str]:
+    """The names a module imports from elsewhere, reads or takes as attributes."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            used |= {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_public_functions_and_used_names_find_every_spelling():
+    source = (
+        "from .dataset import row_blocks as blocks\nimport numpy as np\n"
+        "def kept(x):\n    return np.where(x, ecdf(x), dataset.ROW_BLOCK)\n"
+        "def _private():\n    pass\nclass Table:\n    def method(self):\n        pass\n"
+    )
+    assert public_functions(source) == {"kept"}
+    assert {"row_blocks", "ecdf", "where", "ROW_BLOCK"} <= used_names(source)
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    """An export from __init__ is no caller: a function only tests call is dropped."""
+    sources = [p.read_text("utf-8") for p in MODULES]
+    defined = set().union(*map(public_functions, sources))
+    assert defined - set().union(*map(used_names, sources)) == set(UNCALLED_PUBLIC)

@@ -32,6 +32,7 @@ from copulasynth import (
     write_schema,
 )
 from copulasynth import pipeline
+from copulasynth.copula import jitter_cells, pseudo_inverse_many
 from copulasynth.pipeline import GENERATORS, rank_recode
 from conftest import make_schema, random_table
 
@@ -427,6 +428,34 @@ def test_external_copula_transfers_target_marginals():
         scores[method] = srmse_projected(target, synthetic, 1)
     assert scores["external_copula"] <= 0.2 * scores["bn"]
     assert scores["external_copula"] < 0.05
+
+
+def test_external_copula_equals_the_public_steps_on_whole_columns(tmp_path):
+    """Over three row blocks, external_copula's codes equal the public steps
+    run on whole columns, in column order: the generator's uniforms through
+    the source's pseudo-inverse, those cells jittered on the jitter stream,
+    and the jittered uniforms through the target's pseudo-inverse."""
+    source, target = make_transfer_benchmark(seed=3, d=3, n_source=500, n_target=500)
+    targets = marginals_of(target)
+    n, seed = 70_001, 5
+    u = 1.0 - np.random.default_rng(0).random((n, source.schema.d))
+    path = tmp_path / "uniforms.csv"
+    # %.17g round-trips each double. repr writes np.float64(...) under numpy 2,
+    # and _run_external would take such a first line for a header.
+    np.savetxt(path, u, fmt="%.17g", delimiter=",")
+    emit = f"import sys; sys.stdin.read(); sys.stdout.write(open({str(path)!r}).read())"
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method="external_copula",
+        output_size=n, seed=seed, external_command=(sys.executable, "-c", emit),
+    )
+    syn, _ = generate_table(source, targets, cfg, seed)
+    _, source_marginals = rank_recode(source)
+    jitter_rng = np.random.default_rng(pipeline._streams(seed)[2])
+    for i, counts in enumerate(source_marginals.counts):
+        cells = pseudo_inverse_many(counts, u[:, i])
+        jittered = jitter_cells(counts, cells, jitter_rng)
+        expected = pseudo_inverse_many(targets.counts[i], jittered)
+        assert (syn.column(i) == expected).all(), i
 
 
 def test_external_copula_error_paths(tmp_path):

@@ -1,10 +1,11 @@
 """Row-wise generation runs over blocks of dataset.ROW_BLOCK rows.
 
-BN sampling, target_codes and the copula exit draw and map a block at a
-time, and the exit writes target codes over the sampled ranks in place.
-Their codes must not depend on the block size, so each is run with the
-block patched to a few rows and compared with one block, at row counts on
-both sides of every block boundary.
+BN sampling and the copula exit draw and map a block at a time. Every
+copula method maps its uniforms through codes_by_block, the one uniforms
+-> codes loop, and the exit writes target codes over the sampled ranks in
+place. Their codes must not depend on the block size, so each is run with
+the block patched to a few rows and compared with one block, at row
+counts on both sides of every block boundary.
 """
 
 import sys
@@ -23,7 +24,7 @@ from copulasynth import (
     sample_bayesnet,
 )
 from copulasynth import dataset
-from copulasynth.copula import rank_recode, target_codes
+from copulasynth.copula import codes_by_block, rank_recode
 from test_pinned_outputs import large_m_tables
 
 GENERATOR = Path(__file__).resolve().parent / "resample_generator.py"
@@ -70,10 +71,12 @@ def test_sample_codes_do_not_depend_on_the_block(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", BLOCKS)
-def test_target_codes_do_not_depend_on_the_block(monkeypatch, block):
+def test_codes_by_block_do_not_depend_on_the_block(monkeypatch, block):
     for n in row_counts(block):
         uniforms = 1.0 - np.random.default_rng(n).random((TARGETS.schema.d, n))
-        call = lambda: target_codes(TARGETS, n, iter(uniforms)).codes
+        columns = [column.__getitem__ for column in uniforms]
+        out = lambda: dataset.new_codes(TARGETS.schema, n)
+        call = lambda: codes_by_block(TARGETS, columns, out()).codes
         assert (patched(monkeypatch, block, call) == call()).all(), n
 
 
