@@ -75,11 +75,11 @@ _HASH_MULTIPLIER = 0x9E3779B97F4A7C15
 # row however many categories the columns have.
 KEY_RANGE_PER_ROW = 4
 # Every row-wise stage of generation runs over blocks of this many rows
-# (see row_blocks): BN sampling draws and searches a block at a time, the
-# copula exit jitters a block and maps it through the target's
-# pseudo-inverse while it is still in cache, and count_below searches any
-# u in blocks. Scratch as long as u mapped fresh pages per call, 18.6k
-# faults (not 3.0k) to sample 150k x 20.
+# (see row_blocks): BN sampling draws and searches a block at a time, and
+# the copula exit jitters a block and maps it through the target's
+# pseudo-inverse while it is still in cache, so count_below's scratch is
+# a block long. Scratch as long as a column mapped fresh pages per call,
+# 18.6k faults (not 3.0k) to sample 150k x 20.
 ROW_BLOCK = 1 << 15
 
 
@@ -305,29 +305,26 @@ def count_below(cuts, width, u, rows=None):
     ``cuts`` holds rows of ``width`` ascending cuts end to end, width a
     power of two and each row's last cut an inf that is never read; ``rows``
     holds each u's row as unsigned keys, None meaning one row. A 0-d u
-    gives a numpy scalar, as np.searchsorted does.
+    gives a numpy scalar, as np.searchsorted does. Its scratch is as long
+    as u: callers pass one row block at a time.
     """
     counts = np.empty(u.shape, np.intp)
-    u, out = u.reshape(-1), counts.reshape(-1)
-    size = min(u.size, ROW_BLOCK)
-    hits, cut_buffer = np.empty(size, bool), np.empty(size)
-    for block in row_blocks(u.size):
-        x, pos = u[block], out[block]
-        hit, below = hits[: x.size], cut_buffer[: x.size]
-        inc = below.view(np.intp)  # below's buffer, free again once hit is set
-        if rows is None:  # the first halving compares x with one cut (width 1: adds 0)
-            step = width >> 1
-            np.multiply(np.less(cuts[step - 1], x, out=hit), step, out=pos)
-        else:  # keys come in their range's narrowest dtype: widen before * width
-            step = width
-            np.multiply(np.reshape(rows, -1)[block], width, out=pos, dtype=np.intp)
-        while step := step >> 1:
-            # pos + step - 1 < cuts.size: 'clip' clips nothing, skips 'raise' buffering.
-            cuts[step - 1 :].take(pos, out=below, mode="clip")
-            np.less(below, x, out=hit)
-            pos += np.multiply(hit, step, out=inc)
-        if rows is not None:
-            pos &= width - 1
+    x, pos = u.reshape(-1), counts.reshape(-1)
+    hit, below = np.empty(x.size, bool), np.empty(x.size)
+    inc = below.view(np.intp)  # below's buffer, free again once hit is set
+    if rows is None:  # the first halving compares x with one cut (width 1: adds 0)
+        step = width >> 1
+        np.multiply(np.less(cuts[step - 1], x, out=hit), step, out=pos)
+    else:  # keys come in their range's narrowest dtype: widen before * width
+        step = width
+        np.multiply(np.reshape(rows, -1), width, out=pos, dtype=np.intp)
+    while step := step >> 1:
+        # pos + step - 1 < cuts.size: 'clip' clips nothing, skips 'raise' buffering.
+        cuts[step - 1 :].take(pos, out=below, mode="clip")
+        np.less(below, x, out=hit)
+        pos += np.multiply(hit, step, out=inc)
+    if rows is not None:
+        pos &= width - 1
     return counts[()]
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import shlex
 import statistics
 import subprocess
+import tempfile
 import warnings as _warnings
 from dataclasses import dataclass
 from functools import partial
@@ -32,7 +32,6 @@ from .dataset import (
     MicroTable,
     Schema,
     VariableSpec,
-    _csv_row,
     code_dtype,
     is_finite_real,
     is_integer,
@@ -169,23 +168,22 @@ def _run_external(command, data: MicroTable, marginals: MarginalTable, n: int, s
     """Send the source's ECDF values to the generator; read back n rows of uniforms.
 
     ``data`` and ``marginals`` are ``rank_recode``'s; a rank keeps its code's ECDF
-    value. The uniforms come back column-major, so each column is contiguous.
+    value. The payload is ``data``'s ranks, each labelled by the repr of its ECDF
+    value, written by ``write_micro_csv`` like every microdata CSV (UTF-8, ``\\r\\n``
+    line ends) into a temporary file that is the generator's stdin. The
+    uniforms come back column-major, so each column is contiguous.
     """
-    _csv_row(data.schema.names, "variable names")  # a name csv refuses fails here
-    ecdf_values = np.column_stack(
-        [ecdf(c)[data.column(i)] for i, c in enumerate(marginals.counts)]
-    )
-    payload = io.StringIO()
-    writer = csv.writer(payload, lineterminator="\n")  # a float is written as its repr
-    writer.writerow(data.schema.names)
-    writer.writerows(ecdf_values.tolist())
+    labels = [tuple(map(repr, ecdf(c).tolist())) for c in marginals.counts]
+    schema = Schema(tuple(map(VariableSpec, data.schema.names, labels)))
     cmd = list(command) + ["--n", str(n), "--seed", str(seed)]
-    try:
-        proc = subprocess.run(
-            cmd, input=payload.getvalue(), capture_output=True, text=True, check=False
-        )
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the command
-        raise SynthesisError(f"external generator failed to start: {exc}") from exc
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "source.csv"
+        write_micro_csv(MicroTable(schema, data.codes), path)
+        try:
+            with open(path, "rb") as stdin:
+                proc = subprocess.run(cmd, stdin=stdin, capture_output=True, text=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the command
+            raise SynthesisError(f"external generator failed to start: {exc}") from exc
     if proc.returncode != 0:
         detail = proc.stderr.strip().splitlines()
         raise SynthesisError(
@@ -198,8 +196,12 @@ def _run_external(command, data: MicroTable, marginals: MarginalTable, n: int, s
             float(lines[0].split(",")[0])
             if tuple(next(csv.reader(lines[:1]))) == data.schema.names:
                 lines = lines[1:]  # the header it was sent, with numeric names
-        except ValueError:
-            lines = lines[1:]  # optional header
+        except ValueError:  # an optional header, if a numeric row follows it
+            try:
+                float(lines[1].split(",")[0])
+                lines = lines[1:]
+            except (IndexError, ValueError):
+                pass  # no header: row 1 is named as not numeric
     if len(lines) != n:
         raise SynthesisError(
             f"external generator emitted {len(lines)} rows, expected {n}"

@@ -393,8 +393,8 @@ def cut_rows(draw):
 @given(cut_rows())
 def test_count_below_equals_searchsorted_per_row(case):
     """Every row's count of cuts below u is searchsorted(row, u, "left"),
-    for u on and next to every cut of every row, over more than two blocks
-    of the search, and for a 0-d u."""
+    for u on and next to every cut of every row, on u longer than two row
+    blocks, and for a 0-d u."""
     width, cuts = case
     on = np.unique(cuts)
     u = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf)])

@@ -1,4 +1,5 @@
-"""Every package module uses each name it imports, and the modules keep their layers.
+"""Every package module uses each name it imports, imports no other module's
+private name, and the modules keep their layers.
 
 Uses only the standard library's ast, so it runs wherever the tests do.
 """
@@ -33,6 +34,35 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Single-underscore names (not dunders) an ImportFrom takes from the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level or (node.module or "").split(".")[0] == "copulasynth":
+            found += [
+                a.name for a in node.names
+                if a.name.startswith("_") and not a.name.startswith("__")
+            ]
+    return sorted(found)
+
+
+def test_private_imports_finds_every_spelling():
+    source = (
+        "from .dataset import _csv_row, code_dtype\nfrom . import _helpers\n"
+        "from copulasynth.copula import _real_array as real\n"
+        "from . import __version__\nfrom numpy import _core\n"
+        "from __future__ import annotations\nimport copulasynth\n"
+    )
+    assert private_imports(source) == ["_csv_row", "_helpers", "_real_array"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    assert private_imports(path.read_text("utf-8")) == []
 
 
 # The modules that may import the metrics layer: generation and key encoding

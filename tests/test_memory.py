@@ -3,7 +3,9 @@
 Every producer fills the array its MicroTable keeps, and the copula exit
 writes target codes over the sampled ranks, so the memory that
 generate_table traces beyond its output's codes must not grow with the row
-count. The gate reads tracemalloc, not the clock.
+count. external_copula's payload is written a block at a time, so it
+does not grow with the source either, and evaluate holds a few synthetic
+tables. The gates read tracemalloc, not the clock.
 """
 
 import sys
@@ -12,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from copulasynth import SynthesisConfig, generate_table, make_transfer_benchmark
-from copulasynth import dataset, marginals_of, pipeline
+from copulasynth import SynthesisConfig, SynthesisError, evaluate, generate_table
+from copulasynth import dataset, make_transfer_benchmark, marginals_of, pipeline
+from copulasynth.copula import rank_recode
 
 GENERATOR = Path(__file__).resolve().parent / "resample_generator.py"
 METHODS = (
@@ -76,3 +79,45 @@ def test_bn_copula_holds_one_table_and_block_scratch():
     targets = marginals_of(target)
     extra, table = traced_extra(source, targets, "bn_copula", 100_000)
     assert (table + extra) / table < 1.6, (extra, table)
+
+
+def traced_payload(n_rows):
+    """Traced peak bytes of _run_external on a d=20 source of n_rows rows, with
+    its rank table's bytes; the generator exits without reading stdin."""
+    source, _ = make_transfer_benchmark(seed=1, d=20, n_source=n_rows, n_target=10)
+    data, marginals = rank_recode(source)
+    command = (sys.executable, "-c", "import sys; sys.exit(3)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SynthesisError, match="exited with code 3"):
+            pipeline._run_external(command, data, marginals, 10, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, data.codes.nbytes
+
+
+def test_external_payload_memory_does_not_grow_with_rows():
+    """The payload is written a block at a time: tripling the source adds
+    less traced memory than it adds rank-table bytes."""
+    traced_payload(10_000)  # one-time allocations
+    peak, table = traced_payload(10_000)
+    peak3, table3 = traced_payload(30_000)
+    assert peak3 - peak < table3 - table, (peak, peak3, table, table3)
+
+
+def test_evaluate_memory_is_bounded_in_synthetic_tables():
+    """evaluate on 100,000 bn_copula rows at d=12 traces 3.9 synthetic
+    tables, nearly all in distinct_combos; the gate holds it under 4.5."""
+    source, target = make_transfer_benchmark(seed=1, d=12, n_source=3000, n_target=3000)
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method="bn_copula", output_size=100_000, seed=1
+    )
+    syn, _ = generate_table(source, marginals_of(target), cfg, 1)
+    tracemalloc.start()
+    try:
+        evaluate(target, source, syn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / syn.codes.nbytes < 4.5, (peak, syn.codes.nbytes)

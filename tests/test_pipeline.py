@@ -1,6 +1,8 @@
 """End-to-end generation, the benchmark generator, and the permutation study."""
 
+import csv
 import dataclasses
+import io
 import json
 import re
 import sys
@@ -485,6 +487,8 @@ def test_external_copula_error_paths(tmp_path):
     for row, message in (
         ("0.5,abc,0.5", "not numeric"),
         ("0.5,0.5", "has shape"),
+        # numpy 2's repr on every row: no first line is taken for a header.
+        ("np.float64(0.5),np.float64(0.5),np.float64(0.5)", "not numeric at row 1"),
     ):
         emit = f"import sys; print('{row}\\n' * int(sys.argv[2]))"
         wrong = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
@@ -580,6 +584,44 @@ def test_external_copula_quotes_variable_names(tmp_path):
     syn, _ = generate_table(src, marginals_of(src), cfg, 4)
     assert json.loads((tmp_path / "echo.py.header").read_text()) == list(names)
     assert (syn.codes == src.codes).all()
+
+
+COPY_GENERATOR = """\
+import shutil
+import sys
+
+with open(sys.argv[0] + ".in", "wb") as handle:
+    shutil.copyfileobj(sys.stdin.buffer, handle)
+print("0.5,0.5,0.5\\n" * int(sys.argv[sys.argv.index("--n") + 1]))
+"""
+
+
+def test_external_copula_payload_is_a_microdata_csv(tmp_path):
+    """The generator reads the bytes csv.writer gives for the variable names
+    and each row's ECDF values as floats: UTF-8, with \\r\\n line ends."""
+    script = tmp_path / "copy.py"
+    script.write_text(COPY_GENERATOR)
+    src, _ = make_transfer_benchmark(seed=6, d=3, n_source=400, n_target=10)
+    names = ("a,b", 'q"uote', "plain")
+    schema = Schema(tuple(
+        VariableSpec(name, v.labels, v.kind)
+        for name, v in zip(names, src.schema.variables)
+    ))
+    src = MicroTable(schema, src.codes)
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method="external_copula",
+        output_size=10, seed=4, external_command=(sys.executable, str(script)),
+    )
+    generate_table(src, marginals_of(src), cfg, 4)
+    ecdf = np.column_stack([
+        np.searchsorted(np.sort(col), col, side="right") / src.n_rows
+        for col in src.codes.T
+    ])
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\r\n")
+    writer.writerow(names)
+    writer.writerows(ecdf.tolist())
+    assert (tmp_path / "copy.py.in").read_bytes() == expected.getvalue().encode()
 
 
 def test_benchmark_validation_and_shape():
