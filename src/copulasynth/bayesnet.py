@@ -283,14 +283,14 @@ def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Da
     node then greedily accumulates parents from its predecessors while the
     family score strictly improves, up to max_parents. A node's choices
     depend only on its restart's ordering, so all restarts and nodes run in
-    lockstep rounds, one per parent count: a round scores every trial
-    family that no earlier round scored in one _family_scores call, and
-    each node then takes its best trial; the rounds stop once no node
-    grows. Candidate parents are tried in increasing index order and one
-    is taken only if it strictly beats the current score, so ties resolve
-    to the lowest index. Each restart's total adds its family scores in
-    ordering position order; the best total wins, and the first restart
-    reaching it is kept. Deterministic per seed.
+    lockstep rounds, one per parent count: a round lists each growing node's
+    trials once and scores them in one _family_scores call (none was scored
+    before: each has one parent more), then each node takes its best trial;
+    the rounds stop once no node grows. Candidate parents are tried in
+    increasing index order and the first best is taken only if it strictly
+    beats the current score, so ties resolve to the lowest index. Each
+    restart's total adds its family scores one at a time in ordering order;
+    the first restart reaching the best total is kept. Deterministic per seed.
     """
     if data.n_rows == 0:
         raise SynthesisError("cannot learn structure from an empty table")
@@ -302,15 +302,11 @@ def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Da
     orders = [rng.permutation(d).tolist() for _ in range(N_RESTARTS)]
     scores: dict[tuple[int, tuple[int, ...]], float] = {}
 
-    def score_new(families):
-        new = [f for f in dict.fromkeys(families) if f not in scores]
+    def score(families):  # each family once: no round repeats an earlier one's
+        new = list(dict.fromkeys(families))
         scores.update(zip(new, _family_scores(data, new)))
 
-    def trials(r, node, cands):
-        current = parents[r][node]
-        return [tuple(sorted((*current, c))) for c in cands if c not in current]
-
-    score_new((node, ()) for node in range(d))
+    score((node, ()) for node in range(d))
     parents = [[()] * d for _ in orders]
     # (restart, node, candidate parents) of every node still adding parents
     growing = [
@@ -321,28 +317,24 @@ def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Da
     for _ in range(max_parents):
         if not growing:  # every node has stopped: later rounds would be empty
             break
-        score_new(
-            (node, t) for r, node, cands in growing for t in trials(r, node, cands)
-        )
+        tried = [  # each node's trial parent sets, in candidate order
+            [tuple(sorted((*ps, c))) for c in cands if c not in ps]
+            for r, node, cands in growing
+            for ps in [parents[r][node]]
+        ]
+        score((node, t) for (_, node, _), trials in zip(growing, tried) for t in trials)
         kept = []
-        for r, node, cands in growing:
-            chosen, chosen_score = None, scores[node, parents[r][node]]
-            for t in trials(r, node, cands):
-                if scores[node, t] > chosen_score:
-                    chosen, chosen_score = t, scores[node, t]
-            if chosen is not None:
-                parents[r][node] = chosen
+        for (r, node, cands), trials in zip(growing, tried):
+            best = max(trials, key=lambda t: scores[node, t], default=None)
+            if best is not None and scores[node, best] > scores[node, parents[r][node]]:
+                parents[r][node] = best
                 kept.append((r, node, cands))
         growing = kept
-    best_parents, best_total = None, -math.inf
+    totals = [0.0] * len(orders)
     for r, order in enumerate(orders):
-        total = 0.0
-        for node in order:
-            total += scores[node, parents[r][node]]
-        if total > best_total:
-            best_parents, best_total = parents[r], total
-    assert best_parents is not None
-    return Dag(parents=tuple(best_parents))
+        for node in order:  # one += at a time: sum() compensates on Python 3.12+
+            totals[r] += scores[node, parents[r][node]]
+    return Dag(parents=tuple(parents[totals.index(max(totals))]))
 
 
 def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:

@@ -143,6 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # as stderr: escape what it cannot encode
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

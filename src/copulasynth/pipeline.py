@@ -10,6 +10,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -170,8 +171,9 @@ def _run_external(command, data: MicroTable, marginals: MarginalTable, n: int, s
     ``data`` and ``marginals`` are ``rank_recode``'s; a rank keeps its code's ECDF
     value. The payload is ``data``'s ranks, each labelled by the repr of its ECDF
     value, written by ``write_micro_csv`` like every microdata CSV (UTF-8, ``\\r\\n``
-    line ends) into a temporary file that is the generator's stdin. The
-    uniforms come back column-major, so each column is contiguous.
+    line ends) into a temporary file that is the generator's stdin. Its stdout and
+    stderr are read as UTF-8 less a BOM whatever the locale, an undecodable byte as
+    U+FFFD that its row's parse names. The uniforms come back column-major.
     """
     labels = [tuple(map(repr, ecdf(c).tolist())) for c in marginals.counts]
     schema = Schema(tuple(map(VariableSpec, data.schema.names, labels)))
@@ -181,7 +183,10 @@ def _run_external(command, data: MicroTable, marginals: MarginalTable, n: int, s
         write_micro_csv(MicroTable(schema, data.codes), path)
         try:
             with open(path, "rb") as stdin:
-                proc = subprocess.run(cmd, stdin=stdin, capture_output=True, text=True)
+                proc = subprocess.run(
+                    cmd, stdin=stdin, capture_output=True,
+                    encoding="utf-8-sig", errors="replace",
+                )
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the command
             raise SynthesisError(f"external generator failed to start: {exc}") from exc
     if proc.returncode != 0:
@@ -194,8 +199,9 @@ def _run_external(command, data: MicroTable, marginals: MarginalTable, n: int, s
     if lines:
         try:
             float(lines[0].split(",")[0])
-            if tuple(next(csv.reader(lines[:1]))) == data.schema.names:
-                lines = lines[1:]  # the header it was sent, with numeric names
+            with contextlib.suppress(csv.Error):  # a NUL (3.10), a long field: no names
+                if tuple(next(csv.reader(lines[:1]))) == data.schema.names:
+                    lines = lines[1:]  # the header it was sent, with numeric names
         except ValueError:  # an optional header, if a numeric row follows it
             try:
                 float(lines[1].split(",")[0])

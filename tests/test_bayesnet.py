@@ -136,6 +136,25 @@ def test_learn_structure_stops_once_no_node_grows():
     assert scored.call_count <= 1 + table.schema.d
 
 
+def test_learn_structure_scores_each_family_once():
+    """No family is scored twice in one search: a round's trials each have one
+    parent more than any family an earlier round scored, and a trial that
+    several restarts share is scored once."""
+    rng = np.random.default_rng(3)
+    codes = rng.integers(0, 3, (2000, 6))
+    for j in range(2, 6):  # copies of the two columns before it, in part
+        u = rng.random(2000)
+        copied = np.where(u < 0.5, codes[:, j - 1], codes[:, j - 2])
+        codes[:, j] = np.where(u < 0.9, copied, codes[:, j])
+    table = MicroTable(make_schema([3] * 6), codes)
+    scores = bayesnet._family_scores
+    with mock.patch.object(bayesnet, "_family_scores", wraps=scores) as scored:
+        dag = learn_structure(table, max_parents=3, seed=2)
+    families = [f for call in scored.call_args_list for f in call.args[1]]
+    assert len(families) == len(set(families))
+    assert max(map(len, dag.parents)) >= 2 and scored.call_count >= 3
+
+
 def test_learn_structure_empty_for_independent_pair():
     rng = np.random.default_rng(7)
     codes = np.column_stack([rng.integers(0, 2, 4000), rng.integers(0, 2, 4000)])

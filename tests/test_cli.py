@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -18,6 +19,7 @@ from copulasynth import (
     MicroTable,
     Schema,
     SynthesisConfig,
+    VariableSpec,
     __version__,
     load_marginals_csv,
     load_schema,
@@ -647,6 +649,64 @@ def test_marginals_csv_is_utf8_under_an_ascii_locale(tmp_path):
         blobs[name] = (tmp_path / name / "marginals.csv").read_bytes()
     assert blobs["ascii"] == blobs["utf8"]
     assert "Zürich".encode() in blobs["utf8"]
+
+
+@pytest.mark.parametrize("case", ["bn_warning", "echo_generator"])
+def test_synth_ignores_the_locale(tmp_path, case):
+    """Non-ASCII variable names under an ASCII locale: a warning that names
+    one is printed with backslash escapes, and a generator that echoes its
+    UTF-8 payload is read as UTF-8. Every output equals the UTF-8 run's."""
+    n = 3000
+    rng = np.random.default_rng(5)
+    zurich = rng.integers(0, 2, n)  # its label "c" never occurs
+    codes = [zurich] + [
+        np.where(rng.random(n) < 0.95, zurich, rng.integers(0, 3, n)) for _ in range(2)
+    ]
+    schema = Schema(tuple(
+        VariableSpec(name, ("a", "b", "c")) for name in ("Zürich", "Genève", "Köln")
+    ))
+    table = MicroTable(schema, np.column_stack(codes))
+    write_schema(schema, tmp_path / "schema.json")
+    write_micro_csv(table, tmp_path / "source.csv")
+    write_micro_csv(table, tmp_path / "reference.csv")
+    write_marginals_csv(marginals_of(table), tmp_path / "targets.csv")
+    fields = {
+        "bn_warning": {"method": "bn", "alpha": 0, "output_size": 500},
+        "echo_generator": {
+            "method": "external_copula", "output_size": n,
+            "external_command": [  # echoes its stdin's bytes
+                sys.executable, "-c",
+                "import sys; sys.stdout.buffer.write(sys.stdin.buffer.read())",
+            ],
+        },
+    }[case]
+    locales = {
+        "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        "utf8": {"PYTHONUTF8": "1"},
+    }
+    runs = {}
+    for name, env in locales.items():
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / name), **fields)
+        proc = subprocess.run(
+            [sys.executable, "-m", "copulasynth.cli", "synth", "--config", str(cfg)],
+            env=src_env(**env), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        outputs = ("synthetic.csv", "report.json", "marginals.csv")
+        runs[name] = (
+            proc.stdout.decode("utf-8"),
+            [(tmp_path / name / out).read_bytes() for out in outputs],
+        )
+    assert runs["ascii"][1] == runs["utf8"][1]
+    warned = [
+        [line for line in stdout.splitlines() if line.startswith("warning: ")]
+        for stdout, _ in (runs["ascii"], runs["utf8"])
+    ]
+    if case == "bn_warning":
+        assert warned[1] and any(not line.isascii() for line in warned[1])
+    assert warned[0] == [
+        line.encode("ascii", "backslashreplace").decode() for line in warned[1]
+    ]
 
 
 def test_version_flag(capsys):

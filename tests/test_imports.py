@@ -1,5 +1,6 @@
 """Every package module uses each name it imports, imports no other module's
-private name, and the modules keep their layers.
+private name, names the encoding of every text stream, and the modules keep
+their layers.
 
 Uses only the standard library's ast, so it runs wherever the tests do.
 """
@@ -63,6 +64,66 @@ def test_private_imports_finds_every_spelling():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_private_name(path):
     assert private_imports(path.read_text("utf-8")) == []
+
+
+def locale_text_calls(source: str) -> list[str]:
+    """Calls that would take their text encoding from the locale, as name:line.
+
+    A text-mode open, a read_text or write_text, or a subprocess call given
+    text=, universal_newlines= or errors=, none naming its encoding.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        keywords = {k.arg: k.value for k in node.keywords}
+        if name == "open":
+            # open(file, mode, buffering, encoding); path.open(mode, buffering,
+            # encoding). A mode that is no string constant, such as os.open's
+            # flags, is left alone.
+            at = 1 if isinstance(func, ast.Name) else 0
+            mode = args[at] if len(args) > at else keywords.get("mode", ast.Constant("r"))
+            text = (
+                isinstance(mode, ast.Constant)
+                and "b" not in str(mode.value)
+                and len(args) < at + 3
+            )
+        elif name in ("read_text", "write_text"):
+            text = len(args) < (name == "write_text") + 1
+        elif name in ("run", "Popen", "call", "check_call", "check_output"):
+            text = bool({"text", "universal_newlines", "errors"} & set(keywords))
+        else:
+            text = False
+        if text and "encoding" not in keywords:
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_locale_text_calls_finds_every_spelling():
+    source = (
+        "open(p)\nopen(p, 'w', newline='')\nopen(p, mode='r')\nPath(p).open()\n"
+        "path.read_text()\nPath(p).write_text(s)\n"
+        "subprocess.run(c, capture_output=True, text=True)\n"
+        "subprocess.Popen(c, universal_newlines=True)\nrun(c, errors='replace')\n"
+        "open(p, 'rb')\nopen(p, mode='wb')\nopen(p, 'w', encoding='utf-8')\n"
+        "open(p, 'r', -1, 'utf-8')\npath.open('rb')\npath.read_text('utf-8')\n"
+        "Path(p).write_text(s, 'utf-8')\nPath(p).write_text(s, encoding='utf-8')\n"
+        "subprocess.run(c, capture_output=True)\nos.open(p, os.O_RDONLY)\n"
+        "subprocess.run(c, encoding='utf-8-sig', errors='replace')\n"
+    )
+    assert locale_text_calls(source) == [
+        "open:1", "open:2", "open:3", "open:4", "read_text:5", "write_text:6",
+        "run:7", "Popen:8", "run:9",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_names_the_encoding_of_every_text_stream(path):
+    """The locale is no input: every file and pipe the package reads or writes
+    as text names its encoding."""
+    assert locale_text_calls(path.read_text("utf-8")) == []
 
 
 # The modules that may import the metrics layer: generation and key encoding

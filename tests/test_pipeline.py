@@ -1,5 +1,6 @@
 """End-to-end generation, the benchmark generator, and the permutation study."""
 
+import codecs
 import csv
 import dataclasses
 import io
@@ -489,6 +490,8 @@ def test_external_copula_error_paths(tmp_path):
         ("0.5,0.5", "has shape"),
         # numpy 2's repr on every row: no first line is taken for a header.
         ("np.float64(0.5),np.float64(0.5),np.float64(0.5)", "not numeric at row 1"),
+        # csv.reader on Python 3.10 refuses a NUL: no header, row 1 is named.
+        ("0.5,\\x00,0.5", "not numeric at row 1"),
     ):
         emit = f"import sys; print('{row}\\n' * int(sys.argv[2]))"
         wrong = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
@@ -500,6 +503,66 @@ def test_external_copula_error_paths(tmp_path):
     ragged = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
     with pytest.raises(SynthesisError, match=r"row 2 has shape \(2,\), expected \(3,\)"):
         generate_table(src, marginals_of(tgt), ragged, 4)
+    # A field past csv's size limit makes csv.reader raise on any Python.
+    emit = "import sys; print(('0.5,' + 'x' * 140000 + ',0.5\\n') * int(sys.argv[2]))"
+    overlong = dataclasses.replace(short, external_command=(sys.executable, "-c", emit))
+    with pytest.raises(SynthesisError, match="not numeric at row 1"):
+        generate_table(src, marginals_of(tgt), overlong, 4)
+    # Output and stderr are UTF-8 whatever the locale; an undecodable byte
+    # is named by its row, and on stderr leaves the exit code readable.
+    for emit, message in (
+        (
+            "sys.stdout.buffer.write(b'0.5,\\xff,0.5\\n' * int(sys.argv[2]))",
+            "not numeric at row 1",
+        ),
+        ("sys.stderr.buffer.write(b'\\xff'); sys.exit(2)", "exited with code 2"),
+    ):
+        cmd = (sys.executable, "-c", f"import sys; {emit}")
+        undecodable = dataclasses.replace(short, external_command=cmd)
+        with pytest.raises(SynthesisError, match=message):
+            generate_table(src, marginals_of(tgt), undecodable, 4)
+
+
+def test_external_copula_header_check_survives_a_csv_error(monkeypatch):
+    """Python 3.10's csv.reader raises csv.Error, not a ValueError, on a line
+    with a NUL; that first line is then no header, and row 1 is named."""
+    reader = pipeline.csv.reader
+
+    def reader_as_on_python_3_10(lines):
+        lines = list(lines)
+        if any("\0" in line for line in lines):
+            raise csv.Error("line contains NUL")
+        return reader(lines)
+
+    monkeypatch.setattr(pipeline.csv, "reader", reader_as_on_python_3_10)
+    src, tgt = make_transfer_benchmark(seed=6, d=3, n_source=100, n_target=100)
+    emit = "import sys; print('0.5,\\x00,0.5\\n' * int(sys.argv[2]))"
+    cfg = SynthesisConfig(
+        source_data="x", schema="x", method="external_copula",
+        output_size=10, seed=4, external_command=(sys.executable, "-c", emit),
+    )
+    with pytest.raises(SynthesisError, match="not numeric at row 1"):
+        generate_table(src, marginals_of(tgt), cfg, 4)
+
+
+def test_external_copula_drops_a_leading_bom():
+    """A generator that writes a UTF-8 byte-order mark before its first row
+    gives the codes it gives without one."""
+    src, _ = make_transfer_benchmark(seed=6, d=3, n_source=200, n_target=10)
+    runs = []
+    for bom in (b"", codecs.BOM_UTF8):
+        # the payload less its header line, after the mark
+        echo = (
+            "import sys; sys.stdout.buffer.write("
+            f"{bom!r} + sys.stdin.buffer.read().split(b'\\n', 1)[1])"
+        )
+        cfg = SynthesisConfig(
+            source_data="x", schema="x", method="external_copula",
+            output_size=src.n_rows, seed=4, external_command=(sys.executable, "-c", echo),
+        )
+        runs.append(generate_table(src, marginals_of(src), cfg, 4)[0])
+    assert (runs[0].codes == src.codes).all()
+    assert (runs[1].codes == runs[0].codes).all()
 
 
 def test_external_copula_skips_a_header_line():
