@@ -16,6 +16,12 @@ uint8, uint16 and uint32 that holds ``span - 1``, or in int64 once
 new range, which holds every new key, so it cannot wrap. A consumer that
 does its own arithmetic on keys widens them first, as ``count_below``
 does before ``rows * width``.
+
+Keys cost a few bytes a row, so what a whole key array costs beside them
+is kept small. Re-ranking (``_dense_ranks``) holds one intp sort index
+and writes the ranks straight into their narrow dtype, and
+``count_keys`` counts keys a row block at a time, so neither widens a
+whole key array to intp as np.unique and np.bincount do.
 """
 
 from __future__ import annotations
@@ -99,6 +105,10 @@ class VariableSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise SynthesisError(f"variable name must be a string, got {self.name!r}")
+        if isinstance(self.labels, str):  # would give its characters as labels
+            raise SynthesisError(
+                f"variable {self.name!r}: labels {self.labels!r} are a string, not a list"
+            )
         labels = as_tuple(self.labels, f"variable {self.name!r}: labels")
         object.__setattr__(self, "labels", tuple(map(str, labels)))
         if not self.labels:
@@ -245,20 +255,40 @@ def _extend_keys(keys, span, column, m, budget):
     """Append one column of m categories to the keys' mixed-radix key.
 
     Keys lie in 0..span-1 and the column holds unsigned codes. When the new
-    range passes the budget, np.unique re-ranks the keys: that keeps their
-    order and brings the range down to the number of distinct keys.
+    range passes the budget, _dense_ranks re-ranks the keys: that keeps
+    their order and brings the range down to the number of distinct keys.
     """
     dtype = _key_dtype(span * m)
     if span == 1:  # every key is 0, and m itself may not fit (uint8 and 256)
         keys = column.astype(dtype)
     else:
-        keys = np.add(np.multiply(keys, m, dtype=dtype), column, dtype=dtype)
+        keys = np.multiply(keys, m, dtype=dtype)
+        np.add(keys, column, out=keys, dtype=dtype)
     span *= m
     if span > budget:
-        uniq, keys = np.unique(keys, return_inverse=True)
-        span = uniq.size
-        keys = keys.astype(_key_dtype(span))
+        keys, span = _dense_ranks(keys)
     return keys, span
+
+
+def _dense_ranks(keys):
+    """Each key's rank among the distinct keys, and their number.
+
+    The ranks keep the keys' order and equal np.unique's inverse, but are
+    written straight into _key_dtype of their range: argsort, flag where a
+    run of equal sorted keys starts, cumsum, scatter. The first run start
+    is not flagged, so the largest rank is the count less one and the
+    cumsum cannot wrap in the narrow dtype.
+    """
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.empty(keys.size, bool)
+    starts[:1] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    del ordered
+    span = np.count_nonzero(starts) + min(keys.size, 1)
+    ranks = np.empty(keys.size, _key_dtype(span))
+    ranks[order] = np.cumsum(starts, dtype=ranks.dtype)
+    return ranks, span
 
 
 def set_keys(sets, dims, column, n, budget=None):
@@ -268,7 +298,7 @@ def set_keys(sets, dims, column, n, budget=None):
     significant, ``column(c)`` giving column c's n codes. They lie in
     0..span-1, in _key_dtype of the range, and ascend in the lexicographic
     order of the combinations. Once a column takes the range past the
-    budget (default KEY_RANGE_PER_ROW per row), np.unique re-ranks the
+    budget (default KEY_RANGE_PER_ROW per row), _dense_ranks re-ranks the
     keys; keys never re-ranked equal np.ravel_multi_index's. Tables keyed
     end to end, one column function over all their rows, share keys. A
     set extends only the key prefix it shares with the set before it, and
@@ -297,6 +327,21 @@ def row_blocks(n):
     """Consecutive slices of at most ROW_BLOCK rows that cover rows 0..n-1."""
     for lo in range(0, n, ROW_BLOCK):
         yield slice(lo, min(lo + ROW_BLOCK, n))
+
+
+def count_keys(keys, span):
+    """np.bincount(keys, minlength=span), without a whole-array transient.
+
+    np.bincount widens its input to intp, 8 bytes a key, so keys longer
+    than a row block are added into one count array a row block at a time
+    by np.add.at, which gives the same intp counts.
+    """
+    if keys.size <= ROW_BLOCK:
+        return np.bincount(keys, minlength=span)
+    counts = np.zeros(span, np.intp)
+    for block in row_blocks(keys.size):
+        np.add.at(counts, keys[block], 1)
+    return counts
 
 
 def count_below(cuts, width, u, rows=None):

@@ -107,24 +107,31 @@ def _stacked(tables):
     return lambda c: np.concatenate([a[:, c] for a in codes], out=buffer)
 
 
+def _check_tables(**tables) -> None:
+    """A SynthesisError unless each table is a MicroTable, named by its role."""
+    for role, table in tables.items():
+        dataset.check_type(table, MicroTable, f"{role} table")
+
+
 def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     """Arithmetic mean of srmse over all variable subsets of each size.
 
     One walk serves every size. The rows of both tables are keyed as one
     array. The subsets of the largest size are counted in blocks of columns
-    (see _cover), keyed by one dataset.set_keys walk; the bincounts of a
-    block's reference and synthetic keys, stacked on a last axis, give a
-    dense (cells..., 2) table, from which each subset takes its own by axis
-    sums. Each smaller subset S takes its table from S plus the smallest
-    column not in S by a one-axis sum, depth first. A subset whose product
-    passes dataset.KEY_RANGE_PER_ROW per row is counted over re-ranked keys,
-    and its children on their own. Tables list cells in lexicographic
-    order, like keys, so scores do not depend on the route. One pass per
-    block turns its scored tables into squared differences, and srmse sums
-    each subset's slice; one block, one path and the block's scored tables
-    are alive at a time. The mean runs over the scores in
-    itertools.combinations order.
+    (see _cover), keyed by one dataset.set_keys walk; the counts of a
+    block's reference and synthetic keys (dataset.count_keys), stacked on
+    a last axis, give a dense (cells..., 2) table, from which each subset
+    takes its own by axis sums. Each smaller subset S takes its table from
+    S plus the smallest column not in S by a one-axis sum, depth first. A
+    subset whose product passes dataset.KEY_RANGE_PER_ROW per row is
+    counted over re-ranked keys, and its children on their own. Tables
+    list cells in lexicographic order, like keys, so scores do not depend
+    on the route. One pass per block turns its scored tables into squared
+    differences, and srmse sums each subset's slice; one block, one path
+    and the block's scored tables are alive at a time. The mean runs over
+    the scores in itertools.combinations order.
     """
+    _check_tables(reference=ref, synthetic=syn)
     d = ref.schema.d
     sizes = dataset.as_tuple(sizes, "projection sizes")
     for n in sizes:
@@ -150,7 +157,7 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
         """Both tables' counts, (cells..., 2): dense unless the keys were re-ranked."""
         cells = tuple(dims[c] for c in subset)
         shape = (span,) if math.prod(cells) > dense_limit else cells
-        tables = [np.bincount(k, minlength=span) for k in (keys[:n_ref], keys[n_ref:])]
+        tables = [dataset.count_keys(k, span) for k in (keys[:n_ref], keys[n_ref:])]
         return np.stack(tables, axis=-1).reshape(shape + (2,))
 
     def walk(subset, counts, m_product):
@@ -243,8 +250,11 @@ def distinct_combos(tables, kept) -> list[np.ndarray]:
     distinct = list({id(t): t for t in tables}.values())
     dims, rows = distinct[0].schema.dims, [t.n_rows for t in distinct]
     ((_, keys, span),) = dataset.set_keys([kept], dims, _stacked(distinct), sum(rows))
-    keys = np.split(keys, np.cumsum(rows[:-1]))
-    seen = {id(t): np.bincount(k, minlength=span) > 0 for t, k in zip(distinct, keys)}
+    seen = {}
+    for t, k in zip(distinct, np.split(keys, np.cumsum(rows[:-1]))):
+        seen[id(t)] = mask = np.zeros(span, bool)
+        for block in dataset.row_blocks(k.size):  # the index cast is a block long
+            mask[k[block]] = True
     return [seen[id(t)] for t in tables]
 
 
@@ -288,6 +298,7 @@ def marginal_report(
     ref: MicroTable, train: MicroTable, syn: MicroTable
 ) -> tuple[MarginalSeries, ...]:
     """Per-variable relative frequencies of reference, training, synthetic."""
+    _check_tables(reference=ref, training=train, synthetic=syn)
     if not (ref.schema == train.schema == syn.schema):
         raise SynthesisError("tables use different schemas")
     schema = ref.schema
@@ -362,6 +373,9 @@ def evaluate(
     n = 1..min(MAX_PROJECTION, d) with no exclusion. Without a population,
     the combinations of train and ref together stand for it.
     """
+    _check_tables(reference=ref, training=train, synthetic=syn)
+    if population is not None:
+        _check_tables(population=population)
     if not (ref.schema == train.schema == syn.schema) or (
         population is not None and population.schema != ref.schema
     ):

@@ -10,7 +10,7 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from copulasynth import (
     MarginalTable,
@@ -370,6 +370,34 @@ def test_combo_keys_property(case, budget):
         assert ranks.tolist() == lexicographic_ranks(*tables)
     else:
         assert not ranks.any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    distinct=st.integers(1, 300),
+    repeats=st.integers(0, 40),
+    dtype=st.sampled_from([np.uint16, np.uint32, np.int64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(distinct=256, repeats=0, dtype=np.uint16, seed=0)
+@example(distinct=256, repeats=40, dtype=np.int64, seed=1)
+@example(distinct=65_536, repeats=0, dtype=np.uint16, seed=2)  # every uint16 value
+@example(distinct=65_536, repeats=1_000, dtype=np.uint32, seed=3)
+@example(distinct=1, repeats=0, dtype=np.uint32, seed=4)  # one row
+@example(distinct=1, repeats=40, dtype=np.int64, seed=5)  # every key equal
+def test_dense_ranks_equal_unique_inverse(distinct, repeats, dtype, seed):
+    """Re-ranked keys are np.unique's inverse exactly, in the dtype of their
+    range. At 256 and 65,536 distinct keys the largest rank is the largest
+    uint8 and uint16 value, where a cumsum that ran up to span would wrap."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice(min(np.iinfo(dtype).max, 2**40) + 1, distinct, replace=False)
+    values = values.astype(dtype)
+    keys = rng.permutation(np.concatenate([values, rng.choice(values, repeats)]))
+    ranks, span = dataset._dense_ranks(keys)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    assert span == uniq.size == distinct
+    assert ranks.dtype == dataset._key_dtype(span)
+    np.testing.assert_array_equal(ranks, inverse)
 
 
 CUTS = [-1.0, 0.0, 0.25, 1.0, 2.5]  # few values, so that rows repeat cuts

@@ -245,6 +245,10 @@ CASES = {
         lambda _: Schema(["a"]),
         "schema variable 'a' is not a VariableSpec",
     ),
+    "variable_labels_a_string": (
+        lambda _: VariableSpec("sex", "MF"),
+        "variable 'sex': labels 'MF' are a string, not a list",
+    ),
     "variable_labels_not_a_sequence": (
         lambda _: VariableSpec("a", 5),
         "variable 'a': labels 5 are not a sequence",
@@ -300,6 +304,22 @@ CASES = {
     "evaluate_schemas": (
         lambda _: evaluate(TABLE, TABLE, OTHER),
         "tables use different schemas",
+    ),
+    "evaluate_reference_none": (
+        lambda _: evaluate(None, TABLE, TABLE),
+        "reference table must be a MicroTable, got None",
+    ),
+    "evaluate_population_list": (
+        lambda _: evaluate(TABLE, TABLE, TABLE, [1]),
+        "population table must be a MicroTable, got [1]",
+    ),
+    "srmse_synthetic_list": (
+        lambda _: srmse_by_size(TABLE, [1], (1,)),
+        "synthetic table must be a MicroTable, got [1]",
+    ),
+    "marginal_report_training_none": (
+        lambda _: marginal_report(TABLE, None, TABLE),
+        "training table must be a MicroTable, got None",
     ),
     "evaluate_exclude_string": (
         lambda _: evaluate(TABLE, TABLE, TABLE, exclude="v0"),

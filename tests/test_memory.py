@@ -107,8 +107,11 @@ def test_external_payload_memory_does_not_grow_with_rows():
 
 
 def test_evaluate_memory_is_bounded_in_synthetic_tables():
-    """evaluate on 100,000 bn_copula rows at d=12 traces 3.9 synthetic
-    tables, nearly all in distinct_combos; the gate holds it under 4.5."""
+    """evaluate on 100,000 bn_copula rows at d=12 traces 1.9 synthetic
+    tables. The SRMSE walk's key prefixes set that peak: the walk counts
+    keys and distinct_combos marks them a row block at a time, and
+    re-ranking writes narrow ranks, so no step widens a whole key array
+    to intp. The gate holds it under 2.5."""
     source, target = make_transfer_benchmark(seed=1, d=12, n_source=3000, n_target=3000)
     cfg = SynthesisConfig(
         source_data="x", schema="x", method="bn_copula", output_size=100_000, seed=1
@@ -120,4 +123,4 @@ def test_evaluate_memory_is_bounded_in_synthetic_tables():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / syn.codes.nbytes < 4.5, (peak, syn.codes.nbytes)
+    assert peak / syn.codes.nbytes < 2.5, (peak, syn.codes.nbytes)

@@ -6,6 +6,10 @@ copula method maps its uniforms through codes_by_block, the one uniforms
 place. Their codes must not depend on the block size, so each is run with
 the block patched to a few rows and compared with one block, at row
 counts on both sides of every block boundary.
+
+Evaluation counts and marks keys a row block at a time too, so its
+counts, presence masks and report are checked against whole-array
+np.bincount and against the default block in the same way.
 """
 
 import sys
@@ -15,7 +19,9 @@ import numpy as np
 import pytest
 
 from copulasynth import (
+    MicroTable,
     SynthesisConfig,
+    evaluate,
     fit_parameters,
     generate_table,
     learn_structure,
@@ -23,7 +29,7 @@ from copulasynth import (
     marginals_of,
     sample_bayesnet,
 )
-from copulasynth import dataset
+from copulasynth import dataset, metrics
 from copulasynth.copula import codes_by_block, rank_recode
 from test_pinned_outputs import large_m_tables
 
@@ -109,3 +115,52 @@ def test_exit_over_narrow_ranks_does_not_depend_on_the_block(monkeypatch, method
     codes = call()
     assert codes.dtype == np.uint16 and codes[:, 0].max() > 255
     assert (patched(monkeypatch, block, call) == codes).all()
+
+
+def target_rows(n, seed):
+    """n random rows over the target's schema."""
+    dims = TARGET.schema.dims
+    codes = np.random.default_rng(seed).integers(0, dims, (n, len(dims)))
+    return MicroTable(TARGET.schema, codes)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize(
+    "span, dtype",
+    [(1, np.uint8), (5, np.uint8), (256, np.uint8), (300, np.uint16),
+     (70_000, np.uint32), (70_000, np.int64)],
+)
+def test_count_keys_equals_bincount(monkeypatch, block, span, dtype):
+    for n in row_counts(block):
+        keys = np.random.default_rng(n).integers(0, span, n).astype(dtype)
+        counts = patched(monkeypatch, block, lambda: dataset.count_keys(keys, span))
+        expected = np.bincount(keys, minlength=span)
+        assert counts.dtype == expected.dtype
+        np.testing.assert_array_equal(counts, expected)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_distinct_combos_masks_equal_bincount(monkeypatch, block):
+    """The source is passed twice and keyed once; the masks over the kept
+    columns equal each table's np.bincount over the joint keys, > 0."""
+    syn = target_rows(2 * block + 3, seed=block)
+    tables = (SOURCE, TARGET, syn, SOURCE)
+    kept = (0, 2, 3)
+    masks = patched(monkeypatch, block, lambda: metrics.distinct_combos(tables, kept))
+    codes = np.concatenate([t.codes for t in tables[:3]])
+    ((_, keys, span),) = dataset.set_keys(
+        [kept], TARGET.schema.dims, lambda c: codes[:, c], len(codes)
+    )
+    parts = np.split(keys, np.cumsum([t.n_rows for t in tables[:2]]))
+    expected = [np.bincount(k, minlength=span) > 0 for k in parts + parts[:1]]
+    assert len(masks) == len(expected)
+    for mask, want in zip(masks, expected):
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, want)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_evaluate_report_does_not_depend_on_the_block(monkeypatch, block):
+    syn = target_rows(500, seed=block)
+    call = lambda: repr(evaluate(TARGET, SOURCE, syn, population=TARGET))
+    assert patched(monkeypatch, block, call) == call()
