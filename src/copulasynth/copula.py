@@ -3,20 +3,21 @@
 In: ``rank_recode`` recodes each source column onto its observed support,
 and ``ecdf`` gives each rank its column's empirical CDF, the cumulative
 share of the per-category counts; the dependence is modelled there. Out:
+``cells_to_targets`` is the one exit from generated cells to target codes.
 ``jitter_cells`` places a generated cell k uniformly inside its probability
 interval (F(x^(k-1)), F(x^(k))], the continuous relaxation of the step
 ECDF, so the uniforms are exactly uniform on (0,1] whenever cells follow
-the source marginal. ``codes_by_block`` maps each column of uniforms
-through the pseudo-inverse of a marginal (``pseudo_inverse_many``): an
-external generator's uniforms through the source's, onto cells to jitter,
-and the jittered uniforms through the (possibly different) target's.
+the source marginal, and ``codes_by_block`` maps them through the
+pseudo-inverse of the (possibly different) target marginal
+(``pseudo_inverse_many``). An external generator's uniforms reach source
+cells the same way, through the source's marginal.
 
-The exit is blocked: ``codes_by_block`` is the one uniforms -> codes loop.
-It takes a column's uniforms one row block at a time (``row_blocks``) and
-maps each block through the target's pseudo-inverse while it is still in
-cache, so the exit jitters and maps a block, not a whole column. The loop
-fills an array it is given, and the copula exit gives it the sampled
-ranks: the target codes are written over them in place.
+``codes_by_block`` is the one uniforms -> codes loop. It asks
+``uniforms(i, block)`` for column i's uniforms one row block at a time
+(``row_blocks``) and maps each block while it is still in cache, so the
+exit jitters and maps a block, not a whole column. The loop fills an
+array it is given, and the exit gives it the generated cells: the target
+codes are written over them in place.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import MarginalTable, MicroTable, Schema, VariableSpec, check_type
-from .dataset import count_below, integer_array, marginals_of, new_codes
+from .dataset import code_dtype, count_below, integer_array, marginals_of, new_codes
 from .dataset import row_blocks
 from .errors import SynthesisError
 
@@ -129,29 +130,43 @@ def _real_array(u) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def codes_by_block(targets: MarginalTable, columns, codes) -> MicroTable:
+def codes_by_block(targets: MarginalTable, uniforms, codes) -> MicroTable:
     """Fill ``codes``: column i's uniforms through target marginal i's pseudo-inverse.
 
-    ``codes`` is an (n, d) ``new_codes(targets.schema, n)`` array that no
-    one else holds; the returned table keeps it, so the exit holds one
-    table plus a block's scratch. ``columns`` yields one function per
-    column, in column order; called with a row block (a slice from
-    ``row_blocks(n)``), it gives that block's uniforms. Blocks are asked
-    for in order, so a function may draw from a random stream as it goes.
-    A block's uniforms are made before its codes are stored, so a
-    function may read them from its own column of ``codes``: the copula
-    exit writes target codes over the sampled ranks in place.
+    ``codes`` is an owning (n, d) ``new_codes(targets.schema, n)`` array;
+    the returned table keeps it, so the exit holds one table plus a
+    block's scratch. ``uniforms(i, block)`` gives column i's uniforms on a
+    row block (a slice from ``row_blocks(n)``). Columns are asked for in
+    order and each column's blocks in order, so it may draw from a random
+    stream as it goes. A block's uniforms are made before its codes are
+    stored, so they may be read from the same cells of ``codes``.
     """
     schema = targets.schema
     codes.flags.writeable = True
-    for i, uniforms_of in enumerate(columns):
+    for i in range(schema.d):
         for block in row_blocks(codes.shape[0]):
             # The count of cuts below u <= 1 is at most m - 1: the narrowing
             # store cannot wrap.
-            codes[block, i] = pseudo_inverse_many(targets.counts[i], uniforms_of(block))
-        # Drop this column's function, and any floats it holds, before the
-        # next column's are made: it lowers the peak RSS.
-        del uniforms_of
+            codes[block, i] = pseudo_inverse_many(targets.counts[i], uniforms(i, block))
     codes.flags.writeable = False
     return MicroTable(schema, codes)
 
+
+def cells_to_targets(cells, source: MarginalTable, targets: MarginalTable, rng):
+    """The copula exit: generated cells to target codes, in a MicroTable.
+
+    ``cells`` is an (n, d) array of ranks on ``source`` (``rank_recode``'s
+    marginals) that no table reads again. Each column's cells are jittered
+    into uniforms and mapped through the target's pseudo-inverse, a row
+    block at a time, and the codes are written over ``cells`` in place.
+    Where the ranks' dtype is narrower than the target codes', the ranks
+    are only read and the codes fill a new array.
+    """
+    codes = cells
+    if cells.dtype != code_dtype(targets.schema):
+        codes = new_codes(targets.schema, len(cells))
+
+    def jittered(i, block):  # column i's cells on a block, as uniforms
+        return jitter_cells(source.counts[i], cells[block, i], rng)
+
+    return codes_by_block(targets, jittered, codes)

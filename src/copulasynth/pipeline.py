@@ -27,13 +27,12 @@ import numpy as np
 
 from .bayesnet import fit_parameters, learn_structure
 from .bayesnet import sample as bn_sample
-from .copula import codes_by_block, ecdf, jitter_cells, rank_recode
+from .copula import cells_to_targets, codes_by_block, ecdf, rank_recode
 from .dataset import (
     MarginalTable,
     MicroTable,
     Schema,
     VariableSpec,
-    code_dtype,
     is_finite_real,
     is_integer,
     load_marginals_csv,
@@ -166,14 +165,15 @@ def _streams(seed: int):
 
 
 def _run_external(command, data: MicroTable, marginals: MarginalTable, n: int, seed: int):
-    """Send the source's ECDF values to the generator; read back n rows of uniforms.
+    """Send the source's ECDF values to the generator; return n rows of source ranks.
 
     ``data`` and ``marginals`` are ``rank_recode``'s; a rank keeps its code's ECDF
     value. The payload is ``data``'s ranks, each labelled by the repr of its ECDF
     value, written by ``write_micro_csv`` like every microdata CSV (UTF-8, ``\\r\\n``
     line ends) into a temporary file that is the generator's stdin. Its stdout and
     stderr are read as UTF-8 less a BOM whatever the locale, an undecodable byte as
-    U+FFFD that its row's parse names. The uniforms come back column-major.
+    U+FFFD that its row's parse names. The n rows of uniforms it prints are
+    snapped onto source ranks through ``codes_by_block`` on the source counts.
     """
     labels = [tuple(map(repr, ecdf(c).tolist())) for c in marginals.counts]
     schema = Schema(tuple(map(VariableSpec, data.schema.names, labels)))
@@ -229,7 +229,9 @@ def _run_external(command, data: MicroTable, marginals: MarginalTable, n: int, s
             ) from exc
     if not ((values > 0) & (values <= 1)).all():
         raise SynthesisError("external generator output must lie in (0,1]")
-    return values
+    return codes_by_block(
+        marginals, lambda i, block: values[block, i], new_codes(data.schema, n)
+    )
 
 
 def generate_table(
@@ -252,12 +254,11 @@ def generate_table(
             marg = targets if copula else marginals_of(source)
             gen_rng = np.random.default_rng(gen_key)
 
-            def draws(block):
+            def draws(i, block):
                 u = gen_rng.random(block.stop - block.start)
                 return np.subtract(1.0, u, out=u)
 
-            columns = [draws] * marg.schema.d
-            syn = codes_by_block(marg, columns, new_codes(marg.schema, n))
+            syn = codes_by_block(marg, draws, new_codes(marg.schema, n))
         elif config.method == "ipf":
             fitted = ipf_fit(
                 build_seed(source), targets, tol=config.tol, max_iter=config.max_iter
@@ -267,38 +268,20 @@ def generate_table(
             data, source_marginals = rank_recode(source) if copula else (source, None)
             if config.method == "external_copula":
                 ext_seed = int(gen_key.generate_state(1)[0])
-                u = _run_external(
+                syn = _run_external(
                     config.external_command, data, source_marginals, n, ext_seed
                 )
-                syn = codes_by_block(  # onto source ranks
-                    source_marginals,
-                    [column.__getitem__ for column in u.T],
-                    new_codes(data.schema, n),
-                )
-                del u
             else:
                 dag = learn_structure(
                     data, max_parents=config.max_parents, seed=structure_seed
                 )
                 bn = fit_parameters(data, dag, alpha=config.alpha)
                 syn = bn_sample(bn, n, np.random.default_rng(gen_key))
-            if copula:  # the one exit from generated cells to target codes
-                jitter_rng = np.random.default_rng(jitter_key)
-                # The exit writes the target codes over the cells, so their
-                # table is dropped first. Ranks in a narrower dtype than the
-                # target codes are only read.
+            if copula:  # cells_to_targets writes over the cells: drop their table
                 cells = syn.codes
                 del syn
-                out = cells
-                if cells.dtype != code_dtype(targets.schema):
-                    out = new_codes(targets.schema, n)
-
-                def jittered(i):  # column i's uniforms: its cells, jittered
-                    counts, column = source_marginals.counts[i], cells[:, i]
-                    return lambda block: jitter_cells(counts, column[block], jitter_rng)
-
-                columns = map(jittered, range(targets.schema.d))
-                syn = codes_by_block(targets, columns, out)
+                jitter_rng = np.random.default_rng(jitter_key)
+                syn = cells_to_targets(cells, source_marginals, targets, jitter_rng)
     # record=True caught every warning the filters let through. The package's
     # own UserWarnings are returned; any other meets the caller's filters again.
     own = []

@@ -100,7 +100,8 @@ def test_jitter_cells_is_top_minus_draw_times_width(counts, dtype, seed):
 def test_codes_by_block_maps_each_column_through_its_marginal():
     targets = MarginalTable(make_schema([2, 3]), ([1, 1], [1, 2, 3]))
     half = np.full(4, 0.5)
-    got = codes_by_block(targets, [half.__getitem__] * 2, new_codes(targets.schema, 4))
+    uniforms = lambda i, block: half[block]
+    got = codes_by_block(targets, uniforms, new_codes(targets.schema, 4))
     assert got.codes.tolist() == [[0, 1]] * 4
 
 

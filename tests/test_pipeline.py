@@ -34,7 +34,7 @@ from copulasynth import (
     write_micro_csv,
     write_schema,
 )
-from copulasynth import pipeline
+from copulasynth import copula, pipeline
 from copulasynth.copula import jitter_cells, pseudo_inverse_many
 from copulasynth.pipeline import GENERATORS, rank_recode
 from conftest import make_schema, random_table
@@ -593,14 +593,14 @@ def test_generate_table_lets_foreign_warnings_through(monkeypatch):
     """Only UserWarnings become returned warnings; a numpy RuntimeWarning meets
     the caller's filters: "error" raises it, "default" passes it on."""
     src, tgt = make_transfer_benchmark(seed=6, d=3, n_source=200, n_target=200)
-    jitter = pipeline.jitter_cells
+    jitter = copula.jitter_cells
 
     def noisy_jitter(*args):
         np.log(np.zeros(1))
         warnings.warn("own warning", UserWarning)
         return jitter(*args)
 
-    monkeypatch.setattr(pipeline, "jitter_cells", noisy_jitter)
+    monkeypatch.setattr(copula, "jitter_cells", noisy_jitter)
     cfg = SynthesisConfig(
         source_data="x", schema="x", method="bn_copula", output_size=50, seed=4
     )

@@ -80,9 +80,9 @@ def test_sample_codes_do_not_depend_on_the_block(monkeypatch, block):
 def test_codes_by_block_do_not_depend_on_the_block(monkeypatch, block):
     for n in row_counts(block):
         uniforms = 1.0 - np.random.default_rng(n).random((TARGETS.schema.d, n))
-        columns = [column.__getitem__ for column in uniforms]
+        column = lambda i, block: uniforms[i, block]
         out = lambda: dataset.new_codes(TARGETS.schema, n)
-        call = lambda: codes_by_block(TARGETS, columns, out()).codes
+        call = lambda: codes_by_block(TARGETS, column, out()).codes
         assert (patched(monkeypatch, block, call) == call()).all(), n
 
 
