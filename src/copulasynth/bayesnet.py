@@ -292,6 +292,7 @@ def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Da
     restart's total adds its family scores one at a time in ordering order;
     the first restart reaching the best total is kept. Deterministic per seed.
     """
+    check_type(data, MicroTable, "data")
     if data.n_rows == 0:
         raise SynthesisError("cannot learn structure from an empty table")
     for name, value in (("max_parents", max_parents), ("seed", seed)):
@@ -344,6 +345,8 @@ def fit_parameters(data: MicroTable, dag: Dag, alpha: float = 0.1) -> BayesNet:
     parent configurations never observed get a uniform row and a warning;
     with alpha > 0 the formula already yields uniform rows for them.
     """
+    check_type(data, MicroTable, "data")
+    check_type(dag, Dag, "dag")
     if data.n_rows == 0:
         raise SynthesisError("cannot fit parameters on an empty table")
     if not is_finite_real(alpha):
@@ -393,6 +396,7 @@ def sample(bn: BayesNet, n: int, rng) -> MicroTable:
     returned table keeps: sampling holds one (n, d) table plus a block's
     scratch.
     """
+    check_type(bn, BayesNet, "bn")
     if not is_integer(n):
         raise SynthesisError(f"sample size {n!r} is not an integer")
     if n < 0:

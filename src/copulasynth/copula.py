@@ -37,6 +37,7 @@ def rank_recode(source: MicroTable) -> tuple[MicroTable, MarginalTable]:
     is untouched; the derived schema drops categories the sample never
     shows, so every recoded count is positive.
     """
+    check_type(source, MicroTable, "source")
     if source.n_rows == 0:
         raise SynthesisError("cannot fit an ECDF on an empty table")
     full = marginals_of(source)
@@ -141,15 +142,38 @@ def codes_by_block(targets: MarginalTable, uniforms, codes) -> MicroTable:
     stream as it goes. A block's uniforms are made before its codes are
     stored, so they may be read from the same cells of ``codes``.
     """
+    check_type(targets, MarginalTable, "targets")
     schema = targets.schema
+    if not (
+        isinstance(codes, np.ndarray) and codes.flags.owndata
+        and codes.flags.f_contiguous and codes.shape[1:] == (schema.d,)
+        and codes.dtype == code_dtype(schema)
+    ):
+        raise SynthesisError(
+            f"codes must be an owning, column-major (n, {schema.d}) "
+            f"{code_dtype(schema)} array"
+        )
+    if not callable(uniforms):
+        raise SynthesisError(f"uniforms must be a function, got {uniforms!r}")
     codes.flags.writeable = True
     for i in range(schema.d):
         for block in row_blocks(codes.shape[0]):
             # The count of cuts below u <= 1 is at most m - 1: the narrowing
             # store cannot wrap.
-            codes[block, i] = pseudo_inverse_many(targets.counts[i], uniforms(i, block))
+            codes[block, i] = _block_codes(targets.counts[i], uniforms, i, block)
     codes.flags.writeable = False
     return MicroTable(schema, codes)
+
+
+def _block_codes(counts, uniforms, i: int, block: slice) -> np.ndarray:
+    """Column i's codes on a block, one per row; freed before the next block's."""
+    got = pseudo_inverse_many(counts, uniforms(i, block))
+    if got.shape != (block.stop - block.start,):
+        raise SynthesisError(
+            f"uniforms({i}, {block}) gave shape {got.shape}, "
+            f"not ({block.stop - block.start},)"
+        )
+    return got
 
 
 def cells_to_targets(cells, source: MarginalTable, targets: MarginalTable, rng):
@@ -162,6 +186,16 @@ def cells_to_targets(cells, source: MarginalTable, targets: MarginalTable, rng):
     Where the ranks' dtype is narrower than the target codes', the ranks
     are only read and the codes fill a new array.
     """
+    check_type(cells, np.ndarray, "cells")
+    check_type(source, MarginalTable, "source")
+    check_type(targets, MarginalTable, "targets")
+    check_type(rng, np.random.Generator, "rng")
+    d = targets.schema.d
+    if cells.shape[1:] != (d,) or source.schema.d != d:
+        raise SynthesisError(
+            f"cells of shape {cells.shape} on {source.schema.d} source marginals: "
+            f"expected (n, {d}) on {d}"
+        )
     codes = cells
     if cells.dtype != code_dtype(targets.schema):
         codes = new_codes(targets.schema, len(cells))

@@ -970,6 +970,7 @@ def write_files(directory, writers) -> None:
 
 def marginals_of(table: MicroTable) -> MarginalTable:
     """Per-variable category counts over the table's rows."""
+    check_type(table, MicroTable, "table")
     if table.n_rows == 0:
         raise SynthesisError("cannot take marginals of an empty table")
     counts = tuple(

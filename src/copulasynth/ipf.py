@@ -65,6 +65,7 @@ class ContingencyTable:
 
 def build_seed(table: MicroTable) -> ContingencyTable:
     """Cross-tabulate the sample: its distinct rows and how often each occurs."""
+    check_type(table, MicroTable, "table")
     if table.n_rows == 0:
         raise SynthesisError("cannot build a seed table from an empty sample")
     schema, n = table.schema, table.n_rows
@@ -88,6 +89,8 @@ def fit(
     categories without seed support is reported as unreachable and keeps
     the deviation floor above zero; fitting still runs its course.
     """
+    check_type(seed, ContingencyTable, "seed")
+    check_type(targets, MarginalTable, "targets")
     if not is_finite_real(tol):
         raise SynthesisError(f"tol must be a finite number, got {tol!r}")
     if tol <= 0:
@@ -159,6 +162,7 @@ def allocate(fitted: ContingencyTable, n: int, rng) -> MicroTable:
     copied into one ``new_codes`` array that the returned table keeps;
     consecutive blocks draw what one rng.choice of all n rows would.
     """
+    check_type(fitted, ContingencyTable, "fitted")
     if not is_integer(n):
         raise SynthesisError(f"allocation size {n!r} is not an integer")
     if n < 0:

@@ -33,6 +33,7 @@ from .dataset import (
     MicroTable,
     Schema,
     VariableSpec,
+    check_type,
     is_finite_real,
     is_integer,
     load_marginals_csv,
@@ -238,6 +239,9 @@ def generate_table(
     source: MicroTable, targets: MarginalTable, config: SynthesisConfig, seed: int
 ) -> tuple[MicroTable, tuple[str, ...]]:
     """Generate one synthetic table; returns it with any generation warnings."""
+    check_type(source, MicroTable, "source")
+    check_type(targets, MarginalTable, "targets")
+    check_type(config, SynthesisConfig, "config")
     if source.schema != targets.schema:
         raise SynthesisError("source and target marginals use different schemas")
     if not is_integer(seed) or seed < 0:

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from copulasynth import MarginalTable, MicroTable, SynthesisError, marginals_of
-from copulasynth import copula, pipeline
-from copulasynth.copula import codes_by_block, ecdf, jitter_cells, pseudo_inverse_many
+from copulasynth import copula, make_transfer_benchmark, pipeline
+from copulasynth.copula import cells_to_targets, codes_by_block, ecdf, jitter_cells
+from copulasynth.copula import pseudo_inverse_many
 from copulasynth.dataset import new_codes
 from copulasynth.pipeline import rank_recode
 from conftest import make_schema, small_tables
+from test_pinned_outputs import large_m_tables
 
 
 def fitted_ecdf(column, m):
@@ -103,6 +105,31 @@ def test_codes_by_block_maps_each_column_through_its_marginal():
     uniforms = lambda i, block: half[block]
     got = codes_by_block(targets, uniforms, new_codes(targets.schema, 4))
     assert got.codes.tolist() == [[0, 1]] * 4
+
+
+def test_cells_to_targets_writes_the_codes_over_cells_of_their_dtype():
+    """Ranks in the target codes' dtype take the codes in place, each block
+    jittered before it is overwritten: the codes equal those mapped apart."""
+    source, target = make_transfer_benchmark(seed=2, d=4, n_source=500, n_target=500)
+    data, ranks = rank_recode(source)
+    targets = marginals_of(target)
+    cells = np.array(data.codes, order="F")
+    syn = cells_to_targets(cells, ranks, targets, np.random.default_rng(4))
+    assert np.shares_memory(syn.codes, cells)
+    rng = np.random.default_rng(4)
+    jittered = lambda i, block: jitter_cells(ranks.counts[i], data.codes[block, i], rng)
+    apart = codes_by_block(targets, jittered, new_codes(targets.schema, data.n_rows))
+    assert (syn.codes == apart.codes).all()
+
+
+def test_cells_to_targets_reads_narrower_ranks_and_fills_a_new_array():
+    source, targets = large_m_tables()  # uint8 ranks, uint16 target codes
+    data, ranks = rank_recode(source)
+    cells = np.array(data.codes, order="F")
+    syn = cells_to_targets(cells, ranks, targets, np.random.default_rng(4))
+    assert (cells.dtype, syn.codes.dtype) == (np.uint8, np.uint16)
+    assert not np.shares_memory(syn.codes, cells)
+    assert (cells == data.codes).all()
 
 
 def test_pseudo_inverse_hand_cases():

@@ -33,7 +33,8 @@ from copulasynth import (
 )
 from copulasynth.bayesnet import BayesNet, Dag, family_score_mdl
 from copulasynth.cli import main
-from copulasynth.copula import jitter_cells
+from copulasynth.copula import cells_to_targets, codes_by_block, jitter_cells, rank_recode
+from copulasynth.dataset import new_codes
 from copulasynth.ipf import ContingencyTable, allocate
 from copulasynth.pipeline import run_permutation_study
 from copulasynth.metrics import kept_indices, marginal_report
@@ -47,6 +48,9 @@ CONFIG = SynthesisConfig(
 )
 TWO_ROOTS = Dag(((), ()))
 BN_COPULA = dataclasses.replace(CONFIG, method="bn_copula")
+TARGETS = marginals_of(TABLE)
+HALF = lambda i, block: np.full(block.stop - block.start, 0.5)
+CODES_REFUSED = "codes must be an owning, column-major (n, 2) uint8 array"
 
 # json.load's RecursionError on Python 3.10 to 3.13.
 DEEP_JSON = (
@@ -400,6 +404,110 @@ CASES = {
     "allocate_rng_int": (
         lambda _: allocate(build_seed(TABLE), 10, 5),
         "rng must be a Generator, got 5",
+    ),
+    "codes_by_block_read_only_view": (
+        lambda _: codes_by_block(TARGETS, HALF, TABLE.codes[:3]),
+        CODES_REFUSED,
+    ),
+    "codes_by_block_one_dimensional": (
+        lambda _: codes_by_block(TARGETS, HALF, np.zeros(4, np.uint8)),
+        CODES_REFUSED,
+    ),
+    "codes_by_block_too_few_columns": (
+        lambda _: codes_by_block(TARGETS, HALF, np.zeros((4, 1), np.uint8, order="F")),
+        CODES_REFUSED,
+    ),
+    "codes_by_block_row_major": (
+        lambda _: codes_by_block(TARGETS, HALF, np.zeros((4, 2), np.uint8)),
+        CODES_REFUSED,
+    ),
+    "codes_by_block_other_dtype": (
+        lambda _: codes_by_block(TARGETS, HALF, np.zeros((4, 2), np.int64, order="F")),
+        CODES_REFUSED,
+    ),
+    "codes_by_block_uniforms_short": (
+        lambda _: codes_by_block(
+            TARGETS, lambda i, block: np.full(3, 0.5), new_codes(TABLE.schema, 4)
+        ),
+        "uniforms(0, slice(0, 4, None)) gave shape (3,), not (4,)",
+    ),
+    "codes_by_block_uniforms_not_callable": (
+        lambda _: codes_by_block(TARGETS, 5, new_codes(TABLE.schema, 4)),
+        "uniforms must be a function, got 5",
+    ),
+    "marginals_of_none": (
+        lambda _: marginals_of(None),
+        "table must be a MicroTable, got None",
+    ),
+    "rank_recode_none": (
+        lambda _: rank_recode(None),
+        "source must be a MicroTable, got None",
+    ),
+    "structure_data_none": (
+        lambda _: learn_structure(None),
+        "data must be a MicroTable, got None",
+    ),
+    "fit_data_none": (
+        lambda _: fit_parameters(None, TWO_ROOTS),
+        "data must be a MicroTable, got None",
+    ),
+    "fit_dag_none": (
+        lambda _: fit_parameters(TABLE, None),
+        "dag must be a Dag, got None",
+    ),
+    "sample_bn_none": (
+        lambda _: sample_bayesnet(None, 10, np.random.default_rng(0)),
+        "bn must be a BayesNet, got None",
+    ),
+    "build_seed_none": (
+        lambda _: build_seed(None),
+        "table must be a MicroTable, got None",
+    ),
+    "ipf_seed_none": (
+        lambda _: fit_ipf(None, TARGETS),
+        "seed must be a ContingencyTable, got None",
+    ),
+    "ipf_targets_none": (
+        lambda _: fit_ipf(build_seed(TABLE), None),
+        "targets must be a MarginalTable, got None",
+    ),
+    "allocate_fitted_none": (
+        lambda _: allocate(None, 10, np.random.default_rng(0)),
+        "fitted must be a ContingencyTable, got None",
+    ),
+    "generate_source_none": (
+        lambda _: generate_table(None, TARGETS, CONFIG, 0),
+        "source must be a MicroTable, got None",
+    ),
+    "generate_targets_none": (
+        lambda _: generate_table(TABLE, None, CONFIG, 0),
+        "targets must be a MarginalTable, got None",
+    ),
+    "generate_config_none": (
+        lambda _: generate_table(TABLE, TARGETS, None, 0),
+        "config must be a SynthesisConfig, got None",
+    ),
+    "cells_to_targets_cells_none": (
+        lambda _: cells_to_targets(None, TARGETS, TARGETS, np.random.default_rng(0)),
+        "cells must be a ndarray, got None",
+    ),
+    "cells_to_targets_source_none": (
+        lambda _: cells_to_targets(TABLE.codes, None, TARGETS, np.random.default_rng(0)),
+        "source must be a MarginalTable, got None",
+    ),
+    "cells_to_targets_targets_none": (
+        lambda _: cells_to_targets(TABLE.codes, TARGETS, None, np.random.default_rng(0)),
+        "targets must be a MarginalTable, got None",
+    ),
+    "cells_to_targets_rng_none": (
+        lambda _: cells_to_targets(TABLE.codes, TARGETS, TARGETS, None),
+        "rng must be a Generator, got None",
+    ),
+    "cells_to_targets_one_dimensional": (
+        lambda _: cells_to_targets(
+            TABLE.codes[:, 0], TARGETS, TARGETS, np.random.default_rng(0)
+        ),
+        "cells of shape (40,) on 2 source marginals: expected (n, 2) on 2",
     ),
 }
 

@@ -87,6 +87,20 @@ def test_codes_by_block_do_not_depend_on_the_block(monkeypatch, block):
 
 
 @pytest.mark.parametrize("block", BLOCKS)
+def test_codes_by_block_asks_for_each_column_then_each_block_in_order(monkeypatch, block):
+    n, calls = 2 * block + 3, []
+
+    def uniforms(i, rows):
+        calls.append((i, rows.start, rows.stop))
+        return np.full(rows.stop - rows.start, 0.5)
+
+    out = dataset.new_codes(TARGETS.schema, n)
+    patched(monkeypatch, block, lambda: codes_by_block(TARGETS, uniforms, out))
+    d, starts = TARGETS.schema.d, range(0, n, block)
+    assert calls == [(i, lo, min(lo + block, n)) for i in range(d) for lo in starts]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("method", ["bn_copula", "external_copula", "independent_copula"])
 def test_generate_table_codes_do_not_depend_on_the_block(monkeypatch, method, block):
     for n in row_counts(block):
