@@ -28,9 +28,15 @@ from .errors import SynthesisError
 
 
 # A block table holds at most one cell per this many counted rows (reference
-# plus synthetic), so the axis sums that cut subsets out of it stay cheap
-# next to the bincount that fills it; each cell holds both tables' counts.
-_ROWS_PER_BLOCK_CELL = 16
+# plus synthetic); each cell holds both tables' counts. Wider blocks key and
+# count fewer column sets but take more axis sums per subset, which only the
+# removal-path stack in srmse_by_size shares. Walk times, min of interleaved
+# calls on 2 cores, d=14 at 10k + 10k rows / d=20 at 10k + 150k rows: 16
+# without the stack 65 / 932 ms, 8 without it 64 / 1014 ms, 16 with it
+# 65 / 664 ms, 8 with it 57 / 616 ms. 6 and 4 walked d=14 up to 5% faster
+# than 8, but evaluate then traced 2.8-2.9 synthetic tables, past the 2.5
+# that tests/test_memory.py allows.
+_ROWS_PER_BLOCK_CELL = 8
 
 # evaluate scores SRMSE projections of sizes 1..min(MAX_PROJECTION, d).
 MAX_PROJECTION = 5
@@ -96,6 +102,21 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
     return sorted(plan)  # in column order, neighbours share long key prefixes
 
 
+def _sum_out(table, axis):
+    """The table summed over one axis, by einsum over a (before, m, after) view.
+
+    np.add.reduce runs one short inner loop per leading cell when the axis
+    is near the end of a small table: 15-30 us against einsum's 4-7 us on
+    a d=14 block's table (numpy 2.4, 2 cores), though it is as fast on
+    leading axes (the walk's one-axis sums). Counts are integers, so both
+    give the same table.
+    """
+    shape = table.shape
+    before = math.prod(shape[:axis])
+    summed = np.einsum("amb->ab", table.reshape(before, shape[axis], -1))
+    return summed.reshape(shape[:axis] + shape[axis + 1 :])
+
+
 def _stacked(tables):
     """A column function giving column c of the tables end to end.
 
@@ -120,16 +141,20 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     array. The subsets of the largest size are counted in blocks of columns
     (see _cover), keyed by one dataset.set_keys walk; the counts of a
     block's reference and synthetic keys (dataset.count_keys), stacked on
-    a last axis, give a dense (cells..., 2) table, from which each subset
-    takes its own by axis sums. Each smaller subset S takes its table from
-    S plus the smallest column not in S by a one-axis sum, depth first. A
-    subset whose product passes dataset.KEY_RANGE_PER_ROW per row is
-    counted over re-ranked keys, and its children on their own. Tables
-    list cells in lexicographic order, like keys, so scores do not depend
-    on the route. One pass per block turns its scored tables into squared
-    differences, and srmse sums each subset's slice; one block, one path
-    and the block's scored tables are alive at a time. The mean runs over
-    the scores in itertools.combinations order.
+    a last axis, give a dense (cells..., 2) table. Its subsets, sorted by
+    the block columns they remove, take their tables from it along a
+    removal path: a stack of the tables with a prefix of those columns
+    summed out, each subset popping back to the prefix it shares with the
+    previous one and summing out only the columns after it. Each smaller
+    subset S takes its table from S plus the smallest column not in S by a
+    one-axis sum, depth first. A subset whose product passes
+    dataset.KEY_RANGE_PER_ROW per row is counted over re-ranked keys, and
+    its children on their own. Counts are integers and tables list cells
+    in lexicographic order, like keys, so scores do not depend on the
+    route. One pass per block turns its scored tables into squared
+    differences, and srmse sums each subset's slice; one block, its
+    removal path, one walk path and the block's scored tables are alive at
+    a time. The mean runs over the scores in itertools.combinations order.
     """
     _check_tables(reference=ref, synthetic=syn)
     d = ref.schema.d
@@ -193,17 +218,23 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     plan = _cover(dims, max(sizes), rows // _ROWS_PER_BLOCK_CELL, dense_limit)
     blocks = dataset.set_keys([block for block, _ in plan], dims, both, rows)
     for (block, keys, span), (_, inner) in zip(blocks, plan):
-        counts = counted(keys, span, block)
-        for subset in inner:
-            # One axis at a time, leading axes first: numpy sums a leading
-            # axis over long runs, but many axes at once over short ones.
-            table, axis = counts, 0
-            for c in block:
-                if c in subset:
-                    axis += 1
-                else:
-                    table = np.add.reduce(table, axis=axis)
+        # stack: (removed columns, table) pairs along one removal path, from
+        # the block's own table down. Sorted by the columns they remove,
+        # subsets that share a removed prefix share its tables, and each
+        # sums out only the columns past that prefix, one axis at a time.
+        stack = [((), counted(keys, span, block))]
+        for removed, subset in sorted(
+            (tuple(c for c in block if c not in s), s) for s in inner
+        ):
+            while removed[: len(stack[-1][0])] != stack[-1][0]:
+                stack.pop()
+            prefix, table = stack[-1]
+            for c in removed[len(prefix) :]:
+                table = _sum_out(table, block.index(c) - len(prefix))
+                prefix += (c,)
+                stack.append((prefix, table))
             walk(subset, table, math.prod(dims[c] for c in subset))
+        del stack, table  # the path's unscored tables go before the scoring pass
         score_block()
     return {
         n: float(np.mean([scores[s] for s in itertools.combinations(range(d), n)]))

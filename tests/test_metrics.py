@@ -201,6 +201,32 @@ def test_srmse_by_size_matches_per_subset_keys(case):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(walk_cases())
+def test_block_budget_cannot_change_a_score(case):
+    """Blocks of one cell per 1, 8, 16 or 64 counted rows cover the subsets
+    differently, so each budget cuts them out of other blocks by other axis
+    sums; every subset's score is the same to the last bit."""
+    ref, syn, sizes = case
+    results, srmse = [], metrics.srmse
+    for rows_per_cell in (1, 8, 16, 64):
+        scores = []
+
+        def scored(squares, m_product):
+            scores.append((m_product, srmse(squares, m_product)))
+            return scores[-1][1]
+
+        with mock.patch.object(metrics, "_ROWS_PER_BLOCK_CELL", rows_per_cell):
+            with mock.patch.object(metrics, "srmse", scored):
+                got = metrics.srmse_by_size(ref, syn, sizes)
+        results.append((
+            [v.hex() for v in got.values()],
+            sorted((m_product, v.hex()) for m_product, v in scores),
+        ))
+    for rows_per_cell, result in zip((8, 16, 64), results[1:]):
+        assert result == results[0], rows_per_cell
+
+
 def test_srmse_by_size_rejects_bad_sizes():
     ref, syn = random_table([2, 3], 10, seed=1), random_table([2, 3], 12, seed=2)
     with pytest.raises(SynthesisError, match="outside 1..2"):
@@ -235,7 +261,10 @@ def test_srmse_by_size_returns_plain_int_keys():
 
 def test_srmse_by_size_shared_blocks_at_bench_shape():
     """d=14 over a few thousand rows, where _cover builds blocks wider than
-    the largest subsets, as it does for evaluate on the benchmark's tables."""
+    the largest subsets, as it does for evaluate on the benchmark's tables.
+    A block of 7 columns is two wider than the subsets at top 5, so they
+    remove a shared first column and the walk's removal path pops and
+    reuses a prefix; at top 2 they remove five, so the path is deep."""
     dims = [(2, 3, 4)[i % 3] for i in range(14)]
     schema = make_schema(dims)
     rng = np.random.default_rng(11)
@@ -245,31 +274,33 @@ def test_srmse_by_size_shared_blocks_at_bench_shape():
         ))
         for n in (3000, 2500)
     )
-    rows = ref.n_rows + syn.n_rows
-    plan = metrics._cover(
-        dims, 5, rows // metrics._ROWS_PER_BLOCK_CELL, KEY_RANGE_PER_ROW * rows
-    )
-    assert max(len(block) for block, _ in plan) >= 6
-    scores, srmse = [], metrics.srmse
-
-    def scored(squares, m_product):
-        scores.append(srmse(squares, m_product))
-        return scores[-1]
-
     reversed_syn = MicroTable(schema, syn.codes[::-1])
-    with mock.patch.object(metrics, "srmse", scored):
-        got = metrics.srmse_by_size(ref, syn, range(1, 6))
-        forward = scores[:]
-        assert metrics.srmse_by_size(ref, reversed_syn, range(1, 6)) == got
-    for n in range(1, 6):
-        assert got[n] == srmse_by_keys(ref, syn, n), n
-    # Means can hide a last-bit difference: compare every subset's score.
-    assert sorted(forward) == sorted(
-        srmse_by_key(ref, syn, s)
-        for n in range(1, 6)
-        for s in itertools.combinations(range(14), n)
-    )
-    assert scores[len(forward) :] == forward
+    rows = ref.n_rows + syn.n_rows
+    srmse = metrics.srmse
+    for top in (5, 2):
+        plan = metrics._cover(
+            dims, top, rows // metrics._ROWS_PER_BLOCK_CELL, KEY_RANGE_PER_ROW * rows
+        )
+        assert max(len(block) for block, _ in plan) >= 7, top
+        sizes, scores = range(1, top + 1), []
+
+        def scored(squares, m_product):
+            scores.append(srmse(squares, m_product))
+            return scores[-1]
+
+        with mock.patch.object(metrics, "srmse", scored):
+            got = metrics.srmse_by_size(ref, syn, sizes)
+            forward = scores[:]
+            assert metrics.srmse_by_size(ref, reversed_syn, sizes) == got
+        for n in sizes:
+            assert got[n] == srmse_by_keys(ref, syn, n), n
+        # Means can hide a last-bit difference: compare every subset's score.
+        assert sorted(forward) == sorted(
+            srmse_by_key(ref, syn, s)
+            for n in sizes
+            for s in itertools.combinations(range(14), n)
+        )
+        assert scores[len(forward) :] == forward
 
 
 @settings(max_examples=200, deadline=None)
