@@ -136,10 +136,8 @@ def fit(
     for _ in range(max_iter):
         for axis in range(d):
             sums = axis_sums(values, axis)
-            factor = np.ones_like(sums)
-            nz = sums > 0
-            factor[nz] = goal[axis][nz] / sums[nz]
-            values *= factor[columns[axis]]
+            factor = np.divide(goal[axis], sums, out=np.ones_like(sums), where=sums > 0)
+            values *= factor.take(columns[axis])
         iterations += 1
         deviation = max(
             float(np.abs(axis_sums(values, i) - goal[i]).max()) for i in range(d)

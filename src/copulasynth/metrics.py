@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,13 +31,21 @@ from .errors import SynthesisError
 # A block table holds at most one cell per this many counted rows (reference
 # plus synthetic); each cell holds both tables' counts. Wider blocks key and
 # count fewer column sets but take more axis sums per subset, which only the
-# removal-path stack in srmse_by_size shares. Walk times, min of interleaved
+# removal path in srmse_by_size shares. Walk times, min of interleaved
 # calls on 2 cores, d=14 at 10k + 10k rows / d=20 at 10k + 150k rows: 16
-# without the stack 65 / 932 ms, 8 without it 64 / 1014 ms, 16 with it
-# 65 / 664 ms, 8 with it 57 / 616 ms. 6 and 4 walked d=14 up to 5% faster
-# than 8, but evaluate then traced 2.8-2.9 synthetic tables, past the 2.5
-# that tests/test_memory.py allows.
+# without the path 65 / 932 ms, 8 without it 64 / 1014 ms, 16 with it
+# 65 / 664 ms, 8 with it 57 / 616 ms. Once the scoring pass dropped its
+# tables after concatenating them, evaluate traced 1.87 / 2.12 / 2.39
+# synthetic tables at 8 / 6 / 4 (tests/test_memory.py allows 2.5), but 6
+# and 4 walked d=14 no faster than 8 (min 50.2 and 51.1 against 52.4 ms,
+# medians 58.9 and 55.6 against 57.3 ms).
 _ROWS_PER_BLOCK_CELL = 8
+
+# A block holds at most this many columns, so its (cells..., 2) table has at
+# most 32 axes: numpy 1.x allows 32 (numpy 2, 64), and _sum_out's einsum
+# subscripts take one of 52 letters per axis. Only one-category columns,
+# which join a block for free, take a block that wide.
+_MAX_BLOCK_COLUMNS = 31
 
 # evaluate scores SRMSE projections of sizes 1..min(MAX_PROJECTION, d).
 MAX_PROJECTION = 5
@@ -58,9 +67,11 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
     Each block starts from the first subset no earlier block holds and
     greedily adds the column that brings in the most such subsets while
     the product stays within the budget (or within the subset's own
-    product, if that is larger). A subset past the dense limit is a block
-    of its own. Returns (block, subsets) pairs, the subsets being those
-    the block holds first; each block lists its columns in ascending order.
+    product, if that is larger) and the block within _MAX_BLOCK_COLUMNS
+    columns. A subset past the dense limit or that width is a block of its
+    own. Returns (block, subsets) pairs, the subsets being those the block
+    holds first, in lexicographic order; each block lists its columns in
+    ascending order.
     """
     powers = [1 << c for c in range(len(dims))]
 
@@ -75,7 +86,7 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
         if mask in covered:
             continue
         block, m = list(subset), math.prod(dims[c] for c in subset)
-        cap = max(budget, m) if m <= dense_limit else 0
+        cap = max(budget, m) if m <= dense_limit and top <= _MAX_BLOCK_COLUMNS else 0
         # gain[c]: the subsets not yet held that column c would bring in. It
         # grows by the block's new (top-1)-subsets as each column joins.
         gain = dict.fromkeys(everything, 0)
@@ -83,7 +94,7 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
         while True:
             for c in [c for c in gain if c in block or m * dims[c] > cap]:
                 del gain[c]
-            if not gain:
+            if not gain or len(block) == _MAX_BLOCK_COLUMNS:
                 break
             for c in gain:
                 gain[c] += sum(r | powers[c] not in covered for r in fresh)
@@ -102,19 +113,24 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
     return sorted(plan)  # in column order, neighbours share long key prefixes
 
 
+@functools.cache
+def _sum_out_subscripts(ndim: int, axis: int) -> str:
+    """The einsum subscripts that sum one axis of an ndim-axis table out."""
+    axes = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"[:ndim]
+    return f"{axes}->{axes[:axis]}{axes[axis + 1 :]}"
+
+
 def _sum_out(table, axis):
-    """The table summed over one axis, by einsum over a (before, m, after) view.
+    """The table summed over one axis, by one np.einsum on the table itself.
 
     np.add.reduce runs one short inner loop per leading cell when the axis
-    is near the end of a small table: 15-30 us against einsum's 4-7 us on
-    a d=14 block's table (numpy 2.4, 2 cores), though it is as fast on
-    leading axes (the walk's one-axis sums). Counts are integers, so both
-    give the same table.
+    is near the end of a small table: 13 us against einsum's 4 us on the
+    last cell axes of a d=14 block's table (numpy 2.4, 2 cores), though it
+    is as fast on leading axes (the walk's one-axis sums). The subscripts
+    are cached per (ndim, axis), so a call builds no shape or view. Counts
+    are integers, so both give the same table.
     """
-    shape = table.shape
-    before = math.prod(shape[:axis])
-    summed = np.einsum("amb->ab", table.reshape(before, shape[axis], -1))
-    return summed.reshape(shape[:axis] + shape[axis + 1 :])
+    return np.einsum(_sum_out_subscripts(table.ndim, axis), table)
 
 
 def _stacked(tables):
@@ -140,21 +156,23 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     One walk serves every size. The rows of both tables are keyed as one
     array. The subsets of the largest size are counted in blocks of columns
     (see _cover), keyed by one dataset.set_keys walk; the counts of a
-    block's reference and synthetic keys (dataset.count_keys), stacked on
-    a last axis, give a dense (cells..., 2) table. Its subsets, sorted by
-    the block columns they remove, take their tables from it along a
-    removal path: a stack of the tables with a prefix of those columns
-    summed out, each subset popping back to the prefix it shares with the
-    previous one and summing out only the columns after it. Each smaller
+    block's reference and synthetic keys (dataset.count_keys) fill the two
+    columns of a dense (cells..., 2) table. Its subsets, taken in reverse
+    lexicographic order so that the block columns they remove come in
+    lexicographic order, take their tables from it along a removal path:
+    the tables with a prefix of those columns summed out, each subset
+    cutting the path back to the prefix it shares with the previous one
+    and summing out only the columns after it (_sum_out). Each smaller
     subset S takes its table from S plus the smallest column not in S by a
     one-axis sum, depth first. A subset whose product passes
-    dataset.KEY_RANGE_PER_ROW per row is counted over re-ranked keys, and
-    its children on their own. Counts are integers and tables list cells
-    in lexicographic order, like keys, so scores do not depend on the
-    route. One pass per block turns its scored tables into squared
-    differences, and srmse sums each subset's slice; one block, its
-    removal path, one walk path and the block's scored tables are alive at
-    a time. The mean runs over the scores in itertools.combinations order.
+    dataset.KEY_RANGE_PER_ROW per row, or that is wider than a block may
+    be, is counted over re-ranked keys, and its children on their own.
+    Counts are integers and tables list cells in lexicographic order, like
+    keys, so scores do not depend on the route. One pass per block turns
+    its scored tables into squared differences, and srmse sums each
+    subset's slice; one block, its removal path, one walk path and the
+    block's scored tables are alive at a time. The mean runs over the
+    scores in itertools.combinations order.
     """
     _check_tables(reference=ref, synthetic=syn)
     d = ref.schema.d
@@ -175,66 +193,82 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     rows = n_ref + n_syn
     dense_limit = dataset.KEY_RANGE_PER_ROW * rows
     both = _stacked((ref, syn))
+
+    def dense(width, m_product):  # counted as (cells..., 2), so walked by axis sums
+        return m_product <= dense_limit and width <= _MAX_BLOCK_COLUMNS
+
     scores: dict[tuple[int, ...], float] = {}
     scored = []  # (subset, M, table) of the block's scored subsets
 
     def counted(keys, span, subset):
         """Both tables' counts, (cells..., 2): dense unless the keys were re-ranked."""
         cells = tuple(dims[c] for c in subset)
-        shape = (span,) if math.prod(cells) > dense_limit else cells
-        tables = [dataset.count_keys(k, span) for k in (keys[:n_ref], keys[n_ref:])]
-        return np.stack(tables, axis=-1).reshape(shape + (2,))
+        shape = cells if dense(len(cells), math.prod(cells)) else (span,)
+        table = np.empty((span, 2), np.intp)
+        table[:, 0] = dataset.count_keys(keys[:n_ref], span)
+        table[:, 1] = dataset.count_keys(keys[n_ref:], span)
+        return table.reshape(shape + (2,))
 
     def walk(subset, counts, m_product):
-        if len(subset) in sizes:
+        width = len(subset)
+        if width in sizes:
             scored.append((subset, m_product, counts))
-        if len(subset) == low:
-            return
         # The children of S are S minus one of its leading columns 0..k-1.
-        for i in range(len(subset)):
+        if width == low or subset[0]:
+            return
+        summed = dense(width, m_product)  # else each child is keyed anew
+        for i in range(width):
             if subset[i] != i:
                 break
             child, m = subset[:i] + subset[i + 1 :], m_product // dims[i]
-            if m_product > dense_limit:
+            if summed:
+                walk(child, np.add.reduce(counts, axis=i), m)
+            else:
                 ((_, keys, span),) = dataset.set_keys([child], dims, both, rows)
                 walk(child, counted(keys, span, child), m)
-            else:
-                walk(child, np.add.reduce(counts, axis=i), m)
 
     def score_block():
-        counts = np.concatenate([t for *_, t in scored], axis=None)
+        subsets, m_products, tables = zip(*scored)
+        scored.clear()
+        counts = np.concatenate(tables, axis=None)
+        starts = itertools.accumulate([t.size >> 1 for t in tables[:-1]], initial=0)
+        del tables
         ref_counts, syn_counts = counts[0::2], counts[1::2]
-        seen = ref_counts + syn_counts > 0
+        seen = np.logical_or(ref_counts, syn_counts)
         squares = ((ref_counts / n_ref - syn_counts / n_syn) ** 2)[seen]
         # Integer counts of each table's seen cells: reduceat is exact here.
-        starts = itertools.accumulate([t.size // 2 for *_, t in scored[:-1]], initial=0)
         held = np.add.reduceat(seen, list(starts), dtype=np.intp).tolist()
         start = 0
-        for (subset, m_product, _), k in zip(scored, held):
-            scores[subset] = srmse(squares[start : start + k], m_product)
-            start += k
-        scored.clear()
+        for subset, m_product, k in zip(subsets, m_products, held):
+            stop = start + k
+            scores[subset] = srmse(squares[start:stop], m_product)
+            start = stop
 
     plan = _cover(dims, max(sizes), rows // _ROWS_PER_BLOCK_CELL, dense_limit)
     blocks = dataset.set_keys([block for block, _ in plan], dims, both, rows)
     for (block, keys, span), (_, inner) in zip(blocks, plan):
-        # stack: (removed columns, table) pairs along one removal path, from
-        # the block's own table down. Sorted by the columns they remove,
-        # subsets that share a removed prefix share its tables, and each
-        # sums out only the columns past that prefix, one axis at a time.
-        stack = [((), counted(keys, span, block))]
-        for removed, subset in sorted(
-            (tuple(c for c in block if c not in s), s) for s in inner
-        ):
-            while removed[: len(stack[-1][0])] != stack[-1][0]:
-                stack.pop()
-            prefix, table = stack[-1]
-            for c in removed[len(prefix) :]:
-                table = _sum_out(table, block.index(c) - len(prefix))
-                prefix += (c,)
-                stack.append((prefix, table))
-            walk(subset, table, math.prod(dims[c] for c in subset))
-        del stack, table  # the path's unscored tables go before the scoring pass
+        # path[j]: the block's table with the columns gone[:j] summed out,
+        # products[j] its M. _cover lists the inner subsets in lexicographic
+        # order, so taken in reverse they remove columns in lexicographic
+        # order: neighbours share a removed prefix and its tables, and each
+        # subset sums out only the columns past that prefix, one at a time.
+        axis = {c: i for i, c in enumerate(block)}
+        path = [counted(keys, span, block)]
+        products, gone = [math.prod(dims[c] for c in block)], []
+        for subset in reversed(inner):
+            removed = [c for c in block if c not in subset]
+            keep = 0
+            for a, b in zip(gone, removed):
+                if a != b:
+                    break
+                keep += 1
+            del path[keep + 1 :], products[keep + 1 :], gone[keep:]
+            for c in removed[keep:]:
+                path.append(_sum_out(path[-1], axis[c] - len(gone)))
+                products.append(products[-1] // dims[c])
+                gone.append(c)
+            walk(subset, path[-1], products[-1])
+        del path  # its unscored tables go before the scoring pass
         score_block()
     return {
         n: float(np.mean([scores[s] for s in itertools.combinations(range(d), n)]))

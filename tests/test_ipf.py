@@ -1,9 +1,12 @@
 """Seed construction, cyclic fitting, and allocation."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copulasynth import (
     MarginalTable,
@@ -104,6 +107,71 @@ def test_sparse_fit_matches_dense_reference(max_iter):
         assert (fitted.cells.codes == np.unique(table.codes, axis=0)).all()
         assert fitted.iterations == iterations
         assert np.allclose(dense(fitted), expected, rtol=1e-12, atol=0)
+
+
+def per_axis_fit(seed, targets, tol, max_iter):
+    """fit_ipf's scaling loop as a boolean-mask assignment and a fancy-index
+    gather per axis step: the oracle for its divide-where and take step."""
+    d, dims = seed.schema.d, seed.schema.dims
+    totals = np.array([c.sum() for c in targets.counts], dtype=np.float64)
+    common = float(totals.mean())
+    goal = [targets.counts[i] * (common / totals[i]) for i in range(d)]
+    columns = [seed.cells.column(i) for i in range(d)]
+
+    def axis_sums(values, axis):
+        return np.bincount(columns[axis], weights=values, minlength=dims[axis])
+
+    values = np.array(seed.values, dtype=np.float64, copy=True)
+    iterations, deviation = 0, math.inf
+    for _ in range(max_iter):
+        for axis in range(d):
+            sums = axis_sums(values, axis)
+            factor = np.ones_like(sums)
+            nz = sums > 0
+            factor[nz] = goal[axis][nz] / sums[nz]
+            values *= factor[columns[axis]]
+        iterations += 1
+        deviation = max(
+            float(np.abs(axis_sums(values, i) - goal[i]).max()) for i in range(d)
+        )
+        if deviation < tol * common:
+            break
+    return values, iterations, deviation
+
+
+@st.composite
+def fit_cases(draw):
+    """A seed sample crowded onto low codes, so some categories have no
+    seed support, and targets with zero categories (their cells are scaled
+    to zero sums, which later steps leave alone) and unequal totals."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n = draw(st.integers(1, 40))
+    codes = np.column_stack([(rng.random(n) ** 2 * m).astype(np.int64) for m in dims])
+    counts = []
+    for m in dims:
+        c = rng.integers(0, 30, m) * rng.integers(0, 2, m)  # about half are zero
+        c[rng.integers(m)] += int(rng.integers(1, 1000))  # a positive total
+        counts.append(c)
+    schema = make_schema(dims)
+    tol = draw(st.sampled_from([1e-3, 1e-8, 1e-12]))
+    max_iter = draw(st.integers(1, 10))
+    targets = MarginalTable(schema, tuple(counts))
+    return MicroTable(schema, codes), targets, tol, max_iter
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_cases())
+def test_fit_equals_the_per_axis_loop(case):
+    table, targets, tol, max_iter = case
+    seed = build_seed(table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unreachable target mass
+        fitted = fit_ipf(seed, targets, tol=tol, max_iter=max_iter)
+    values, iterations, deviation = per_axis_fit(seed, targets, tol, max_iter)
+    assert fitted.values.tolist() == values.tolist()
+    assert fitted.iterations == iterations
+    assert fitted.max_deviation == deviation
 
 
 def test_contingency_table_validation():

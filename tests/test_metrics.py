@@ -303,6 +303,78 @@ def test_srmse_by_size_shared_blocks_at_bench_shape():
         assert scores[len(forward) :] == forward
 
 
+@st.composite
+def count_tables(draw):
+    """An integer table of 1 to 32 axes, most of them of size 1."""
+    ndim = draw(st.integers(1, 32))
+    wide = draw(st.sets(st.integers(0, ndim - 1), max_size=6))
+    shape = tuple(draw(st.integers(2, 4)) if i in wide else 1 for i in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    return rng.integers(0, 1000, size=shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_tables())
+def test_sum_out_equals_add_reduce_on_every_axis(table):
+    for axis in range(table.ndim):
+        summed = metrics._sum_out(table, axis)
+        expected = np.add.reduce(table, axis)
+        assert summed.dtype == expected.dtype and summed.shape == expected.shape
+        assert np.array_equal(summed, expected), axis
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, 1, 2, 3, 4, 5, 300]), min_size=1, max_size=12),
+    st.integers(1, 5),
+    st.integers(1, 400),
+)
+def test_cover_lists_inner_subsets_in_lexicographic_order(dims, top, rows):
+    """The walk takes a block's inner subsets in reverse: their removed
+    columns must then come in lexicographic order, so that neighbours share
+    the longest removed prefix."""
+    top = min(top, len(dims))
+    plan = metrics._cover(dims, top, rows // 8, KEY_RANGE_PER_ROW * rows)
+    held = []
+    for block, inner in plan:
+        assert list(block) == sorted(set(block))
+        assert len(block) <= metrics._MAX_BLOCK_COLUMNS
+        assert inner == sorted(inner)
+        assert set(inner) <= set(itertools.combinations(block, top))
+        removed = [tuple(c for c in block if c not in s) for s in reversed(inner)]
+        assert removed == sorted(removed)
+        held += inner
+    assert sorted(held) == list(itertools.combinations(range(len(dims)), top))
+
+
+@pytest.mark.parametrize(
+    "d, wide, sizes", [(64, 2, (1, 2)), (70, 5, (1, 2)), (34, 3, (33, 34))]
+)
+def test_srmse_by_size_past_numpy_dimension_limit(d, wide, sizes):
+    """One-category columns join a block for free, so a block could take
+    every column of a wide schema; its table would pass numpy's axis limit
+    (32 on numpy 1.x, 64 on 2.x). Blocks stop at 31 columns, and a subset
+    wider than that is counted over its keys."""
+    rng = np.random.default_rng(d)
+    dims = [1] * d
+    for c in rng.choice(d, wide, replace=False):
+        dims[c] = int(rng.integers(2, 5))
+    schema = make_schema(dims)
+    ref, syn = (
+        MicroTable(schema, np.column_stack([rng.integers(0, m, n) for m in dims]))
+        for n in (50, 70)
+    )
+    rows = ref.n_rows + syn.n_rows
+    plan = metrics._cover(
+        dims, max(sizes), rows // metrics._ROWS_PER_BLOCK_CELL, KEY_RANGE_PER_ROW * rows
+    )
+    widths = [len(block) for block, _ in plan]
+    assert max(widths) == max(max(sizes), metrics._MAX_BLOCK_COLUMNS)
+    got = metrics.srmse_by_size(ref, syn, sizes)
+    for n in sizes:
+        assert got[n] == srmse_by_keys(ref, syn, n), n
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 300), st.integers(0, 300), st.integers(0, 2**31 - 1))
 def test_reduce_over_a_slice_sums_as_a_copy(length, offset, seed):
