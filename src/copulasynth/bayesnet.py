@@ -272,8 +272,16 @@ def _mdl_scores(pair, config, pair_sizes, config_sizes, penalties) -> list[float
 
 
 def network_score(data: MicroTable, dag: Dag) -> float:
-    """Total MDL score: sum of family scores (decomposable)."""
-    return sum(_family_scores(data, list(enumerate(dag.parents))))
+    """Total MDL score: sum of family scores (decomposable).
+
+    The scores are added one at a time in node order, as learn_structure
+    adds its restart totals: sum() compensates on Python 3.12+, so its
+    total could differ in the last bits across Python versions.
+    """
+    total = 0.0
+    for score in _family_scores(data, list(enumerate(dag.parents))):
+        total += score
+    return total
 
 
 def learn_structure(data: MicroTable, max_parents: int = 3, seed: int = 0) -> Dag:

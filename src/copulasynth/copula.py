@@ -134,9 +134,10 @@ def _real_array(u) -> np.ndarray:
 def codes_by_block(targets: MarginalTable, uniforms, codes) -> MicroTable:
     """Fill ``codes``: column i's uniforms through target marginal i's pseudo-inverse.
 
-    ``codes`` is an owning (n, d) ``new_codes(targets.schema, n)`` array;
-    the returned table keeps it, so the exit holds one table plus a
-    block's scratch. ``uniforms(i, block)`` gives column i's uniforms on a
+    ``codes`` is an owning, writable (n, d) ``new_codes(targets.schema, n)``
+    array; the returned table keeps it, so the exit holds one table plus a
+    block's scratch. A read-only array is refused: it may be a live
+    table's codes. ``uniforms(i, block)`` gives column i's uniforms on a
     row block (a slice from ``row_blocks(n)``). Columns are asked for in
     order and each column's blocks in order, so it may draw from a random
     stream as it goes. A block's uniforms are made before its codes are
@@ -153,9 +154,10 @@ def codes_by_block(targets: MarginalTable, uniforms, codes) -> MicroTable:
             f"codes must be an owning, column-major (n, {schema.d}) "
             f"{code_dtype(schema)} array"
         )
+    if not codes.flags.writeable:
+        raise SynthesisError("codes must be writable, not a table's read-only codes")
     if not callable(uniforms):
         raise SynthesisError(f"uniforms must be a function, got {uniforms!r}")
-    codes.flags.writeable = True
     for i in range(schema.d):
         for block in row_blocks(codes.shape[0]):
             # The count of cuts below u <= 1 is at most m - 1: the narrowing
@@ -182,9 +184,10 @@ def cells_to_targets(cells, source: MarginalTable, targets: MarginalTable, rng):
     ``cells`` is an (n, d) array of ranks on ``source`` (``rank_recode``'s
     marginals) that no table reads again. Each column's cells are jittered
     into uniforms and mapped through the target's pseudo-inverse, a row
-    block at a time, and the codes are written over ``cells`` in place.
-    Where the ranks' dtype is narrower than the target codes', the ranks
-    are only read and the codes fill a new array.
+    block at a time, and the codes are written over ``cells`` in place, so
+    ``cells`` must then be writable (codes_by_block refuses a table's
+    read-only codes). Where the ranks' dtype is narrower than the target
+    codes', the ranks are only read and the codes fill a new array.
     """
     check_type(cells, np.ndarray, "cells")
     check_type(source, MarginalTable, "source")

@@ -122,7 +122,9 @@ def fit(
                 )
             )
     if unreachable:
-        lost = sum(mass for _, _, mass in unreachable)
+        lost = 0.0
+        for _, _, mass in unreachable:  # one += at a time: sum() compensates on 3.12+
+            lost += mass
         warnings.warn(
             f"{len(unreachable)} target categor(ies) have no seed support; "
             f"{lost:g} units of target mass are unreachable",

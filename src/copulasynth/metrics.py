@@ -31,10 +31,10 @@ from .errors import SynthesisError
 # A block table holds at most one cell per this many counted rows (reference
 # plus synthetic); each cell holds both tables' counts. Wider blocks key and
 # count fewer column sets but take more axis sums per subset, which only the
-# removal path in srmse_by_size shares. Walk times, min of interleaved
-# calls on 2 cores, d=14 at 10k + 10k rows / d=20 at 10k + 150k rows: 16
-# without the path 65 / 932 ms, 8 without it 64 / 1014 ms, 16 with it
-# 65 / 664 ms, 8 with it 57 / 616 ms. Once the scoring pass dropped its
+# shared removed prefixes in srmse_by_size share. Walk times, min of
+# interleaved calls on 2 cores, d=14 at 10k + 10k rows / d=20 at 10k + 150k
+# rows: 16 without the sharing 65 / 932 ms, 8 without it 64 / 1014 ms, 16
+# with it 65 / 664 ms, 8 with it 57 / 616 ms. Once the scoring pass dropped its
 # tables after concatenating them, evaluate traced 1.87 / 2.12 / 2.39
 # synthetic tables at 8 / 6 / 4 (tests/test_memory.py allows 2.5), but 6
 # and 4 walked d=14 no faster than 8 (min 50.2 and 51.1 against 52.4 ms,
@@ -113,6 +113,16 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
     return sorted(plan)  # in column order, neighbours share long key prefixes
 
 
+def _trie(block, subsets):
+    """The block columns each subset removes, as nested dicts; keys ascend."""
+    trie = {}
+    for removed in sorted(tuple(c for c in block if c not in s) for s in subsets):
+        node = trie
+        for c in removed:
+            node = node.setdefault(c, {})
+    return trie
+
+
 @functools.cache
 def _sum_out_subscripts(ndim: int, axis: int) -> str:
     """The einsum subscripts that sum one axis of an ndim-axis table out."""
@@ -125,10 +135,10 @@ def _sum_out(table, axis):
 
     np.add.reduce runs one short inner loop per leading cell when the axis
     is near the end of a small table: 13 us against einsum's 4 us on the
-    last cell axes of a d=14 block's table (numpy 2.4, 2 cores), though it
-    is as fast on leading axes (the walk's one-axis sums). The subscripts
-    are cached per (ndim, axis), so a call builds no shape or view. Counts
-    are integers, so both give the same table.
+    last cell axes of a d=14 block's table (numpy 2.4, 2 cores), though
+    2-3 us against 4-5 us on leading axes. The subscripts are cached per
+    (ndim, axis), so a call builds no shape or view. Counts are integers,
+    so both give the same table.
     """
     return np.einsum(_sum_out_subscripts(table.ndim, axis), table)
 
@@ -157,20 +167,19 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     array. The subsets of the largest size are counted in blocks of columns
     (see _cover), keyed by one dataset.set_keys walk; the counts of a
     block's reference and synthetic keys (dataset.count_keys) fill the two
-    columns of a dense (cells..., 2) table. Its subsets, taken in reverse
-    lexicographic order so that the block columns they remove come in
-    lexicographic order, take their tables from it along a removal path:
-    the tables with a prefix of those columns summed out, each subset
-    cutting the path back to the prefix it shares with the previous one
-    and summing out only the columns after it (_sum_out). Each smaller
-    subset S takes its table from S plus the smallest column not in S by a
-    one-axis sum, depth first. A subset whose product passes
+    columns of a dense (cells..., 2) table. One recursive descent then cuts
+    every subset's table out of it, one _sum_out per axis. From the block
+    it follows a trie of the block columns each of its subsets removes, in
+    ascending order, so subsets sharing a removed prefix share its tables.
+    From each such subset S it goes on to S minus one of its leading
+    columns 0..k-1, so each smaller subset comes from itself plus the
+    smallest column not in it. A subset whose product passes
     dataset.KEY_RANGE_PER_ROW per row, or that is wider than a block may
     be, is counted over re-ranked keys, and its children on their own.
     Counts are integers and tables list cells in lexicographic order, like
     keys, so scores do not depend on the route. One pass per block turns
     its scored tables into squared differences, and srmse sums each
-    subset's slice; one block, its removal path, one walk path and the
+    subset's slice; one block, the tables on one descent path and the
     block's scored tables are alive at a time. The mean runs over the
     scores in itertools.combinations order.
     """
@@ -209,23 +218,26 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
         table[:, 1] = dataset.count_keys(keys[n_ref:], span)
         return table.reshape(shape + (2,))
 
-    def walk(subset, counts, m_product):
+    def walk(counts, subset, m_product, trie):
+        # trie: the columns still to sum out on the way to the block's inner
+        # subsets (see _trie), empty from an inner subset down.
         width = len(subset)
-        if width in sizes:
-            scored.append((subset, m_product, counts))
-        # The children of S are S minus one of its leading columns 0..k-1.
-        if width == low or subset[0]:
-            return
+        if not trie:
+            if width in sizes:
+                scored.append((subset, m_product, counts))
+            # The children of S are S minus one of its leading columns 0..k-1.
+            if width == low or subset[0]:
+                return
+            trie = {c: {} for i, c in enumerate(subset) if c == i}
         summed = dense(width, m_product)  # else each child is keyed anew
-        for i in range(width):
-            if subset[i] != i:
-                break
-            child, m = subset[:i] + subset[i + 1 :], m_product // dims[i]
+        for c, below in trie.items():
+            i = subset.index(c)
+            child, m = subset[:i] + subset[i + 1 :], m_product // dims[c]
             if summed:
-                walk(child, np.add.reduce(counts, axis=i), m)
+                walk(_sum_out(counts, i), child, m, below)
             else:
                 ((_, keys, span),) = dataset.set_keys([child], dims, both, rows)
-                walk(child, counted(keys, span, child), m)
+                walk(counted(keys, span, child), child, m, below)
 
     def score_block():
         subsets, m_products, tables = zip(*scored)
@@ -247,29 +259,12 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     plan = _cover(dims, max(sizes), rows // _ROWS_PER_BLOCK_CELL, dense_limit)
     blocks = dataset.set_keys([block for block, _ in plan], dims, both, rows)
     for (block, keys, span), (_, inner) in zip(blocks, plan):
-        # path[j]: the block's table with the columns gone[:j] summed out,
-        # products[j] its M. _cover lists the inner subsets in lexicographic
-        # order, so taken in reverse they remove columns in lexicographic
-        # order: neighbours share a removed prefix and its tables, and each
-        # subset sums out only the columns past that prefix, one at a time.
-        axis = {c: i for i, c in enumerate(block)}
-        path = [counted(keys, span, block)]
-        products, gone = [math.prod(dims[c] for c in block)], []
-        for subset in reversed(inner):
-            removed = [c for c in block if c not in subset]
-            keep = 0
-            for a, b in zip(gone, removed):
-                if a != b:
-                    break
-                keep += 1
-            del path[keep + 1 :], products[keep + 1 :], gone[keep:]
-            for c in removed[keep:]:
-                path.append(_sum_out(path[-1], axis[c] - len(gone)))
-                products.append(products[-1] // dims[c])
-                gone.append(c)
-            walk(subset, path[-1], products[-1])
-        del path  # its unscored tables go before the scoring pass
+        m_product = math.prod(dims[c] for c in block)
+        walk(counted(keys, span, block), block, m_product, _trie(block, inner))
         score_block()
+    # walk reaches itself through its closure: unbinding it breaks that cycle,
+    # so the key buffer goes on return, not at the next garbage collection.
+    del walk
     return {
         n: float(np.mean([scores[s] for s in itertools.combinations(range(d), n)]))
         for n in sizes

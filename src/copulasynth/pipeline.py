@@ -284,6 +284,7 @@ def generate_table(
             if copula:  # cells_to_targets writes over the cells: drop their table
                 cells = syn.codes
                 del syn
+                cells.flags.writeable = True  # no table holds them now
                 jitter_rng = np.random.default_rng(jitter_key)
                 syn = cells_to_targets(cells, source_marginals, targets, jitter_rng)
     # record=True caught every warning the filters let through. The package's

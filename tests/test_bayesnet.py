@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -18,6 +19,7 @@ from copulasynth import (
     SynthesisError,
     fit_parameters,
     learn_structure,
+    make_transfer_benchmark,
     sample_bayesnet,
 )
 from copulasynth import bayesnet
@@ -28,6 +30,7 @@ from copulasynth.bayesnet import (
     family_score_mdl,
     network_score,
 )
+from copulasynth.copula import rank_recode
 from conftest import dag_edges, make_schema, random_table
 
 
@@ -110,6 +113,34 @@ def test_network_score_decomposes():
     total = network_score(table, dag)
     parts = [family_score_mdl(table, i, dag.parents[i]) for i in range(3)]
     assert total == pytest.approx(sum(parts), abs=1e-9)
+
+
+def compensated_sum(values):
+    """sum() of floats as Python 3.12+ computes it (Neumaier's compensation)."""
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        return total + compensation
+    return total
+
+
+def test_network_score_adds_family_scores_in_node_order():
+    """A total must not depend on the Python version. On this learned
+    network a compensated sum, as sum() takes from Python 3.12 on, differs
+    from the left fold in the last bit; network_score is the fold."""
+    source, _ = make_transfer_benchmark(seed=0, d=12, n_source=3000, n_target=3000)
+    data, _ = rank_recode(source)
+    dag = learn_structure(data, seed=0)
+    scores = bayesnet._family_scores(data, list(enumerate(dag.parents)))
+    fold = functools.reduce(operator.add, scores)
+    assert compensated_sum(scores) != fold
+    assert network_score(data, dag) == fold
 
 
 def test_learn_structure_constraints_and_determinism():

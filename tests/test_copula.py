@@ -107,6 +107,18 @@ def test_codes_by_block_maps_each_column_through_its_marginal():
     assert got.codes.tolist() == [[0, 1]] * 4
 
 
+def test_codes_by_block_leaves_a_live_table_alone():
+    """A table's codes are owning and of its marginals' dtype, so only
+    their read-only flag tells them from a fresh array: the exit refuses
+    them, and the table keeps its codes."""
+    table = make_transfer_benchmark(seed=3, d=3, n_source=50, n_target=50)[0]
+    before = table.codes.copy()
+    uniforms = lambda i, block: np.full(block.stop - block.start, 1.0)
+    with pytest.raises(SynthesisError, match="codes must be writable"):
+        codes_by_block(marginals_of(table), uniforms, table.codes)
+    assert (table.codes == before).all() and not table.codes.flags.writeable
+
+
 def test_cells_to_targets_writes_the_codes_over_cells_of_their_dtype():
     """Ranks in the target codes' dtype take the codes in place, each block
     jittered before it is overwritten: the codes equal those mapped apart."""

@@ -409,6 +409,10 @@ CASES = {
         lambda _: codes_by_block(TARGETS, HALF, TABLE.codes[:3]),
         CODES_REFUSED,
     ),
+    "codes_by_block_read_only": (
+        lambda _: codes_by_block(TARGETS, HALF, TABLE.codes),
+        "codes must be writable, not a table's read-only codes",
+    ),
     "codes_by_block_one_dimensional": (
         lambda _: codes_by_block(TARGETS, HALF, np.zeros(4, np.uint8)),
         CODES_REFUSED,

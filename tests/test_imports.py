@@ -174,7 +174,7 @@ def test_only_the_top_layers_import_metrics():
 UNCALLED_PUBLIC = {
     "srmse_projected": "perfbench/worker.py and perfbench/tracer.py call it",
     "family_score_mdl": "perfbench/tracer.py wraps it",
-    "network_score": "ROADMAP item 1a gives it report.json",
+    "network_score": "ROADMAP item 2 PR c records it in report.json",
 }
 
 

@@ -24,6 +24,7 @@ from copulasynth.metrics import (
     structural_zeros,
     write_marginal_csv,
 )
+from copulasynth.pipeline import make_transfer_benchmark
 from conftest import make_schema, random_table, small_tables, subset_srmse, table_pairs
 
 
@@ -263,8 +264,8 @@ def test_srmse_by_size_shared_blocks_at_bench_shape():
     """d=14 over a few thousand rows, where _cover builds blocks wider than
     the largest subsets, as it does for evaluate on the benchmark's tables.
     A block of 7 columns is two wider than the subsets at top 5, so they
-    remove a shared first column and the walk's removal path pops and
-    reuses a prefix; at top 2 they remove five, so the path is deep."""
+    remove a shared first column and the walk's trie of removed columns
+    branches below it; at top 2 they remove five, so the trie is deep."""
     dims = [(2, 3, 4)[i % 3] for i in range(14)]
     schema = make_schema(dims)
     rng = np.random.default_rng(11)
@@ -303,6 +304,29 @@ def test_srmse_by_size_shared_blocks_at_bench_shape():
         assert scores[len(forward) :] == forward
 
 
+def test_srmse_by_size_work_at_ipf_d14_shape():
+    """The walk's work at the ipf_d14 benchmark's shape (d=14, 10k reference
+    and 10k synthetic rows, sizes 1..5): its axis sums, its scored subsets
+    and its blocks. The plan depends on the dims and row counts only. A
+    change to this work re-pins these counts and says why."""
+    source, target = make_transfer_benchmark(
+        seed=0, d=14, n_source=10_000, n_target=10_000
+    )
+    cover, plans = metrics._cover, []
+
+    def planned(*args):
+        plans.append(cover(*args))
+        return plans[-1]
+
+    with mock.patch.object(metrics, "_sum_out", wraps=metrics._sum_out) as sums:
+        with mock.patch.object(metrics, "srmse", wraps=metrics.srmse) as scored:
+            with mock.patch.object(metrics, "_cover", planned):
+                metrics.srmse_by_size(target, source, range(1, 6))
+    assert sums.call_count == 4410
+    assert scored.call_count == 3472
+    assert [len(plan) for plan in plans] == [156]
+
+
 @st.composite
 def count_tables(draw):
     """An integer table of 1 to 32 axes, most of them of size 1."""
@@ -330,9 +354,11 @@ def test_sum_out_equals_add_reduce_on_every_axis(table):
     st.integers(1, 400),
 )
 def test_cover_lists_inner_subsets_in_lexicographic_order(dims, top, rows):
-    """The walk takes a block's inner subsets in reverse: their removed
-    columns must then come in lexicographic order, so that neighbours share
-    the longest removed prefix."""
+    """_cover lists a block's inner subsets in lexicographic order, so in
+    reverse their removed columns come in lexicographic order too. The walk
+    does not rely on it, since it sorts the removed columns into its trie;
+    the test pins the plan: ascending blocks within the width cap, each
+    holding its own inner subsets, and every top-size subset held once."""
     top = min(top, len(dims))
     plan = metrics._cover(dims, top, rows // 8, KEY_RANGE_PER_ROW * rows)
     held = []
