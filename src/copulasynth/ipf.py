@@ -110,10 +110,12 @@ def fit(
     def axis_sums(values: np.ndarray, axis: int) -> np.ndarray:
         return np.bincount(columns[axis], weights=values, minlength=dims[axis])
 
+    # Each cycle's first step scales by the axis-0 sums of the values as the
+    # support check or the previous cycle's deviation check left them.
+    sums = [axis_sums(seed.values, i) for i in range(d)]
     unreachable = []
     for i in range(d):
-        support = axis_sums(seed.values, i) > 0
-        for cat in np.flatnonzero(~support & (goal[i] > 0)):
+        for cat in np.flatnonzero(~(sums[i] > 0) & (goal[i] > 0)):
             unreachable.append(
                 (
                     seed.schema.names[i],
@@ -137,13 +139,12 @@ def fit(
     deviation = math.inf
     for _ in range(max_iter):
         for axis in range(d):
-            sums = axis_sums(values, axis)
-            factor = np.divide(goal[axis], sums, out=np.ones_like(sums), where=sums > 0)
+            held = axis_sums(values, axis) if axis else sums[0]
+            factor = np.divide(goal[axis], held, out=np.ones_like(held), where=held > 0)
             values *= factor.take(columns[axis])
         iterations += 1
-        deviation = max(
-            float(np.abs(axis_sums(values, i) - goal[i]).max()) for i in range(d)
-        )
+        sums = [axis_sums(values, i) for i in range(d)]
+        deviation = max(float(np.abs(s - g).max()) for s, g in zip(sums, goal))
         if deviation < threshold:
             break
     return ContingencyTable(

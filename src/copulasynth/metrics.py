@@ -34,12 +34,12 @@ from .errors import SynthesisError
 # shared removed prefixes in srmse_by_size share. Walk times, min of
 # interleaved calls on 2 cores, d=14 at 10k + 10k rows / d=20 at 10k + 150k
 # rows: 16 without the sharing 65 / 932 ms, 8 without it 64 / 1014 ms, 16
-# with it 65 / 664 ms, 8 with it 57 / 616 ms. Once the scoring pass dropped its
-# tables after concatenating them, evaluate traced 1.87 / 2.12 / 2.39
-# synthetic tables at 8 / 6 / 4 (tests/test_memory.py allows 2.5), but 6
-# and 4 walked d=14 no faster than 8 (min 50.2 and 51.1 against 52.4 ms,
-# medians 58.9 and 55.6 against 57.3 ms).
-_ROWS_PER_BLOCK_CELL = 8
+# with it 65 / 664 ms, 8 with it 57 / 616 ms. Once _cover planned each
+# block's removals and _score_block scored with fewer temporaries, 4 walked
+# in 51.1 / 533 ms against 8's 54.5 / 552 ms (medians 56.8 / 600 against
+# 60.6 / 677 ms), and evaluate traced 2.38 synthetic tables on its first
+# call, 2.27 warm (1.91 / 1.78 at 8; tests/test_memory.py allows 2.5).
+_ROWS_PER_BLOCK_CELL = 4
 
 # A block holds at most this many columns, so its (cells..., 2) table has at
 # most 32 axes: numpy 1.x allows 32 (numpy 2, 64), and _sum_out's einsum
@@ -69,9 +69,10 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
     the product stays within the budget (or within the subset's own
     product, if that is larger) and the block within _MAX_BLOCK_COLUMNS
     columns. A subset past the dense limit or that width is a block of its
-    own. Returns (block, subsets) pairs, the subsets being those the block
-    holds first, in lexicographic order; each block lists its columns in
-    ascending order.
+    own. Returns (block, removals) pairs: each block lists its columns in
+    ascending order, and its removals are the columns that each subset
+    the block holds first leaves out of it, in the lexicographic order of
+    itertools.combinations(block, len(block) - top).
     """
     powers = [1 << c for c in range(len(dims))]
 
@@ -105,18 +106,23 @@ def _cover(dims, top: int, budget: int, dense_limit: int):
             block.append(best)
             m *= dims[best]
         block.sort()
-        held = masks(block, top)
-        covers = itertools.combinations(block, top)
-        inner = [s for s, k in zip(covers, held) if k not in covered]
-        plan.append((tuple(block), inner))
-        covered.update(held)
+        whole, k, removals = sum(powers[c] for c in block), len(block) - top, []
+        for removed, gone in zip(itertools.combinations(block, k), masks(block, k)):
+            if whole - gone not in covered:  # the subset the removal leaves
+                covered.add(whole - gone)
+                removals.append(removed)
+        plan.append((tuple(block), removals))
     return sorted(plan)  # in column order, neighbours share long key prefixes
 
 
-def _trie(block, subsets):
-    """The block columns each subset removes, as nested dicts; keys ascend."""
+def _trie(removals):
+    """A block's removals (see _cover) as nested dicts, one level per column.
+
+    The removals come in lexicographic order, so each dict's keys ascend as
+    they are inserted and nothing is sorted here.
+    """
     trie = {}
-    for removed in sorted(tuple(c for c in block if c not in s) for s in subsets):
+    for removed in removals:
         node = trie
         for c in removed:
             node = node.setdefault(c, {})
@@ -131,15 +137,18 @@ def _sum_out_subscripts(ndim: int, axis: int) -> str:
 
 
 def _sum_out(table, axis):
-    """The table summed over one axis, by one np.einsum on the table itself.
+    """The table summed over one axis: np.add.reduce on axis 0, else np.einsum.
 
-    np.add.reduce runs one short inner loop per leading cell when the axis
-    is near the end of a small table: 13 us against einsum's 4 us on the
-    last cell axes of a d=14 block's table (numpy 2.4, 2 cores), though
-    2-3 us against 4-5 us on leading axes. The subscripts are cached per
-    (ndim, axis), so a call builds no shape or view. Counts are integers,
-    so both give the same table.
+    On axis 0, np.add.reduce adds whole rows of the table: 2.1-2.8 us
+    against einsum's 3.7-4.7 us on a d=14 block's tables (numpy 2.4, 2
+    cores), with no iterator buffer. Nearer the end of a small table it
+    runs one short inner loop per leading cell: 13 us against einsum's 4
+    us on the last cell axes. The einsum subscripts are cached per (ndim,
+    axis), so a call builds no shape or view. Counts are integers, so both
+    give the same table.
     """
+    if not axis:
+        return np.add.reduce(table, 0)
     return np.einsum(_sum_out_subscripts(table.ndim, axis), table)
 
 
@@ -160,6 +169,41 @@ def _check_tables(**tables) -> None:
         dataset.check_type(table, MicroTable, f"{role} table")
 
 
+def _score_block(scored, n_ref: int, n_syn: int) -> dict:
+    """Each scored subset's srmse, from one pass over a block's tables.
+
+    ``scored`` holds a block's (subset, M, table) triples, each table its
+    (cells..., 2) counts; it is emptied, so the tables go once concatenated.
+    The pass views the counts as (cells, 2), takes the seen cells and the
+    differences of frequencies once over all of them, frees the counts,
+    gathers the seen differences and squares them in place.
+    """
+    subsets, m_products, tables = zip(*scored)
+    scored.clear()
+    counts = np.concatenate(tables, axis=None).reshape(-1, 2)
+    starts = np.fromiter(
+        itertools.accumulate([t.size >> 1 for t in tables[:-1]], initial=0),
+        np.intp,
+        len(tables),
+    )
+    del tables
+    ref_counts, syn_counts = counts.T
+    seen = np.logical_or(ref_counts, syn_counts)
+    squares = ref_counts / n_ref
+    squares -= syn_counts / n_syn
+    del counts, ref_counts, syn_counts
+    squares = squares[seen]
+    squares *= squares
+    # Integer counts of each table's seen cells: reduceat is exact here.
+    held = np.add.reduceat(seen, starts, dtype=np.intp).tolist()
+    scores, start = {}, 0
+    for subset, m_product, k in zip(subsets, m_products, held):
+        stop = start + k
+        scores[subset] = srmse(squares[start:stop], m_product)
+        start = stop
+    return scores
+
+
 def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     """Arithmetic mean of srmse over all variable subsets of each size.
 
@@ -169,19 +213,19 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
     block's reference and synthetic keys (dataset.count_keys) fill the two
     columns of a dense (cells..., 2) table. One recursive descent then cuts
     every subset's table out of it, one _sum_out per axis. From the block
-    it follows a trie of the block columns each of its subsets removes, in
-    ascending order, so subsets sharing a removed prefix share its tables.
-    From each such subset S it goes on to S minus one of its leading
-    columns 0..k-1, so each smaller subset comes from itself plus the
-    smallest column not in it. A subset whose product passes
-    dataset.KEY_RANGE_PER_ROW per row, or that is wider than a block may
-    be, is counted over re-ranked keys, and its children on their own.
-    Counts are integers and tables list cells in lexicographic order, like
-    keys, so scores do not depend on the route. One pass per block turns
-    its scored tables into squared differences, and srmse sums each
-    subset's slice; one block, the tables on one descent path and the
-    block's scored tables are alive at a time. The mean runs over the
-    scores in itertools.combinations order.
+    it follows a trie (_trie, built as the block comes up) of the columns
+    that _cover says each of its subsets removes, in ascending order, so
+    subsets sharing a removed prefix share its tables. From each such
+    subset S it goes on to S minus one of its leading columns 0..k-1, so
+    each smaller subset comes from itself plus the smallest column not in
+    it. A subset whose product passes dataset.KEY_RANGE_PER_ROW per row, or
+    that is wider than a block may be, is counted over re-ranked keys, and
+    its children on their own. Counts are integers and tables list cells
+    in lexicographic order, like keys, so scores do not depend on the
+    route. One pass per block (_score_block) turns its scored tables into
+    squared differences, and srmse sums each subset's slice; one block, the
+    tables on one descent path and the block's scored tables are alive at
+    a time. The mean runs over the scores in itertools.combinations order.
     """
     _check_tables(reference=ref, synthetic=syn)
     d = ref.schema.d
@@ -239,29 +283,12 @@ def srmse_by_size(ref: MicroTable, syn: MicroTable, sizes) -> dict[int, float]:
                 ((_, keys, span),) = dataset.set_keys([child], dims, both, rows)
                 walk(counted(keys, span, child), child, m, below)
 
-    def score_block():
-        subsets, m_products, tables = zip(*scored)
-        scored.clear()
-        counts = np.concatenate(tables, axis=None)
-        starts = itertools.accumulate([t.size >> 1 for t in tables[:-1]], initial=0)
-        del tables
-        ref_counts, syn_counts = counts[0::2], counts[1::2]
-        seen = np.logical_or(ref_counts, syn_counts)
-        squares = ((ref_counts / n_ref - syn_counts / n_syn) ** 2)[seen]
-        # Integer counts of each table's seen cells: reduceat is exact here.
-        held = np.add.reduceat(seen, list(starts), dtype=np.intp).tolist()
-        start = 0
-        for subset, m_product, k in zip(subsets, m_products, held):
-            stop = start + k
-            scores[subset] = srmse(squares[start:stop], m_product)
-            start = stop
-
     plan = _cover(dims, max(sizes), rows // _ROWS_PER_BLOCK_CELL, dense_limit)
     blocks = dataset.set_keys([block for block, _ in plan], dims, both, rows)
-    for (block, keys, span), (_, inner) in zip(blocks, plan):
+    for (block, keys, span), (_, removals) in zip(blocks, plan):
         m_product = math.prod(dims[c] for c in block)
-        walk(counted(keys, span, block), block, m_product, _trie(block, inner))
-        score_block()
+        walk(counted(keys, span, block), block, m_product, _trie(removals))
+        scores.update(_score_block(scored, n_ref, n_syn))
     # walk reaches itself through its closure: unbinding it breaks that cycle,
     # so the key buffer goes on return, not at the next garbage collection.
     del walk

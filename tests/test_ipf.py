@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from copulasynth import (
     marginals_of,
 )
 from copulasynth.ipf import ContingencyTable
+from copulasynth.pipeline import make_transfer_benchmark
 from conftest import dense, make_schema, random_table
 
 
@@ -172,6 +174,24 @@ def test_fit_equals_the_per_axis_loop(case):
     assert fitted.values.tolist() == values.tolist()
     assert fitted.iterations == iterations
     assert fitted.max_deviation == deviation
+
+
+def test_fit_bincounts_at_ipf_d14_shape():
+    """The weighted bincounts of the ipf_d14 benchmark's fit (d=14, 10k
+    source rows, 10 cycles): one per axis for the support check, one per
+    axis step and one per axis for each cycle's deviation check, less the
+    axis-0 step of each cycle, which reuses the sums taken just before it:
+    14 + 10 * 13 + 10 * 14 = 284. A change to this work re-pins it."""
+    source, target = make_transfer_benchmark(
+        seed=0, d=14, n_source=10_000, n_target=10_000, marginal_skew=0.5
+    )
+    seed, targets = build_seed(source), marginals_of(target)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unreachable target mass
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+            fitted = fit_ipf(seed, targets, tol=1e-12, max_iter=10)
+    assert fitted.iterations == 10
+    assert counted.call_count == 284
 
 
 def test_contingency_table_validation():

@@ -110,14 +110,16 @@ def test_external_payload_memory_does_not_grow_with_rows():
 
 
 def test_evaluate_memory_is_bounded_in_synthetic_tables():
-    """evaluate on 100,000 bn_copula rows at d=12 traces 1.9 synthetic
-    tables. The SRMSE walk's scoring pass sets that peak: a block's scored
-    counts and their squares, beside the key prefixes. Blocks of one cell
-    per 8 counted rows score more subsets per pass than blocks of one per
-    16 did; the pass drops the scored tables once it has concatenated
-    them. The walk counts keys and distinct_combos marks them a row block
-    at a time, and re-ranking writes narrow ranks, so no step widens a
-    whole key array to intp. The gate holds it under 2.5."""
+    """evaluate on 100,000 bn_copula rows at d=12 traces 2.38 synthetic
+    tables on its first call (2.27 warm). The SRMSE walk sets that peak: a
+    block's key prefixes, its table, the tables on one descent path and
+    its scored tables. Blocks of one cell per 4 counted rows score more
+    subsets per pass than blocks of one per 8 did; the scoring pass drops
+    the scored tables once it has concatenated them, and their counts
+    before it gathers the seen differences. The walk counts keys and
+    distinct_combos marks them a row block at a time, and re-ranking
+    writes narrow ranks, so no step widens a whole key array to intp. The
+    gate holds it under 2.5."""
     source, target = make_transfer_benchmark(seed=1, d=12, n_source=3000, n_target=3000)
     cfg = SynthesisConfig(
         source_data="x", schema="x", method="bn_copula", output_size=100_000, seed=1

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copulasynth import MicroTable, SynthesisError, evaluate, metrics, srmse_projected
+from copulasynth import MicroTable, SynthesisError, dataset, evaluate, metrics
+from copulasynth import srmse_projected
 from copulasynth.dataset import KEY_RANGE_PER_ROW, set_keys
 from copulasynth.metrics import (
     EvaluationReport,
@@ -205,12 +206,13 @@ def test_srmse_by_size_matches_per_subset_keys(case):
 @settings(max_examples=40, deadline=None)
 @given(walk_cases())
 def test_block_budget_cannot_change_a_score(case):
-    """Blocks of one cell per 1, 8, 16 or 64 counted rows cover the subsets
-    differently, so each budget cuts them out of other blocks by other axis
-    sums; every subset's score is the same to the last bit."""
+    """Blocks of one cell per 1, 4, 8, 16 or 64 counted rows cover the
+    subsets differently, so each budget cuts them out of other blocks by
+    other axis sums; every subset's score is the same to the last bit."""
     ref, syn, sizes = case
     results, srmse = [], metrics.srmse
-    for rows_per_cell in (1, 8, 16, 64):
+    budgets = (1, 4, 8, 16, 64)
+    for rows_per_cell in budgets:
         scores = []
 
         def scored(squares, m_product):
@@ -224,7 +226,7 @@ def test_block_budget_cannot_change_a_score(case):
             [v.hex() for v in got.values()],
             sorted((m_product, v.hex()) for m_product, v in scores),
         ))
-    for rows_per_cell, result in zip((8, 16, 64), results[1:]):
+    for rows_per_cell, result in zip(budgets[1:], results[1:]):
         assert result == results[0], rows_per_cell
 
 
@@ -306,9 +308,10 @@ def test_srmse_by_size_shared_blocks_at_bench_shape():
 
 def test_srmse_by_size_work_at_ipf_d14_shape():
     """The walk's work at the ipf_d14 benchmark's shape (d=14, 10k reference
-    and 10k synthetic rows, sizes 1..5): its axis sums, its scored subsets
-    and its blocks. The plan depends on the dims and row counts only. A
-    change to this work re-pins these counts and says why."""
+    and 10k synthetic rows, sizes 1..5): its axis sums, its scored subsets,
+    its blocks, the key extensions that key them and its scoring passes.
+    The plan depends on the dims and row counts only. A change to this
+    work re-pins these counts and says why."""
     source, target = make_transfer_benchmark(
         seed=0, d=14, n_source=10_000, n_target=10_000
     )
@@ -318,13 +321,21 @@ def test_srmse_by_size_work_at_ipf_d14_shape():
         plans.append(cover(*args))
         return plans[-1]
 
-    with mock.patch.object(metrics, "_sum_out", wraps=metrics._sum_out) as sums:
-        with mock.patch.object(metrics, "srmse", wraps=metrics.srmse) as scored:
-            with mock.patch.object(metrics, "_cover", planned):
-                metrics.srmse_by_size(target, source, range(1, 6))
-    assert sums.call_count == 4410
+    with (
+        mock.patch.object(metrics, "_sum_out", wraps=metrics._sum_out) as sums,
+        mock.patch.object(metrics, "srmse", wraps=metrics.srmse) as scored,
+        mock.patch.object(
+            metrics, "_score_block", wraps=metrics._score_block
+        ) as passes,
+        mock.patch.object(dataset, "_extend_keys", wraps=dataset._extend_keys) as keyed,
+        mock.patch.object(metrics, "_cover", planned),
+    ):
+        metrics.srmse_by_size(target, source, range(1, 6))
+    assert sums.call_count == 4702
     assert scored.call_count == 3472
-    assert [len(plan) for plan in plans] == [156]
+    assert [len(plan) for plan in plans] == [94]
+    assert keyed.call_count == 451
+    assert passes.call_count == 94
 
 
 @st.composite
@@ -353,23 +364,25 @@ def test_sum_out_equals_add_reduce_on_every_axis(table):
     st.integers(1, 5),
     st.integers(1, 400),
 )
-def test_cover_lists_inner_subsets_in_lexicographic_order(dims, top, rows):
-    """_cover lists a block's inner subsets in lexicographic order, so in
-    reverse their removed columns come in lexicographic order too. The walk
-    does not rely on it, since it sorts the removed columns into its trie;
-    the test pins the plan: ascending blocks within the width cap, each
-    holding its own inner subsets, and every top-size subset held once."""
+def test_cover_lists_each_blocks_removals_in_lexicographic_order(dims, top, rows):
+    """_cover gives each block the columns its first-held subsets remove,
+    in the lexicographic order of itertools.combinations, so _trie nests
+    them as they come and its keys ascend. The test pins the plan: blocks
+    in ascending order, each of ascending columns within the width cap;
+    each removal a combination of its block whose complement is a
+    top-size subset; every top-size subset held exactly once."""
     top = min(top, len(dims))
-    plan = metrics._cover(dims, top, rows // 8, KEY_RANGE_PER_ROW * rows)
+    plan = metrics._cover(
+        dims, top, rows // metrics._ROWS_PER_BLOCK_CELL, KEY_RANGE_PER_ROW * rows
+    )
+    assert [block for block, _ in plan] == sorted(block for block, _ in plan)
     held = []
-    for block, inner in plan:
+    for block, removals in plan:
         assert list(block) == sorted(set(block))
         assert len(block) <= metrics._MAX_BLOCK_COLUMNS
-        assert inner == sorted(inner)
-        assert set(inner) <= set(itertools.combinations(block, top))
-        removed = [tuple(c for c in block if c not in s) for s in reversed(inner)]
-        assert removed == sorted(removed)
-        held += inner
+        assert removals and removals == sorted(set(removals))
+        assert set(removals) <= set(itertools.combinations(block, len(block) - top))
+        held += [tuple(c for c in block if c not in removed) for removed in removals]
     assert sorted(held) == list(itertools.combinations(range(len(dims)), top))
 
 
